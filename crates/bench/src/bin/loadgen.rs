@@ -30,7 +30,7 @@
 //! `--chaos SPEC` runs the whole load under a seeded fault-injection plan
 //! (see `gridwfs-chaos`), e.g. `--chaos seed=7,panic=0.05,torn=0.1`;
 //! `--state-dir DIR` gives the chaos somewhere to bite by persisting every
-//! submission, and `--backend wal|dir|memory` picks the storage engine
+//! submission, and `--backend wal|memory` picks the storage engine
 //! behind it (the WAL's group commit is the durable default).  Under chaos the final accounting relaxes from "all done"
 //! to "every admitted job terminal" — injected faults may fail jobs, but
 //! must never lose them.
@@ -51,8 +51,8 @@ use std::time::{Duration, Instant};
 use gridwfs_serve::json::{json_number, json_string};
 use gridwfs_serve::metrics::percentile;
 use gridwfs_serve::{
-    recover, splitmix64, Backend, DirStorage, FaultPlan, GridSpec, JobState, MemStorage, RealFs,
-    Service, ServiceConfig, Storage, Submission, SubmitError, WalStorage,
+    recover, splitmix64, Backend, FaultPlan, GridSpec, JobState, MemStorage, Service,
+    ServiceConfig, Storage, Submission, SubmitError, WalStorage,
 };
 use gridwfs_wpdl::builder::WorkflowBuilder;
 
@@ -249,9 +249,6 @@ fn fleet_main(opts: &LoadOptions) {
     let st: Arc<dyn Storage> = match &opts.state_dir {
         Some(dir) => match opts.backend {
             Backend::Wal => Arc::new(WalStorage::open(dir).expect("wal state dir")),
-            Backend::Dir => {
-                Arc::new(DirStorage::new(Arc::new(RealFs), dir).expect("dir state dir"))
-            }
             Backend::Memory => Arc::new(MemStorage::new()),
         },
         None => Arc::new(MemStorage::new()),

@@ -1,13 +1,13 @@
-//! Storage-backend bench (`BENCH_storage.json`): WAL vs per-file dir vs
-//! memory under the full service write path.
+//! Storage-backend bench (`BENCH_storage.json`): WAL vs memory under the
+//! full service write path.
 //!
 //! For each (backend, workers) case, drive `--m` three-task virtual-time
 //! workflows through a fresh service whose state lives on that backend,
 //! and report throughput (jobs/sec over the whole submit-to-drained wall
 //! time) and the p99 admission-to-terminal settle latency.  Virtual time
 //! keeps the engines nearly free, so the differences between cases are
-//! storage costs: per-record fsync pairs for the dir layout, one group
-//! fsync per commit batch for the WAL, nothing for memory.
+//! storage costs: one group fsync per commit batch for the WAL, nothing
+//! for memory.
 //!
 //! ```text
 //! cargo run --release -p gridwfs-bench --bin storage -- \
@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 
 use gridwfs_serve::json::{json_number, json_string};
 use gridwfs_serve::{
-    Backend, CountersSnapshot, DirStorage, GridSpec, JobState, MemStorage, RealFs, Service,
-    ServiceConfig, Storage, Submission, SubmitError, WalStorage,
+    Backend, CountersSnapshot, GridSpec, JobState, MemStorage, Service, ServiceConfig, Storage,
+    Submission, SubmitError, WalStorage,
 };
 use gridwfs_wpdl::builder::WorkflowBuilder;
 
@@ -98,9 +98,6 @@ fn run_case(m: usize, backend: Backend, workers: usize, root: &Path) -> CaseResu
     // handle to read the counters after the service is gone.
     let storage: std::sync::Arc<dyn Storage> = match backend {
         Backend::Wal => std::sync::Arc::new(WalStorage::open(&dir).expect("wal opens")),
-        Backend::Dir => std::sync::Arc::new(
-            DirStorage::new(std::sync::Arc::new(RealFs), &dir).expect("dir opens"),
-        ),
         Backend::Memory => std::sync::Arc::new(MemStorage::new()),
     };
     let service = Service::start(ServiceConfig {
@@ -159,7 +156,7 @@ fn main() {
     std::fs::create_dir_all(&opts.state_root).expect("state root");
 
     let mut results = Vec::new();
-    for backend in [Backend::Wal, Backend::Dir, Backend::Memory] {
+    for backend in [Backend::Wal, Backend::Memory] {
         for &workers in &opts.workers {
             eprintln!(
                 "== storage bench: {} x{workers}, m={}",

@@ -14,6 +14,7 @@ use std::time::Instant;
 
 use gridwfs_eval::parallel::McPlan;
 use gridwfs_eval::sweep::{render_csv, render_table, Series};
+use gridwfs_serve::json::{json_number, json_string};
 
 /// Parsed common CLI options.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,36 +214,6 @@ impl Report {
                 Err(e) => eprintln!("cannot write {path}: {e}"),
             }
         }
-    }
-}
-
-/// JSON string literal with minimal escaping (quotes, backslash, control
-/// characters; the labels are known ASCII/UTF-8 text).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number; non-finite values (the masking curves at p = 1) become
-/// `null`, which JSON can represent and `inf` is not.
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
     }
 }
 

@@ -11,10 +11,12 @@
 //!   errors).  Every decision is a pure hash of the plan seed and a stable
 //!   key, never of wall-clock time or thread interleaving, so two runs of the
 //!   same plan make identical choices.
-//! * [`StateFs`] — the filesystem seam all state-dir I/O goes through.
-//!   [`RealFs`] is the production passthrough; [`ChaosFs`] wraps any
-//!   `StateFs` and injects plan-driven faults keyed by *file name* (not full
-//!   path), so runs in different temp dirs inject identically.
+//! * [`StateFs`] — the four filesystem calls [`write_atomic`] makes.
+//!   [`RealFs`] is the production passthrough; a test scripts its own
+//!   implementation to fail an exact crash point (the WAL compaction swap,
+//!   an engine checkpoint save).  Record-level fault *schedules* live in
+//!   `gridwfs_storage::ChaosStorage`, the one consumer of
+//!   [`FaultPlan::op_faults`].
 //! * [`write_atomic`] — the one crash-atomic write helper: tmp file +
 //!   `sync_all` + rename + parent-dir fsync.  A fault (or crash) at any point
 //!   leaves either the complete old version or the complete new version,
@@ -25,7 +27,6 @@
 //! The crate is dependency-free by design (it sits below `serve` and next to
 //! `trace` in the build graph, and must build in the offline stub workspace).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -321,9 +322,8 @@ impl FaultPlan {
     /// `kind` operation on `name` faults iff this returns true.  Keyed by
     /// the record *name* (never a full path), so decisions are identical
     /// regardless of state-dir location or which backend executes the op.
-    /// `ChaosFs` routes its per-file decisions through this; the storage
-    /// crate's record-level chaos wrapper reuses it so every backend sees
-    /// the same fault stream.
+    /// The storage crate's record-level chaos wrapper is the one caller, so
+    /// every backend sees the same fault stream.
     pub fn op_faults(&self, kind: FsFaultKind, name: &str, n: u64) -> bool {
         let (salt, p) = match kind {
             FsFaultKind::Write => (SALT_WRITE, self.write_p),
@@ -370,23 +370,11 @@ impl fmt::Display for FaultPlan {
 // StateFs seam
 // ---------------------------------------------------------------------------
 
-/// The filesystem seam every state-dir operation goes through.
+/// The filesystem calls [`write_atomic`] makes — and nothing else.
 ///
-/// `serve::recover` and `serve::service` never call `std::fs` directly for
-/// state-dir I/O; they call this trait.  Production uses [`RealFs`]; the
-/// chaos harness wraps it in [`ChaosFs`]; tests can script their own
-/// implementation to hit exact crash points.
+/// Production uses [`RealFs`]; a test scripts its own implementation to
+/// hit an exact crash point of the tmp-write → rename → dir-fsync sequence.
 pub trait StateFs: Send + Sync {
-    /// Read an entire file to a string.
-    fn read_to_string(&self, path: &Path) -> io::Result<String>;
-    /// Read an entire file's raw bytes.  The default falls back to the
-    /// UTF-8 read (fine for scripted test filesystems, whose records are
-    /// text); byte-faithful backends override it so records that are not
-    /// valid UTF-8 still read — and precondition checks against them
-    /// still evaluate — instead of erroring as `InvalidData`.
-    fn read_bytes(&self, path: &Path) -> io::Result<Vec<u8>> {
-        self.read_to_string(path).map(String::into_bytes)
-    }
     /// Create/truncate `path`, write `data`, and flush it to disk
     /// (`sync_all`).  Durability matters here: [`write_atomic`] relies on the
     /// tmp file being on disk before the rename makes it visible.
@@ -397,12 +385,6 @@ pub trait StateFs: Send + Sync {
     fn remove_file(&self, path: &Path) -> io::Result<()>;
     /// fsync a directory, making completed renames in it durable.
     fn sync_dir(&self, dir: &Path) -> io::Result<()>;
-    /// Create a directory and all parents.
-    fn create_dir_all(&self, dir: &Path) -> io::Result<()>;
-    /// List the *file names* (not full paths) in a directory.
-    fn read_dir_names(&self, dir: &Path) -> io::Result<Vec<String>>;
-    /// Does this path exist?
-    fn exists(&self, path: &Path) -> bool;
 }
 
 /// Production [`StateFs`]: a straight passthrough to `std::fs`.
@@ -410,14 +392,6 @@ pub trait StateFs: Send + Sync {
 pub struct RealFs;
 
 impl StateFs for RealFs {
-    fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        std::fs::read_to_string(path)
-    }
-
-    fn read_bytes(&self, path: &Path) -> io::Result<Vec<u8>> {
-        std::fs::read(path)
-    }
-
     fn write_file(&self, path: &Path, data: &[u8]) -> io::Result<()> {
         use std::io::Write as _;
         let mut f = std::fs::File::create(path)?;
@@ -442,171 +416,6 @@ impl StateFs for RealFs {
             Err(_) => Ok(()),
         }
     }
-
-    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(dir)
-    }
-
-    fn read_dir_names(&self, dir: &Path) -> io::Result<Vec<String>> {
-        let mut names = Vec::new();
-        for entry in std::fs::read_dir(dir)? {
-            names.push(entry?.file_name().to_string_lossy().into_owned());
-        }
-        Ok(names)
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        path.exists()
-    }
-}
-
-/// Shared handles delegate, so a `ChaosFs<Arc<dyn StateFs>>` can wrap
-/// whatever filesystem a service was configured with.
-impl<F: StateFs + ?Sized> StateFs for std::sync::Arc<F> {
-    fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        (**self).read_to_string(path)
-    }
-    fn read_bytes(&self, path: &Path) -> io::Result<Vec<u8>> {
-        (**self).read_bytes(path)
-    }
-    fn write_file(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        (**self).write_file(path, data)
-    }
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        (**self).rename(from, to)
-    }
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        (**self).remove_file(path)
-    }
-    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
-        (**self).sync_dir(dir)
-    }
-    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-        (**self).create_dir_all(dir)
-    }
-    fn read_dir_names(&self, dir: &Path) -> io::Result<Vec<String>> {
-        (**self).read_dir_names(dir)
-    }
-    fn exists(&self, path: &Path) -> bool {
-        (**self).exists(path)
-    }
-}
-
-/// Fault-injecting [`StateFs`] wrapper.
-///
-/// Every fault decision is a pure function of `(plan seed, file name, op
-/// kind, per-(file, op) sequence number)` — crucially keyed by the file
-/// *name*, not the full path, so two runs of the same plan against different
-/// temp directories inject byte-identical fault schedules.  A torn write
-/// writes a prefix of the data and then *reports success*: the corruption is
-/// only discovered by the next reader, exactly like a lost page cache.
-pub struct ChaosFs<F> {
-    inner: F,
-    plan: FaultPlan,
-    seq: Mutex<HashMap<(String, &'static str), u64>>,
-}
-
-impl<F: StateFs> ChaosFs<F> {
-    pub fn new(inner: F, plan: FaultPlan) -> Self {
-        ChaosFs {
-            inner,
-            plan,
-            seq: Mutex::new(HashMap::new()),
-        }
-    }
-
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Take the next sequence number for `(file name of path, op)` and decide
-    /// whether this op faults.
-    fn fault(&self, path: &Path, kind: FsFaultKind) -> bool {
-        let p = match kind {
-            FsFaultKind::Write => self.plan.write_p,
-            FsFaultKind::Torn => self.plan.torn_p,
-            FsFaultKind::Rename => self.plan.rename_p,
-            FsFaultKind::Read => self.plan.read_p,
-        };
-        if p <= 0.0 {
-            return false;
-        }
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let n = {
-            let mut seq = relock(&self.seq);
-            let c = seq.entry((name.clone(), kind.op_name())).or_insert(0);
-            let n = *c;
-            *c += 1;
-            n
-        };
-        self.plan.op_faults(kind, &name, n)
-    }
-
-    fn injected(what: &str, path: &Path) -> io::Error {
-        io::Error::other(format!(
-            "chaos: injected {what} failure ({})",
-            path.display()
-        ))
-    }
-}
-
-impl<F: StateFs> StateFs for ChaosFs<F> {
-    fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        if self.fault(path, FsFaultKind::Read) {
-            return Err(Self::injected("read", path));
-        }
-        self.inner.read_to_string(path)
-    }
-
-    fn read_bytes(&self, path: &Path) -> io::Result<Vec<u8>> {
-        if self.fault(path, FsFaultKind::Read) {
-            return Err(Self::injected("read", path));
-        }
-        self.inner.read_bytes(path)
-    }
-
-    fn write_file(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        if self.fault(path, FsFaultKind::Write) {
-            return Err(Self::injected("write", path));
-        }
-        if self.fault(path, FsFaultKind::Torn) && !data.is_empty() {
-            // Short write that *claims* success — torn data surfaces later.
-            return self.inner.write_file(path, &data[..data.len() / 2]);
-        }
-        self.inner.write_file(path, data)
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        if self.fault(to, FsFaultKind::Rename) {
-            // The crash-between-write-and-rename point: tmp exists, target
-            // still holds its previous version.
-            return Err(Self::injected("rename", to));
-        }
-        self.inner.rename(from, to)
-    }
-
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        self.inner.remove_file(path)
-    }
-
-    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
-        self.inner.sync_dir(dir)
-    }
-
-    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-        self.inner.create_dir_all(dir)
-    }
-
-    fn read_dir_names(&self, dir: &Path) -> io::Result<Vec<String>> {
-        self.inner.read_dir_names(dir)
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        self.inner.exists(path)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -614,8 +423,8 @@ impl<F: StateFs> StateFs for ChaosFs<F> {
 // ---------------------------------------------------------------------------
 
 /// The tmp-file path `write_atomic` stages through: `<name>.tmp` next to the
-/// target.  Exposed so scanners can recognise and ignore leftovers.
-pub fn tmp_path(path: &Path) -> PathBuf {
+/// target.
+fn tmp_path(path: &Path) -> PathBuf {
     let mut name = path
         .file_name()
         .map(|n| n.to_os_string())
@@ -628,8 +437,8 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 /// `sync_all`ed), rename it over `path`, then fsync the parent directory.
 ///
 /// Crash-point guarantees (each verified by the crash-point test matrix):
-/// * fault **during the tmp write** → `Err`, target untouched, tmp removed
-///   best-effort (scanners ignore `.tmp` leftovers anyway);
+/// * fault **during the tmp write** → `Err`, target untouched (a partial
+///   `.tmp` may stay behind; the next write to the name truncates it);
 /// * fault **between write and rename** (rename fails) → `Err`, target still
 ///   holds its previous version in full;
 /// * fault **after the rename** (dir fsync fails) → `Err`, but the target
@@ -646,55 +455,6 @@ pub fn write_atomic(fs: &dyn StateFs, path: &Path, data: &[u8]) -> io::Result<()
         fs.sync_dir(parent)?;
     }
     Ok(())
-}
-
-/// Group commit: crash-atomically replaces a whole batch of files with ONE
-/// parent-directory fsync per distinct directory, instead of the one fsync
-/// *per file* that looping over [`write_atomic`] costs.  The scheduler's
-/// per-tick state-dir batches (result markers, elapsed ledgers) are the
-/// intended caller: under a 100k-job load the directory fsync dominates the
-/// state-dir write path, and amortising it across a tick is what keeps the
-/// settle rate off the disk's fsync ceiling.
-///
-/// Per-file guarantees are exactly [`write_atomic`]'s: every target is
-/// either all-old or all-new, never torn (each tmp is written and
-/// `sync_all`ed before its rename).  The relaxation is only in the
-/// directory entries: a crash after some renames but before the directory
-/// fsync may lose any subset of the *renames* — the same window a single
-/// `write_atomic` already has between its rename and its dir fsync.
-///
-/// Failures are per-file: one bad write must not sink the rest of the
-/// batch, so errors are collected and returned (empty = full success) and
-/// the remaining files still commit.
-pub fn write_atomic_batch(
-    fs: &dyn StateFs,
-    writes: &[(PathBuf, Vec<u8>)],
-) -> Vec<(PathBuf, io::Error)> {
-    let mut errors = Vec::new();
-    let mut dirs: Vec<PathBuf> = Vec::new();
-    for (path, data) in writes {
-        let tmp = tmp_path(path);
-        if let Err(e) = fs.write_file(&tmp, data) {
-            errors.push((path.clone(), e));
-            continue;
-        }
-        if let Err(e) = fs.rename(&tmp, path) {
-            let _ = fs.remove_file(&tmp);
-            errors.push((path.clone(), e));
-            continue;
-        }
-        if let Some(parent) = path.parent() {
-            if !dirs.iter().any(|d| d == parent) {
-                dirs.push(parent.to_path_buf());
-            }
-        }
-    }
-    for dir in dirs {
-        if let Err(e) = fs.sync_dir(&dir) {
-            errors.push((dir, e));
-        }
-    }
-    errors
 }
 
 // ---------------------------------------------------------------------------
@@ -859,17 +619,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn real_fs_read_dir_names_lists_files() {
-        let dir = tmpdir("readdir");
-        std::fs::write(dir.join("a.meta"), "x").unwrap();
-        std::fs::write(dir.join("b.meta"), "y").unwrap();
-        let mut names = RealFs.read_dir_names(&dir).unwrap();
-        names.sort();
-        assert_eq!(names, vec!["a.meta", "b.meta"]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     // -- Crash-point matrix -------------------------------------------------
 
     /// Scripted fs: fail the N-th occurrence of one op kind, pass everything
@@ -895,18 +644,9 @@ mod tests {
     }
 
     impl StateFs for FailAt {
-        fn read_to_string(&self, path: &Path) -> io::Result<String> {
-            if self.trip("read") {
-                return Err(io::Error::other("scripted read failure"));
-            }
-            RealFs.read_to_string(path)
-        }
         fn write_file(&self, path: &Path, data: &[u8]) -> io::Result<()> {
             if self.trip("write") {
                 return Err(io::Error::other("scripted write failure"));
-            }
-            if self.trip("torn") && !data.is_empty() {
-                return RealFs.write_file(path, &data[..data.len() / 2]);
             }
             RealFs.write_file(path, data)
         }
@@ -924,15 +664,6 @@ mod tests {
                 return Err(io::Error::other("scripted dir-sync failure"));
             }
             RealFs.sync_dir(dir)
-        }
-        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-            RealFs.create_dir_all(dir)
-        }
-        fn read_dir_names(&self, dir: &Path) -> io::Result<Vec<String>> {
-            RealFs.read_dir_names(dir)
-        }
-        fn exists(&self, path: &Path) -> bool {
-            path.exists()
         }
     }
 
@@ -975,9 +706,6 @@ mod tests {
         write_atomic(&RealFs, &path, b"old and complete").unwrap();
         struct TornThenCrash;
         impl StateFs for TornThenCrash {
-            fn read_to_string(&self, path: &Path) -> io::Result<String> {
-                RealFs.read_to_string(path)
-            }
             fn write_file(&self, path: &Path, data: &[u8]) -> io::Result<()> {
                 RealFs.write_file(path, &data[..data.len() / 2])
             }
@@ -990,72 +718,9 @@ mod tests {
             fn sync_dir(&self, dir: &Path) -> io::Result<()> {
                 RealFs.sync_dir(dir)
             }
-            fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-                RealFs.create_dir_all(dir)
-            }
-            fn read_dir_names(&self, dir: &Path) -> io::Result<Vec<String>> {
-                RealFs.read_dir_names(dir)
-            }
-            fn exists(&self, path: &Path) -> bool {
-                path.exists()
-            }
         }
         assert!(write_atomic(&TornThenCrash, &path, b"new but torn").is_err());
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "old and complete");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    // -- ChaosFs ------------------------------------------------------------
-
-    #[test]
-    fn chaos_fs_injects_by_file_name_not_path() {
-        // Same plan, two different directories: the fault schedule must be
-        // identical, because decisions key on file names only.
-        let plan = FaultPlan::parse("seed=13,write=0.5,rename=0.3,read=0.4").unwrap();
-        let dirs = [tmpdir("chaos-a"), tmpdir("chaos-b")];
-        let mut outcomes: Vec<Vec<bool>> = Vec::new();
-        for dir in &dirs {
-            let fs = ChaosFs::new(RealFs, plan.clone());
-            let mut ok = Vec::new();
-            for i in 0..24 {
-                let path = dir.join(format!("job-{}.meta", i % 6));
-                ok.push(write_atomic(&fs, &path, b"payload").is_ok());
-                ok.push(fs.read_to_string(&path).is_ok());
-            }
-            outcomes.push(ok);
-        }
-        assert_eq!(outcomes[0], outcomes[1]);
-        assert!(
-            outcomes[0].iter().any(|&x| x) && outcomes[0].iter().any(|&x| !x),
-            "p=0.3..0.5 over 48 ops should both pass and fail at least once"
-        );
-        for dir in &dirs {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
-
-    #[test]
-    fn chaos_fs_torn_write_survives_write_atomic_but_corrupts_content() {
-        // torn=1 means every write is short; write_atomic "succeeds" and the
-        // final file holds the truncated payload — the scanner's problem now.
-        let plan = FaultPlan::parse("seed=1,torn=1").unwrap();
-        let dir = tmpdir("chaos-torn");
-        let fs = ChaosFs::new(RealFs, plan);
-        let path = dir.join("job-1.meta");
-        write_atomic(&fs, &path, b"0123456789").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "01234");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn chaos_fs_rename_failure_keeps_previous_version() {
-        let plan = FaultPlan::parse("seed=1,rename=1").unwrap();
-        let dir = tmpdir("chaos-rename");
-        let path = dir.join("job-1.meta");
-        write_atomic(&RealFs, &path, b"old").unwrap();
-        let fs = ChaosFs::new(RealFs, plan);
-        assert!(write_atomic(&fs, &path, b"new").is_err());
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "old");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,22 +6,11 @@
 //! stack into this crate.
 
 /// JSON string literal with the required escaping (quotes, backslash,
-/// control characters).
+/// control characters) — the flight recorder's escaper, so journals,
+/// metrics snapshots and bench reports share one writer.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    gridwfs_trace::push_escaped(&mut out, s);
     out
 }
 

@@ -76,9 +76,9 @@ mod worker;
 pub use gridspec::{
     DetectorSpec, ExecMode, GridSpec, HostSpec, LinkSpec, ProfileSpec, SchedulerSpec,
 };
-pub use gridwfs_chaos::{relock, splitmix64, ChaosFs, FaultPlan, RealFs, StateFs};
+pub use gridwfs_chaos::{relock, splitmix64, FaultPlan};
 pub use gridwfs_storage::{
-    Backend, ChaosStorage, CountersSnapshot, DirStorage, MemStorage, Op, Storage, WalStorage,
+    Backend, ChaosStorage, CountersSnapshot, MemStorage, Op, Storage, WalStorage, WAL_FILE,
 };
 pub use gridwfs_trace::{TraceEvent, TraceKind, TraceSink};
 pub use job::{JobId, JobRecord, JobState, Submission};

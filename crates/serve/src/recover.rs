@@ -27,13 +27,12 @@
 //!   terminal or not, so a restarted service never reuses the id — and
 //!   thereby the checkpoint or result marker — of a finished job.
 //!
-//! Where the records live is the backend's business: one file each under
-//! [`gridwfs_storage::DirStorage`] (the PR-4 layout, every name is a file
-//! name), frames in a group-committed log under
-//! [`gridwfs_storage::WalStorage`], plain map entries in memory.  Every
-//! mutation goes through [`Storage::apply`], whose batch is one crash-
-//! atomic group commit — a crash at any point leaves either the old or
-//! the new version of each record, never a torn one.
+//! Where the records live is the backend's business: frames in a
+//! group-committed log under [`gridwfs_storage::WalStorage`], plain map
+//! entries under [`gridwfs_storage::MemStorage`].  Every mutation goes
+//! through [`Storage::apply`], whose batch is one crash-atomic group
+//! commit — it lands whole or not at all, so a crash at any point leaves
+//! either the old or the new version of each record, never a torn one.
 //!
 //! Corrupt entries are quarantined (meta renamed to
 //! `job-<id>.meta.quarantined`, warning on stderr) rather than failing
@@ -92,35 +91,6 @@ pub fn dlq_name(id: JobId) -> String {
 /// Record name of the job's ownership lease (federated fleets only).
 pub fn lease_name(id: JobId) -> String {
     format!("{id}.lease")
-}
-
-/// On-disk path of a record under the per-file [`DirStorage`] layout —
-/// for tests and operators that inspect the state dir directly.  Other
-/// backends have no per-record paths.
-///
-/// [`DirStorage`]: gridwfs_storage::DirStorage
-pub fn meta_path(dir: &Path, id: JobId) -> PathBuf {
-    dir.join(meta_name(id))
-}
-
-/// See [`meta_path`].
-pub fn workflow_path(dir: &Path, id: JobId) -> PathBuf {
-    dir.join(workflow_name(id))
-}
-
-/// See [`meta_path`].
-pub fn checkpoint_path(dir: &Path, id: JobId) -> PathBuf {
-    dir.join(checkpoint_name(id))
-}
-
-/// See [`meta_path`].
-pub fn result_path(dir: &Path, id: JobId) -> PathBuf {
-    dir.join(result_name(id))
-}
-
-/// See [`meta_path`].
-pub fn elapsed_path(dir: &Path, id: JobId) -> PathBuf {
-    dir.join(elapsed_name(id))
 }
 
 /// Path of the per-job flight-recorder journal (under the service's
@@ -483,10 +453,9 @@ fn parse_meta(text: &str, wf_xml: String) -> Result<Submission, String> {
 }
 
 /// Largest job id any `job-<id>.*` record mentions (0 when there is
-/// none).  Unlike [`scan`] this counts terminal jobs, quarantined jobs,
-/// and even `.tmp` staging leftovers (DirStorage lists them as records):
+/// none).  Unlike [`scan`] this counts terminal and quarantined jobs:
 /// id allocation must never hand out an id whose checkpoint or result
-/// marker is (or was about to be) durable.
+/// marker is durable.
 pub fn max_job_id(st: &dyn Storage) -> Result<u64, String> {
     let mut max = 0u64;
     let names = st.list().map_err(|e| format!("storage list: {e}"))?;
@@ -515,9 +484,8 @@ pub struct Scan {
 }
 
 /// Moves a corrupt record aside (`<name>.quarantined`) so later scans
-/// skip it, keeping it around for post-mortem.  Backends make the rename
-/// as robust as they can (DirStorage falls back to copy+remove); if it
-/// still fails the record is named in the warning.
+/// skip it, keeping it around for post-mortem.  If the rename fails the
+/// record is named in the warning.
 pub(crate) fn quarantine_record(st: &dyn Storage, name: &str, why: &str) {
     let aside = format!("{name}.quarantined");
     eprintln!("gridwfs-serve: quarantining {name}: {why}");
@@ -615,8 +583,7 @@ pub fn load_job(st: &dyn Storage, id: JobId) -> Result<Submission, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridwfs_chaos::RealFs;
-    use gridwfs_storage::{DirStorage, MemStorage, WalStorage};
+    use gridwfs_storage::{MemStorage, WalStorage};
     use std::sync::Arc;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -633,14 +600,9 @@ mod tests {
     /// Every backend must satisfy the recovery invariants.
     fn backends(root: &Path) -> Vec<Arc<dyn Storage>> {
         vec![
-            Arc::new(DirStorage::new(Arc::new(RealFs), root.join("dir")).unwrap()),
             Arc::new(WalStorage::open(root.join("wal")).unwrap()),
             Arc::new(MemStorage::new()),
         ]
-    }
-
-    fn dir_storage(dir: &Path) -> DirStorage {
-        DirStorage::new(Arc::new(RealFs), dir).unwrap()
     }
 
     fn sub(name: &str) -> Submission {
@@ -799,18 +761,6 @@ mod tests {
             assert_eq!(max_job_id(st.as_ref()).unwrap(), 3);
         }
         fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn tmp_staging_leftovers_burn_ids_but_do_not_scan() {
-        let dir = tmpdir("tmpleft");
-        // A crash between tmp-write and rename leaves exactly this — a
-        // DirStorage-only artifact (the WAL has no per-record tmp files).
-        fs::write(dir.join("job-9.meta.tmp"), "name half-written").unwrap();
-        let st = dir_storage(&dir);
-        assert!(scan(&st).unwrap().jobs.is_empty(), "no meta, no job");
-        assert_eq!(max_job_id(&st).unwrap(), 9, "but the id is burned");
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

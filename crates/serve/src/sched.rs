@@ -20,9 +20,8 @@
 //! * terminal markers, elapsed ledgers, and engine checkpoints are
 //!   staged on a per-worker [`StateBatch`] and group-committed once per
 //!   scheduler tick through [`gridwfs_storage::Storage::apply`]: one
-//!   durability point (one WAL fsync, or one directory fsync under the
-//!   per-file backend) amortised over the whole tick instead of one per
-//!   settlement.
+//!   durability point (one WAL fsync) amortised over the whole tick
+//!   instead of one per settlement.
 //!
 //! Concurrency is opt-in: [`crate::ServiceConfig::max_in_flight`]
 //! defaults to 1, which reproduces the old one-job-per-worker admission

@@ -12,8 +12,10 @@
 //! * **deadlines & cancellation** — the engine's cooperative stop flag and
 //!   executor-clock deadline (`EngineConfig::{stop, deadline}`);
 //! * **crash recovery** — with a state directory, admitted jobs persist
-//!   their submission and engine checkpoints; a restarted service
-//!   re-admits unfinished jobs and their engines resume from checkpoint;
+//!   their submission and engine checkpoints through the one
+//!   [`Storage`] seam (the write-ahead log, or memory for tests); a
+//!   restarted service re-admits unfinished jobs and their engines resume
+//!   from checkpoint;
 //! * **metrics** — a [`Metrics`] registry snapshot-able as JSON.
 
 use std::path::PathBuf;
@@ -21,9 +23,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use gridwfs_chaos::{relock, FaultPlan, RealFs, StateFs};
+use gridwfs_chaos::{relock, FaultPlan};
 use gridwfs_storage::{
-    is_fence_conflict, Backend, ChaosStorage, DirStorage, MemStorage, Op, Storage, WalStorage,
+    is_fence_conflict, Backend, ChaosStorage, MemStorage, Op, Storage, WalStorage,
 };
 use gridwfs_trace::{JsonlSink, RingSink, TraceEvent, TraceKind, TraceSink};
 
@@ -48,8 +50,8 @@ pub struct ServiceConfig {
     /// Persistence root for crash recovery; `None` = in-memory only.
     pub state_dir: Option<PathBuf>,
     /// Which storage engine backs the state dir: the group-committed
-    /// write-ahead log (the durable default), the per-file directory
-    /// layout, or a process-local in-memory table.
+    /// write-ahead log (the durable default) or a process-local in-memory
+    /// table.
     pub backend: Backend,
     /// Pre-built storage override: tests and benches inject a backend
     /// directly (e.g. one shared `MemStorage` across restarts).  When
@@ -62,10 +64,6 @@ pub struct ServiceConfig {
     /// here; recovered incarnations append to the same journal.  `None`
     /// keeps tracing in-memory only (the service ring).
     pub trace_dir: Option<PathBuf>,
-    /// Filesystem the per-file [`DirStorage`] backend goes through (the
-    /// other backends manage their own I/O).  Production keeps the
-    /// default passthrough; tests can script exact crash points.
-    pub fs: Arc<dyn StateFs>,
     /// Fault-injection plan.  `None` (the default) disables chaos
     /// entirely; with a plan, storage is wrapped in [`ChaosStorage`]
     /// (record-level fault injection, identical decisions on every
@@ -105,7 +103,6 @@ impl Default for ServiceConfig {
             storage: None,
             default_deadline: None,
             trace_dir: None,
-            fs: Arc::new(RealFs),
             chaos: None,
             max_in_flight: 1,
             replica_id: None,
@@ -235,10 +232,6 @@ impl Service {
                 Backend::Wal => {
                     Arc::new(WalStorage::open(dir).map_err(|e| format!("{}: {e}", dir.display()))?)
                 }
-                Backend::Dir => Arc::new(
-                    DirStorage::new(cfg.fs.clone(), dir)
-                        .map_err(|e| format!("{}: {e}", dir.display()))?,
-                ),
                 Backend::Memory => Arc::new(MemStorage::new()),
             })
         } else {

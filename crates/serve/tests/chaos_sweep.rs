@@ -3,7 +3,7 @@
 //! For every (fault plan, seed) combination — 4 plans × 8 seeds = 32
 //! combos — run a 2-worker service against a seeded [`FaultPlan`], then
 //! restart the same storage with chaos off, and assert the three service
-//! invariants **on every storage backend** (WAL, per-file dir, memory):
+//! invariants **on every storage backend** (WAL, memory):
 //!
 //! 1. **No deadlock** — `wait_all_terminal` returns within its budget in
 //!    both phases, under injected panics, stalls, and storage faults.
@@ -18,8 +18,7 @@
 //!    or backend file layout.
 //!
 //! Fault injection sits at the [`Storage`] record level (`ChaosStorage`),
-//! so the exact same decision stream hits the WAL, the per-file dir, and
-//! the in-memory table.
+//! so the exact same decision stream hits the WAL and the in-memory table.
 //!
 //! The sweep is parameterized over the *workflow shape* as well: plain
 //! chains and `<Foreach>` fan-outs with per-item retry and a dead-letter
@@ -298,9 +297,6 @@ fn run_combo(base: &Path, spec: &str, backend: Backend, submit: fn(u64) -> Submi
     // files to stat).
     let st: Arc<dyn Storage> = match backend {
         Backend::Memory => mem.clone().unwrap(),
-        Backend::Dir => Arc::new(
-            gridwfs_serve::DirStorage::new(Arc::new(gridwfs_serve::RealFs), &state).unwrap(),
-        ),
         Backend::Wal => Arc::new(WalStorage::open(&state).unwrap()),
     };
     for &id in &admitted {
@@ -339,7 +335,7 @@ fn sweep(tag: &str, template: &str, submit: fn(u64) -> Submission) {
         let spec = format!("seed={seed},{template}");
         let mut admitted_by_backend: Vec<Vec<u64>> = Vec::new();
         let mut accounting_by_backend: Vec<BTreeMap<u64, Vec<String>>> = Vec::new();
-        for backend in [Backend::Wal, Backend::Dir, Backend::Memory] {
+        for backend in [Backend::Wal, Backend::Memory] {
             let bt = backend.as_str();
             let a = run_combo(
                 &tmpdir(&format!("{tag}-{seed}-{bt}-a")),
@@ -382,7 +378,7 @@ fn sweep(tag: &str, template: &str, submit: fn(u64) -> Submission) {
         }
         // The record-level fault stream is backend-agnostic, so per-item
         // accounting — including what chaos dead-lettered — must be
-        // seed-identical on the WAL, the per-file dir, and memory.
+        // seed-identical on the WAL and memory.
         for pair in accounting_by_backend.windows(2) {
             assert_eq!(
                 pair[0], pair[1],

@@ -19,8 +19,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gridwfs_serve::{
-    recover, DirStorage, GridSpec, JobId, JobState, MemStorage, Op, RealFs, Service, ServiceConfig,
-    Storage, Submission, SubmitError, WalStorage,
+    recover, GridSpec, JobId, JobState, MemStorage, Op, Service, ServiceConfig, Storage,
+    Submission, SubmitError, WalStorage,
 };
 use gridwfs_wpdl::builder::WorkflowBuilder;
 
@@ -83,10 +83,6 @@ fn backends(root: &Path) -> Vec<(&'static str, Arc<dyn Storage>)> {
         (
             "wal",
             Arc::new(WalStorage::open(root.join("wal")).unwrap()) as Arc<dyn Storage>,
-        ),
-        (
-            "dir",
-            Arc::new(DirStorage::new(Arc::new(RealFs), root.join("dir")).unwrap()),
         ),
         ("mem", Arc::new(MemStorage::new())),
     ]

@@ -8,7 +8,7 @@
 //! land in storage, but no worker ever runs them and no heartbeat ever
 //! renews, so the leases expire and the survivors take the jobs over.
 //!
-//! Fleet-wide invariants, on the WAL, the per-file dir, and memory:
+//! Fleet-wide invariants, on the WAL and memory:
 //!
 //! 1. **Exactly one terminal state** — every admitted job ends with
 //!    exactly one `.result` record and exactly one `job_settled` journal
@@ -28,8 +28,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gridwfs_serve::{
-    recover, DirStorage, FaultPlan, GridSpec, JobId, MemStorage, RealFs, Service, ServiceConfig,
-    Storage, Submission, WalStorage,
+    recover, FaultPlan, GridSpec, JobId, MemStorage, Service, ServiceConfig, Storage, Submission,
+    WalStorage,
 };
 
 const REPLICAS: usize = 3;
@@ -67,7 +67,6 @@ fn submission(i: u64) -> Submission {
 fn backend_storage(kind: &str, root: &Path) -> Arc<dyn Storage> {
     match kind {
         "wal" => Arc::new(WalStorage::open(root.join("state")).unwrap()),
-        "dir" => Arc::new(DirStorage::new(Arc::new(RealFs), root.join("state")).unwrap()),
         "mem" => Arc::new(MemStorage::new()),
         other => panic!("unknown backend {other}"),
     }
@@ -219,11 +218,6 @@ mod common;
 #[test]
 fn replica_kill_sweep_wal() {
     sweep("wal");
-}
-
-#[test]
-fn replica_kill_sweep_dir() {
-    sweep("dir");
 }
 
 #[test]

@@ -3,11 +3,11 @@
 //! without redoing finished work.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gridwfs_serve::{
-    recover, Backend, DirStorage, GridSpec, JobId, JobState, RealFs, Service, ServiceConfig,
-    Submission,
+    recover, GridSpec, JobId, JobState, Service, ServiceConfig, Storage, Submission, WalStorage,
 };
 use gridwfs_wpdl::builder::WorkflowBuilder;
 
@@ -33,28 +33,39 @@ fn chain3_xml() -> String {
         .expect("test workflow serialises")
 }
 
-/// These tests poke `job-*` files on disk directly, so they pin the
-/// per-file backend; the WAL gets the same round trips via the
-/// backend-parameterized suites in `recover` and `chaos_sweep`.
-fn start(dir: &Path) -> Service {
-    Service::start(ServiceConfig {
+/// One service incarnation over the WAL in `dir`, re-opened from disk.
+/// The returned handle is the *same* `WalStorage` the service commits
+/// through (a live log has one owner), so a test can watch records land
+/// while the job runs; every restart replays the log from the files alone.
+fn start(dir: &Path) -> (Service, Arc<WalStorage>) {
+    let st = Arc::new(WalStorage::open(dir).unwrap());
+    let service = Service::start(ServiceConfig {
         workers: 1,
         queue_capacity: 8,
-        state_dir: Some(dir.to_path_buf()),
-        backend: Backend::Dir,
+        storage: Some(st.clone()),
         ..ServiceConfig::default()
     })
-    .unwrap()
+    .unwrap();
+    (service, st)
 }
 
-fn dir_storage(dir: &Path) -> DirStorage {
-    DirStorage::new(std::sync::Arc::new(RealFs), dir).unwrap()
+/// Blocks until the job's checkpoint records a settled activity.
+fn wait_first_settlement(st: &WalStorage, id: JobId) {
+    let ckpt = recover::checkpoint_name(id);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !st
+        .read_to_string(&ckpt)
+        .is_ok_and(|t| t.contains("status='done'"))
+    {
+        assert!(Instant::now() < deadline, "first settlement never landed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 #[test]
 fn checkpoint_kill_restart_resumes_from_checkpoint() {
     let dir = tmpdir("roundtrip");
-    let service = start(&dir);
+    let (service, st) = start(&dir);
     // Paced 0.25: three ~250ms tasks, so the kill lands mid-workflow.
     let id = service
         .submit(Submission {
@@ -68,18 +79,7 @@ fn checkpoint_kill_restart_resumes_from_checkpoint() {
 
     // Wait for the engine checkpoint to record activity `a` as done, then
     // pull the plug while `b` is still in flight.
-    let ckpt = recover::checkpoint_path(&dir, id);
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        assert!(Instant::now() < deadline, "first settlement never landed");
-        if std::fs::read_to_string(&ckpt)
-            .map(|t| t.contains("status='done'"))
-            .unwrap_or(false)
-        {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_first_settlement(&st, id);
     let records = service.shutdown_now();
     assert_eq!(records.len(), 1);
     assert_eq!(
@@ -87,11 +87,12 @@ fn checkpoint_kill_restart_resumes_from_checkpoint() {
         JobState::Queued,
         "aborted job is parked for the next incarnation, not failed"
     );
-    assert!(ckpt.exists(), "checkpoint survives the kill");
+    drop(st);
 
-    // Restart over the same directory: the job is re-admitted and runs to
-    // completion from the checkpoint.
-    let service = start(&dir);
+    // Restart over the same directory: the checkpoint survived the kill,
+    // the job is re-admitted and runs to completion from it.
+    let (service, st) = start(&dir);
+    assert!(st.exists(&recover::checkpoint_name(id)));
     use std::sync::atomic::Ordering;
     assert_eq!(
         service.metrics().counters.recovered.load(Ordering::Relaxed),
@@ -109,9 +110,10 @@ fn checkpoint_kill_restart_resumes_from_checkpoint() {
         rec.task_submissions
     );
     drop(service);
+    drop(st);
 
     // Third incarnation: the terminal result is on disk, nothing to do.
-    let service = start(&dir);
+    let (service, _) = start(&dir);
     assert!(service.jobs().is_empty());
     assert!(service.status(JobId(id.0)).is_none());
     drop(service);
@@ -121,7 +123,7 @@ fn checkpoint_kill_restart_resumes_from_checkpoint() {
 #[test]
 fn restart_never_reuses_terminal_job_ids() {
     let dir = tmpdir("idreuse");
-    let service = start(&dir);
+    let (service, _) = start(&dir);
     let first = service
         .submit(Submission {
             name: "first".into(),
@@ -138,7 +140,7 @@ fn restart_never_reuses_terminal_job_ids() {
     // The terminal job left a result marker (and checkpoint) behind; a
     // fresh submission in the next incarnation must get a fresh id, or it
     // would resume the finished workflow and inherit its result.
-    let service = start(&dir);
+    let (service, _) = start(&dir);
     assert!(service.jobs().is_empty(), "terminal job not re-admitted");
     let second = service
         .submit(Submission {
@@ -168,7 +170,7 @@ fn restart_never_reuses_terminal_job_ids() {
 #[test]
 fn control_characters_in_labels_do_not_poison_the_state_dir() {
     let dir = tmpdir("evil-label");
-    let service = start(&dir);
+    let (service, _) = start(&dir);
     let label = "evil\nhost h9 1.0";
     let id = service
         .submit(Submission {
@@ -183,7 +185,7 @@ fn control_characters_in_labels_do_not_poison_the_state_dir() {
     assert_eq!(service.status(id).unwrap().state, JobState::Done);
     service.drain();
     // The restart must not choke on the persisted label.
-    let service = start(&dir);
+    let (service, _) = start(&dir);
     assert!(service.jobs().is_empty());
     drop(service);
     std::fs::remove_dir_all(&dir).ok();
@@ -192,7 +194,7 @@ fn control_characters_in_labels_do_not_poison_the_state_dir() {
 #[test]
 fn deadline_budget_carries_across_restarts() {
     let dir = tmpdir("deadline-budget");
-    let service = start(&dir);
+    let (service, st) = start(&dir);
     let id = service
         .submit(Submission {
             name: "budgeted".into(),
@@ -203,31 +205,19 @@ fn deadline_budget_carries_across_restarts() {
         })
         .unwrap();
     // Let the first task settle, then pull the plug mid-workflow.
-    let ckpt = recover::checkpoint_path(&dir, id);
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        assert!(Instant::now() < deadline, "first settlement never landed");
-        if std::fs::read_to_string(&ckpt)
-            .map(|t| t.contains("status='done'"))
-            .unwrap_or(false)
-        {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    wait_first_settlement(&st, id);
     service.shutdown_now();
-    let st = dir_storage(&dir);
     assert!(
-        recover::read_elapsed(&st, id) > 0.0,
+        recover::read_elapsed(st.as_ref(), id) > 0.0,
         "aborted incarnation banked its consumed executor time"
     );
 
     // Simulate a job that has already burned through its whole budget:
     // the next incarnation must fail the deadline instead of granting a
     // fresh one.
-    recover::write_elapsed(&st, id, 1e6).unwrap();
+    recover::write_elapsed(st.as_ref(), id, 1e6).unwrap();
     drop(st);
-    let service = start(&dir);
+    let (service, _) = start(&dir);
     assert!(service.wait_all_terminal(Duration::from_secs(30)));
     let rec = service.status(id).unwrap();
     assert_eq!(rec.state, JobState::Failed, "{:?}", rec.detail);
@@ -239,7 +229,7 @@ fn deadline_budget_carries_across_restarts() {
 #[test]
 fn queued_jobs_survive_a_kill_without_checkpoints() {
     let dir = tmpdir("queued");
-    let service = start(&dir);
+    let (service, st) = start(&dir);
     // Occupy the single worker, then queue a second job behind it.
     let blocker = service
         .submit(Submission {
@@ -266,9 +256,10 @@ fn queued_jobs_survive_a_kill_without_checkpoints() {
         std::thread::sleep(Duration::from_millis(5));
     }
     service.shutdown_now();
-    assert!(!recover::checkpoint_path(&dir, parked).exists());
+    assert!(!st.exists(&recover::checkpoint_name(parked)));
+    drop(st);
 
-    let service = start(&dir);
+    let (service, _) = start(&dir);
     use std::sync::atomic::Ordering;
     assert_eq!(
         service.metrics().counters.recovered.load(Ordering::Relaxed),
@@ -285,9 +276,8 @@ fn queued_jobs_survive_a_kill_without_checkpoints() {
 fn failed_rollback_burns_the_id_instead_of_resurrecting_the_job() {
     use std::io;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
-    use gridwfs_serve::{CountersSnapshot, MemStorage, Op, Storage, SubmitError};
+    use gridwfs_serve::{CountersSnapshot, MemStorage, Op, SubmitError};
 
     /// [`MemStorage`] that can be armed to bounce any all-`Del` batch —
     /// the shape of a rollback whose cleanup commit fails while the

@@ -1,13 +1,13 @@
 //! Torn-write robustness (ISSUE satellite): truncate every persisted
 //! state artifact at **every byte boundary** and assert recovery never
 //! panics, never loses track of an id, and either recovers or quarantines
-//! the entry.  Two storage shapes are swept:
+//! the entry.  Two tear shapes are swept:
 //!
-//! * the per-file layout ([`DirStorage`]) — one truncated file per tear
-//!   point, exactly the PR-4 suite;
-//! * the write-ahead log ([`WalStorage`]) — the log truncated at every
-//!   byte boundary and at every record boundary; replay must quarantine
-//!   only the torn tail and keep every complete record.
+//! * a torn *record* — a short `Storage::put` that reported success (what
+//!   `ChaosStorage`'s `torn` fault produces), planted on both backends;
+//! * a torn *log* — the write-ahead log file truncated at every byte
+//!   boundary and at every record boundary; replay must quarantine only
+//!   the torn tail and keep every complete record.
 //!
 //! A torn write is a short write that *reported success* (lost page cache,
 //! powered-off disk cache): the corruption only surfaces at the next read.
@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use grid_wfs::{checkpoint, Instance};
 use gridwfs_serve::{
-    recover, Backend, DirStorage, GridSpec, JobId, RealFs, Service, ServiceConfig, Submission,
+    recover, Backend, GridSpec, JobId, MemStorage, Service, ServiceConfig, Storage, Submission,
     WalStorage,
 };
 use gridwfs_storage::{WAL_FILE, WAL_QUARANTINE};
@@ -40,8 +40,12 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn dir_st(dir: &Path) -> DirStorage {
-    DirStorage::new(Arc::new(RealFs), dir).unwrap()
+/// A fresh instance of each backend (`tag` keeps WAL dirs apart).
+fn backends(tag: &str) -> Vec<Arc<dyn Storage>> {
+    vec![
+        Arc::new(WalStorage::open(tmpdir(tag)).unwrap()),
+        Arc::new(MemStorage::new()),
+    ]
 }
 
 fn submission() -> Submission {
@@ -54,41 +58,38 @@ fn submission() -> Submission {
     }
 }
 
-/// Write `job-<id>` into `dir` and return the full meta bytes.
-fn seed_job(dir: &Path, id: JobId) -> Vec<u8> {
-    recover::write_submission(&dir_st(dir), id, &submission()).unwrap();
-    std::fs::read(recover::meta_path(dir, id)).unwrap()
-}
-
 #[test]
 fn meta_truncated_at_every_byte_boundary_recovers_or_quarantines() {
-    let template = tmpdir("meta-template");
     let id = JobId(7);
-    let full = seed_job(&template, id);
-    assert!(full.len() > 10, "meta file suspiciously small");
+    let meta = recover::meta_name(id);
+    for st in backends("meta") {
+        let st = st.as_ref();
+        recover::write_submission(st, id, &submission()).unwrap();
+        let full = st.read(&meta).unwrap();
+        assert!(full.len() > 10, "meta record suspiciously small");
 
-    for len in 0..full.len() {
-        let dir = tmpdir("meta");
-        let st = dir_st(&dir);
-        recover::write_submission(&st, id, &submission()).unwrap();
-        std::fs::write(recover::meta_path(&dir, id), &full[..len]).unwrap();
+        for len in 0..full.len() {
+            recover::write_submission(st, id, &submission()).unwrap();
+            st.del("job-7.meta.quarantined").unwrap();
+            st.put(&meta, &full[..len]).unwrap();
 
-        let scanned =
-            recover::scan(&st).unwrap_or_else(|e| panic!("scan must not fail at len {len}: {e}"));
-        assert_eq!(
-            scanned.jobs.len() as u64 + scanned.quarantined,
-            1,
-            "len {len}: job neither recovered nor quarantined"
-        );
-        // Whatever happened to the meta, the id stays burned: a restarted
-        // service must never hand job-7's files to a new submission.
-        assert_eq!(recover::max_job_id(&st).unwrap(), 7, "len {len}");
+            let scanned = recover::scan(st)
+                .unwrap_or_else(|e| panic!("scan must not fail at len {len}: {e}"));
+            assert_eq!(
+                scanned.jobs.len() as u64 + scanned.quarantined,
+                1,
+                "len {len}: job neither recovered nor quarantined"
+            );
+            // Whatever happened to the meta, the id stays burned: a restarted
+            // service must never hand job-7's records to a new submission.
+            assert_eq!(recover::max_job_id(st).unwrap(), 7, "len {len}");
 
-        // A second scan is clean: quarantined entries were moved aside,
-        // recovered ones are still recoverable — and still burn the id.
-        let again = recover::scan(&st).unwrap();
-        assert_eq!(again.quarantined, 0, "len {len}: quarantine not sticky");
-        assert_eq!(recover::max_job_id(&st).unwrap(), 7, "len {len}");
+            // A second scan is clean: quarantined entries were moved aside,
+            // recovered ones are still recoverable — and still burn the id.
+            let again = recover::scan(st).unwrap();
+            assert_eq!(again.quarantined, 0, "len {len}: quarantine not sticky");
+            assert_eq!(recover::max_job_id(st).unwrap(), 7, "len {len}");
+        }
     }
 }
 
@@ -120,67 +121,70 @@ fn torn_checkpoint_on_disk_fails_the_job_instead_of_the_service() {
     // A handful of representative tear points (full sweep is covered by
     // the loader test above; here each point boots a whole service).
     for len in [0, 1, xml.len() / 2, xml.len() - 1] {
-        let dir = tmpdir(&format!("ckpt-e2e-{len}"));
-        let id = JobId(3);
-        recover::write_submission(&dir_st(&dir), id, &submission()).unwrap();
-        std::fs::write(recover::checkpoint_path(&dir, id), &xml.as_bytes()[..len]).unwrap();
+        for st in backends(&format!("ckpt-e2e-{len}")) {
+            let id = JobId(3);
+            recover::write_submission(st.as_ref(), id, &submission()).unwrap();
+            st.put(&recover::checkpoint_name(id), &xml.as_bytes()[..len])
+                .unwrap();
 
-        let svc = Service::start(ServiceConfig {
-            workers: 1,
-            queue_capacity: 8,
-            state_dir: Some(dir.clone()),
-            backend: Backend::Dir,
-            ..ServiceConfig::default()
-        })
-        .unwrap();
-        assert!(
-            svc.wait_all_terminal(std::time::Duration::from_secs(30)),
-            "len {len}: recovered job never settled"
-        );
-        let records = svc.drain();
-        let rec = records
-            .iter()
-            .find(|r| r.id == id)
-            .expect("job re-admitted");
-        assert!(
-            rec.state.is_terminal(),
-            "len {len}: expected terminal, got {:?}",
-            rec.state
-        );
+            let svc = Service::start(ServiceConfig {
+                workers: 1,
+                queue_capacity: 8,
+                storage: Some(st.clone()),
+                ..ServiceConfig::default()
+            })
+            .unwrap();
+            assert!(
+                svc.wait_all_terminal(std::time::Duration::from_secs(30)),
+                "len {len}: recovered job never settled"
+            );
+            let records = svc.drain();
+            let rec = records
+                .iter()
+                .find(|r| r.id == id)
+                .expect("job re-admitted");
+            assert!(
+                rec.state.is_terminal(),
+                "len {len}: expected terminal, got {:?}",
+                rec.state
+            );
+        }
     }
 }
 
 #[test]
 fn elapsed_ledger_truncated_at_every_byte_boundary_reads_without_panic() {
-    let dir = tmpdir("elapsed");
-    let st = dir_st(&dir);
     let id = JobId(4);
-    recover::write_elapsed(&st, id, 123.456).unwrap();
-    let full = std::fs::read(recover::elapsed_path(&dir, id)).unwrap();
-    assert!(!full.is_empty());
+    let name = recover::elapsed_name(id);
+    for st in backends("elapsed") {
+        let st = st.as_ref();
+        recover::write_elapsed(st, id, 123.456).unwrap();
+        let full = st.read(&name).unwrap();
+        assert!(!full.is_empty());
 
-    for len in 0..full.len() {
-        std::fs::write(recover::elapsed_path(&dir, id), &full[..len]).unwrap();
-        let v = recover::read_elapsed(&st, id);
-        assert!(
-            v.is_finite() && v >= 0.0,
-            "len {len}: read_elapsed returned {v}"
-        );
+        for len in 0..full.len() {
+            st.put(&name, &full[..len]).unwrap();
+            let v = recover::read_elapsed(st, id);
+            assert!(
+                v.is_finite() && v >= 0.0,
+                "len {len}: read_elapsed returned {v}"
+            );
+        }
     }
 }
 
 #[test]
-fn staging_and_quarantine_leftovers_still_burn_their_ids() {
-    let dir = tmpdir("leftovers");
-    let st = dir_st(&dir);
-    std::fs::write(dir.join("job-12.meta.quarantined"), b"corrupt").unwrap();
-    std::fs::write(dir.join("job-9.meta.tmp"), b"half a meta").unwrap();
-    // Neither is scannable work...
-    let scanned = recover::scan(&st).unwrap();
-    assert!(scanned.jobs.is_empty());
-    assert_eq!(scanned.quarantined, 0);
-    // ...but both keep their ids out of circulation.
-    assert_eq!(recover::max_job_id(&st).unwrap(), 12);
+fn quarantine_leftovers_still_burn_their_ids() {
+    for st in backends("leftovers") {
+        let st = st.as_ref();
+        st.put("job-12.meta.quarantined", b"corrupt").unwrap();
+        // Not scannable work...
+        let scanned = recover::scan(st).unwrap();
+        assert!(scanned.jobs.is_empty());
+        assert_eq!(scanned.quarantined, 0);
+        // ...but its id stays out of circulation.
+        assert_eq!(recover::max_job_id(st).unwrap(), 12);
+    }
 }
 
 // ---------------------------------------------------------------------

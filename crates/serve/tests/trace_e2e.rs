@@ -4,10 +4,11 @@
 //! incarnation tag instead of overwriting history.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gridwfs_serve::{
-    recover, Backend, GridSpec, JobId, JobState, Service, ServiceConfig, Submission,
+    recover, GridSpec, JobId, JobState, Service, ServiceConfig, Storage, Submission, WalStorage,
 };
 use gridwfs_wpdl::builder::WorkflowBuilder;
 
@@ -100,17 +101,21 @@ fn journals_are_byte_identical_across_worker_counts() {
 fn recovered_incarnation_appends_to_the_journal() {
     let state = tmpdir("state");
     let traces = tmpdir("traces");
-    // Pinned to the per-file backend: the test polls the checkpoint file
-    // on disk to time its kill.
     let config = || ServiceConfig {
         workers: 1,
         queue_capacity: 8,
         state_dir: Some(state.clone()),
         trace_dir: Some(traces.clone()),
-        backend: Backend::Dir,
         ..ServiceConfig::default()
     };
-    let service = Service::start(config()).unwrap();
+    // The first incarnation shares its WAL handle with the test, which
+    // polls the checkpoint record to time its kill.
+    let st = Arc::new(WalStorage::open(&state).unwrap());
+    let service = Service::start(ServiceConfig {
+        storage: Some(st.clone()),
+        ..config()
+    })
+    .unwrap();
     // Paced 0.25: three ~250ms stages, so the kill lands mid-workflow.
     let mut b = WorkflowBuilder::new("slow").program("p", 1.0, &["local"]);
     b.activity("a", "p");
@@ -128,19 +133,17 @@ fn recovered_incarnation_appends_to_the_journal() {
         .unwrap();
     assert_eq!(id, JobId(1));
     // Wait until the first stage settles, then pull the plug.
-    let ckpt = recover::checkpoint_path(&state, id);
+    let ckpt = recover::checkpoint_name(id);
     let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
+    while !st
+        .read_to_string(&ckpt)
+        .is_ok_and(|t| t.contains("status='done'"))
+    {
         assert!(Instant::now() < deadline, "first settlement never landed");
-        if std::fs::read_to_string(&ckpt)
-            .map(|t| t.contains("status='done'"))
-            .unwrap_or(false)
-        {
-            break;
-        }
         std::thread::sleep(Duration::from_millis(5));
     }
     service.shutdown_now();
+    drop(st);
     let journal = std::fs::read_to_string(recover::trace_path(&traces, id)).unwrap();
     assert!(journal.contains("\"incarnation\":0"), "{journal}");
     assert!(
@@ -150,7 +153,8 @@ fn recovered_incarnation_appends_to_the_journal() {
     );
     assert!(!journal.contains("\"kind\":\"job_settle\""), "{journal}");
 
-    // Second incarnation: recovery re-admits, the journal grows.
+    // Second incarnation, from the log on disk: recovery re-admits, the
+    // journal grows.
     let service = Service::start(config()).unwrap();
     assert!(service.wait_all_terminal(Duration::from_secs(30)));
     assert!(service

@@ -3,35 +3,31 @@
 //! The service persists one flat namespace of small records per state dir —
 //! `job-3.meta`, `job-3.ckpt.xml`, `job-3.result`, … — and every mutation
 //! must be crash-atomic: after kill-9 at any instant, recovery sees either
-//! the old record or the new one, never a torn file (the PR-4 invariant the
-//! torn-write suite pins).  This crate promotes the `StateFs` seam into a
-//! [`Storage`] trait over *named records* and provides three backends:
+//! the old record or the new one, never a torn one (the invariant the
+//! torn-write suite pins).  The [`Storage`] trait over *named records* is
+//! the one seam the service talks to, with two backends behind it:
 //!
-//! * [`WalStorage`] — the durable default.  A single append-only
+//! * [`WalStorage`] — the durable backend.  A single append-only
 //!   write-ahead log with length+CRC32-framed record batches.  One
 //!   [`Storage::apply`] batch is one frame and **one fsync** (group
-//!   commit), replacing the per-file tmp→rename→fsync dance of the
-//!   per-file layout.  The log compacts periodically by atomically
-//!   rewriting itself as a single snapshot frame.  Recovery replays the
-//!   log; a torn or corrupt tail is quarantined to `wal.quarantined` and
-//!   trimmed, never fatal.
-//! * [`DirStorage`] — the PR-4 per-file layout (one file per record,
-//!   `write_atomic_batch` group commit per directory), preserved for
-//!   compatibility and as the bench baseline.  Tests that poke state
-//!   files directly on disk run against this backend.
-//! * [`MemStorage`] — a mutex-guarded map for tests and benches.
+//!   commit): it lands whole or not at all.  The log compacts periodically
+//!   by atomically rewriting itself as a single snapshot frame.  Recovery
+//!   replays the log; a torn or corrupt tail is quarantined to
+//!   `wal.quarantined` and trimmed, never fatal.
+//! * [`MemStorage`] — a mutex-guarded map: volatile, the floor tests and
+//!   benches measure against.
 //!
-//! Fault injection moves *behind the trait*: [`ChaosStorage`] wraps any
-//! backend and injects the same seed-driven write/torn/rename/read faults
-//! as `ChaosFs`, keyed by **record name** and a per-`(name, op)` sequence
-//! number.  Keying at the record level (not the backing file) is what lets
-//! the chaos sweep run identically against all three backends: the WAL
-//! funnels every record through one file whose op interleaving across
-//! worker threads is nondeterministic, so file-level injection would break
+//! Fault injection sits *behind the trait*: [`ChaosStorage`] wraps either
+//! backend and injects seed-driven write/torn/rename/read faults keyed by
+//! **record name** and a per-`(name, op)` sequence number.  Keying at the
+//! record level (not the backing file) is what lets the chaos sweep run
+//! identically against both backends: the WAL funnels every record through
+//! one file whose op interleaving across worker threads is
+//! nondeterministic, so file-level injection would break
 //! seed-replayability there.  It also means the WAL's own file I/O sits
 //! *below* the fault plane — a "torn write" tears one record's payload
-//! (surfacing at parse time, exactly like a torn file in the directory
-//! layout) rather than corrupting the log suffix for every job after it.
+//! (surfacing at parse time) rather than corrupting the log suffix for
+//! every job after it.
 //!
 //! Ordering contract: [`Storage::apply`] executes deletes and renames in
 //! op order, and commits all puts of the batch together at the end.
@@ -54,11 +50,9 @@ use std::sync::{Arc, Mutex};
 
 use gridwfs_chaos::{relock, FaultPlan, FsFaultKind};
 
-mod dir;
 mod mem;
 mod wal;
 
-pub use dir::DirStorage;
 pub use mem::MemStorage;
 pub use wal::{WalStorage, WAL_FILE, WAL_QUARANTINE};
 
@@ -181,7 +175,7 @@ pub trait Storage: Send + Sync {
     /// Force a compaction now.  No-op for backends without a log.
     fn compact(&self) -> io::Result<()>;
 
-    /// Human label for metrics and bench output (`"wal"`, `"dir"`, …).
+    /// Human label for metrics and bench output (`"wal"`, `"memory"`).
     fn backend_name(&self) -> &'static str;
 
     // --- convenience wrappers over `apply` -------------------------------
@@ -266,14 +260,12 @@ pub struct CountersSnapshot {
 // Backend selection
 // ---------------------------------------------------------------------------
 
-/// Which backend a state dir is opened with (`--backend wal|dir|memory`).
+/// Which backend a state dir is opened with (`--backend wal|memory`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// Group-committed write-ahead log (the durable default).
     #[default]
     Wal,
-    /// One file per record, `write_atomic` per mutation batch (PR-4 layout).
-    Dir,
     /// In-memory table: no durability, for tests and bench baselines.
     Memory,
 }
@@ -282,10 +274,9 @@ impl Backend {
     pub fn parse(s: &str) -> Result<Backend, String> {
         match s {
             "wal" => Ok(Backend::Wal),
-            "dir" => Ok(Backend::Dir),
             "memory" | "mem" => Ok(Backend::Memory),
             other => Err(format!(
-                "unknown storage backend {other:?} (expected wal, dir, or memory)"
+                "unknown storage backend {other:?} (expected wal or memory)"
             )),
         }
     }
@@ -293,7 +284,6 @@ impl Backend {
     pub fn as_str(self) -> &'static str {
         match self {
             Backend::Wal => "wal",
-            Backend::Dir => "dir",
             Backend::Memory => "memory",
         }
     }
@@ -309,12 +299,12 @@ impl fmt::Display for Backend {
 // ChaosStorage: record-level fault injection
 // ---------------------------------------------------------------------------
 
-/// Wraps any backend and injects plan-driven faults at the record level,
-/// with the same decision function as `ChaosFs`: the `n`-th op of a kind
-/// on a record name faults iff `FaultPlan::op_faults(kind, name, n)`.
-/// Decisions never depend on the backend, the state-dir path, or thread
-/// interleaving on *other* records, so a fault plan replays identically
-/// against WAL, directory, and memory backends.
+/// Wraps any backend and injects plan-driven faults at the record level:
+/// the `n`-th op of a kind on a record name faults iff
+/// `FaultPlan::op_faults(kind, name, n)`.  Decisions never depend on the
+/// backend, the state-dir path, or thread interleaving on *other* records,
+/// so a fault plan replays identically against the WAL and memory
+/// backends.
 pub struct ChaosStorage {
     inner: Arc<dyn Storage>,
     plan: FaultPlan,
@@ -335,8 +325,8 @@ impl ChaosStorage {
     }
 
     /// Take the next sequence number for `(name, op)` and decide whether
-    /// this op faults.  Mirrors `ChaosFs::fault`: the counter only
-    /// advances for kinds the plan can actually fire.
+    /// this op faults.  The counter only advances for kinds the plan can
+    /// actually fire.
     fn fault(&self, name: &str, kind: FsFaultKind) -> bool {
         // Lease records are exempt from record-level injection: lease
         // traffic is wall-clock-paced (heartbeat renewals, takeover
@@ -450,7 +440,6 @@ mod tests {
     fn backends(dir: &std::path::Path) -> Vec<Arc<dyn Storage>> {
         vec![
             Arc::new(MemStorage::new()),
-            Arc::new(DirStorage::new(Arc::new(gridwfs_chaos::RealFs), dir.join("dir")).unwrap()),
             Arc::new(WalStorage::open(dir.join("wal")).unwrap()),
         ]
     }
@@ -542,8 +531,7 @@ mod tests {
             }
             logs.push(log);
         }
-        assert_eq!(logs[0], logs[1], "mem vs dir fault streams differ");
-        assert_eq!(logs[0], logs[2], "mem vs wal fault streams differ");
+        assert_eq!(logs[0], logs[1], "mem vs wal fault streams differ");
         // Chaos actually fired somewhere, or this test checks nothing.
         assert!(logs[0].iter().any(|l| l.ends_with(" 1")));
         let _ = std::fs::remove_dir_all(&dir);
@@ -552,7 +540,7 @@ mod tests {
     #[test]
     fn chaos_torn_put_truncates_payload() {
         // With torn=1 every non-empty put is halved; the storage still
-        // reports success, exactly like ChaosFs torn writes.
+        // reports success.
         let plan = FaultPlan::parse("seed=3,torn=1.0").unwrap();
         let st = ChaosStorage::new(Arc::new(MemStorage::new()), plan);
         st.put("job-1.meta", b"0123456789").unwrap();
@@ -698,11 +686,12 @@ mod tests {
 
     #[test]
     fn backend_parse_round_trips() {
-        for b in [Backend::Wal, Backend::Dir, Backend::Memory] {
+        for b in [Backend::Wal, Backend::Memory] {
             assert_eq!(Backend::parse(b.as_str()).unwrap(), b);
         }
         assert_eq!(Backend::parse("mem").unwrap(), Backend::Memory);
         assert!(Backend::parse("floppy").is_err());
+        assert!(Backend::parse("dir").is_err(), "per-file backend removed");
         assert_eq!(Backend::default(), Backend::Wal);
     }
 }

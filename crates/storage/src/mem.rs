@@ -53,8 +53,8 @@ impl Storage for MemStorage {
         if !checks.is_empty() {
             return checks;
         }
-        // Deletes and renames in order first, puts last — the same commit
-        // order DirStorage's write_atomic_batch gives a mixed batch.
+        // Deletes and renames in order first, puts last — the shared
+        // ordering contract (see the crate docs).
         let mut puts = Vec::new();
         for op in ops {
             match op {

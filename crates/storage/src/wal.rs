@@ -468,6 +468,8 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -633,64 +635,95 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn failed_compaction_write_leaves_appender_usable() {
-        use gridwfs_chaos::{ChaosFs, FaultPlan};
-        let dir = tmpdir("compact-write-fault");
-        let plan = FaultPlan {
-            write_p: 1.0, // every snapshot tmp write fails
-            ..FaultPlan::default()
-        };
-        let st = WalStorage::open_with_fs(&dir, Arc::new(ChaosFs::new(RealFs, plan))).unwrap();
-        st.put("job-1.meta", b"meta").unwrap();
-        st.put("job-1.ckpt.xml", b"ckpt").unwrap();
-        let before = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
-
-        let err = st.compact().expect_err("injected tmp-write fault");
-        assert!(err.to_string().contains("chaos"), "unexpected error: {err}");
-        assert_eq!(st.counters().compactions, 0);
-        // The swap never landed: the log on disk is byte-for-byte intact...
-        assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), before);
-        // ...and the appender still commits.
-        st.put("job-2.meta", b"after-failed-compaction").unwrap();
-        drop(st);
-        let st = WalStorage::open(&dir).unwrap();
-        assert_eq!(st.read_to_string("job-1.meta").unwrap(), "meta");
-        assert_eq!(st.read_to_string("job-1.ckpt.xml").unwrap(), "ckpt");
-        assert_eq!(
-            st.read_to_string("job-2.meta").unwrap(),
-            "after-failed-compaction",
-            "post-failure append must survive reopen"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+    /// Scripted fs: fail the `at`-th call of one op, pass everything else
+    /// through to [`RealFs`].
+    struct FailAt {
+        op: &'static str,
+        at: u64,
+        count: AtomicU64,
     }
 
-    #[test]
-    fn failed_compaction_rename_leaves_appender_usable() {
-        use gridwfs_chaos::{ChaosFs, FaultPlan};
-        let dir = tmpdir("compact-rename-fault");
-        let plan = FaultPlan {
-            rename_p: 1.0, // tmp writes land, the swap rename never does
-            ..FaultPlan::default()
-        };
-        let st = WalStorage::open_with_fs(&dir, Arc::new(ChaosFs::new(RealFs, plan))).unwrap();
-        for i in 0..20u32 {
-            st.put("job-1.ckpt.xml", format!("ckpt {i}").as_bytes())
-                .unwrap();
+    impl FailAt {
+        fn check(&self, op: &'static str) -> io::Result<()> {
+            if op == self.op && self.count.fetch_add(1, Ordering::SeqCst) == self.at {
+                return Err(io::Error::other(format!("scripted {op} failure")));
+            }
+            Ok(())
         }
-        let before = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+    }
 
-        let err = st.compact().expect_err("injected rename fault");
-        assert!(err.to_string().contains("chaos"), "unexpected error: {err}");
-        // Crash-between-write-and-rename: the log still holds its previous
-        // version in full, and the tmp leftovers were cleaned up.
-        assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), before);
-        st.put("job-2.meta", b"still-alive").unwrap();
-        drop(st);
-        let st = WalStorage::open(&dir).unwrap();
-        assert_eq!(st.read_to_string("job-1.ckpt.xml").unwrap(), "ckpt 19");
-        assert_eq!(st.read_to_string("job-2.meta").unwrap(), "still-alive");
-        let _ = std::fs::remove_dir_all(&dir);
+    impl StateFs for FailAt {
+        fn write_file(&self, path: &Path, data: &[u8]) -> io::Result<()> {
+            self.check("write_file")?;
+            RealFs.write_file(path, data)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.check("rename")?;
+            RealFs.rename(from, to)
+        }
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            RealFs.remove_file(path)
+        }
+        fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+            self.check("sync_dir")?;
+            RealFs.sync_dir(dir)
+        }
+    }
+
+    /// Every crash point of the compaction swap: the error surfaces, the
+    /// appender keeps committing, and a fresh open reads every record from
+    /// before and after the failure — whether the swap never landed (tmp
+    /// write, rename) or landed without its directory fsync.
+    #[test]
+    fn compaction_swap_crash_point_matrix() {
+        // (op to fail, did the snapshot replace the log on disk?)
+        for (op, swapped) in [("write_file", false), ("rename", false), ("sync_dir", true)] {
+            let dir = tmpdir(&format!("compact-{op}"));
+            let fs = Arc::new(FailAt {
+                op,
+                at: 0,
+                count: AtomicU64::new(0),
+            });
+            let st = WalStorage::open_with_fs(&dir, fs).unwrap();
+            for i in 0..20u32 {
+                st.put("job-1.ckpt.xml", format!("ckpt {i}").as_bytes())
+                    .unwrap();
+            }
+            st.put("job-1.meta", b"meta").unwrap();
+            let before = std::fs::read(dir.join(WAL_FILE)).unwrap();
+
+            let err = st.compact().expect_err("scripted fault must surface");
+            assert!(err.to_string().contains("scripted"), "{op}: {err}");
+            assert_eq!(st.counters().compactions, 0, "{op}");
+            let after = std::fs::read(dir.join(WAL_FILE)).unwrap();
+            if swapped {
+                assert!(after.len() < before.len(), "{op}: snapshot is in place");
+            } else {
+                assert_eq!(after, before, "{op}: log must be byte-for-byte intact");
+            }
+            assert!(!dir.join("wal.log.tmp").exists(), "{op}: tmp left behind");
+
+            st.put("job-2.meta", b"after-failed-compaction")
+                .unwrap_or_else(|e| panic!("{op}: appender unusable: {e}"));
+            // The one-shot fault is spent: the next compaction goes through.
+            st.compact().unwrap();
+            st.put("job-3.meta", b"after-good-compaction").unwrap();
+            drop(st);
+            let st = WalStorage::open(&dir).unwrap();
+            assert_eq!(st.read_to_string("job-1.ckpt.xml").unwrap(), "ckpt 19");
+            assert_eq!(st.read_to_string("job-1.meta").unwrap(), "meta");
+            assert_eq!(
+                st.read_to_string("job-2.meta").unwrap(),
+                "after-failed-compaction",
+                "{op}: post-failure append must survive reopen"
+            );
+            assert_eq!(
+                st.read_to_string("job-3.meta").unwrap(),
+                "after-good-compaction"
+            );
+            assert!(!dir.join(WAL_QUARANTINE).exists(), "{op}: clean replay");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -487,7 +487,9 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
-fn push_escaped(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal (quotes, backslash and
+/// control characters escaped) — the workspace's one JSON string writer.
+pub fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -44,12 +44,9 @@ cp -r "$REPO/scripts/stubs" "$CHECK/stubs"
 
 # Point the workspace at the stubs and drop proptest (unstubbable).
 sed -i \
-    -e 's#^rand = .*#rand = { path = "stubs/rand" }#' \
     -e 's#^proptest = .*##' \
     -e 's#^criterion = .*#criterion = { path = "stubs/criterion" }#' \
     -e 's#^crossbeam = .*#crossbeam = { path = "stubs/crossbeam" }#' \
-    -e 's#^parking_lot = .*#parking_lot = { path = "stubs/parking_lot" }#' \
-    -e 's#^bytes = .*#bytes = { path = "stubs/bytes" }#' \
     -e 's#^serde = .*#serde = { path = "stubs/serde" }#' \
     -e 's#^serde_json = .*#serde_json = { path = "stubs/serde_json" }#' \
     "$CHECK/Cargo.toml"

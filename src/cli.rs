@@ -36,9 +36,8 @@ use grid_wfs::sim_executor::{SimGrid, TaskProfile};
 use grid_wfs::TraceSink;
 use gridwfs_serve::json::{json_number, json_string};
 use gridwfs_serve::{
-    recover, Backend, DirStorage, ExecMode, FaultPlan, GridSpec, HostSpec, JobId, JobState,
-    LinkSpec, Op, ProfileSpec, RealFs, Service, ServiceConfig, Storage, Submission, SubmitError,
-    WalStorage,
+    recover, Backend, ExecMode, FaultPlan, GridSpec, HostSpec, JobId, JobState, LinkSpec, Op,
+    ProfileSpec, Service, ServiceConfig, Storage, Submission, SubmitError, WalStorage, WAL_FILE,
 };
 use gridwfs_sim::dist::Dist;
 use gridwfs_sim::net::LinkModel;
@@ -637,7 +636,7 @@ pub struct ServeOptions {
     pub queue: usize,
     /// Crash-recovery state directory.
     pub state_dir: Option<PathBuf>,
-    /// Storage backend for the state directory (`wal` | `dir` | `memory`).
+    /// Storage backend for the state directory (`wal` | `memory`).
     pub backend: gridwfs_serve::Backend,
     /// Per-job deadline (executor seconds).
     pub deadline: Option<f64>,
@@ -926,16 +925,23 @@ pub fn serve_with_config(cfg: &GridConfig, opts: &ServeOptions) -> Result<(i32, 
 fn open_state_dir(dir: &Path, backend: Backend) -> Result<Arc<dyn Storage>, CliError> {
     match backend {
         Backend::Wal => {
-            Ok(Arc::new(WalStorage::open(dir).map_err(|e| {
-                CliError(format!("{}: {e}", dir.display()))
-            })?))
+            // `WalStorage::open` creates what it does not find.  Inspection
+            // must not: a mistyped path would report an empty queue and
+            // leave a fresh log behind.
+            let log = dir.join(WAL_FILE);
+            if !log.is_file() {
+                return err(format!(
+                    "{}: no write-ahead log — not a gridwfs state dir (the per-file \
+                     layout of the removed 'dir' backend is no longer read)",
+                    log.display()
+                ));
+            }
+            let st =
+                WalStorage::open(dir).map_err(|e| CliError(format!("{}: {e}", dir.display())))?;
+            Ok(Arc::new(st))
         }
-        Backend::Dir => Ok(Arc::new(
-            DirStorage::new(Arc::new(RealFs), dir)
-                .map_err(|e| CliError(format!("{}: {e}", dir.display())))?,
-        )),
         Backend::Memory => err("the memory backend keeps no state across processes; \
-             dlq needs a wal or dir state dir"),
+             dlq needs a wal state dir"),
     }
 }
 
@@ -1080,8 +1086,8 @@ SERVE OPTIONS:
   --queue <n>          admission-queue capacity (default 64)
   --state-dir <dir>    persist jobs + checkpoints for crash recovery
   --backend <name>     storage engine for --state-dir: wal (group-commit
-                       write-ahead log, default), dir (one file per
-                       record), memory (tests/benches; nothing survives)
+                       write-ahead log, default) or memory (tests/benches;
+                       nothing survives)
   --deadline <s>       per-job deadline in executor seconds
   --paced <scale>      run on real threads, scale wall-seconds per unit
   --seed <n>           base seed (job i runs with seed base+i)
@@ -1114,9 +1120,10 @@ DLQ OPTIONS:
                        next serve --state-dir run re-admits the job and
                        reprocesses only those items, with the elapsed
                        deadline ledger carried across incarnations
-  --state-dir <dir>    the service's persistence root (required)
-  --backend <name>     storage engine of the state dir: wal (default) or
-                       dir; memory keeps nothing across processes
+  --state-dir <dir>    the service's persistence root (required); must
+                       already hold a wal.log — dlq never creates one
+  --backend <name>     storage engine of the state dir: wal (default);
+                       memory keeps nothing across processes
 ";
 
 /// Parses the shared `run`/`resume` option set.  With `resume_first` the
@@ -2300,7 +2307,7 @@ mod tests {
         assert_eq!(code, 2);
         assert!(out.contains("--state-dir"), "{out}");
         let dir = tmpdir().join("dlq-args");
-        std::fs::create_dir_all(&dir).unwrap();
+        drop(WalStorage::open(&dir).unwrap());
         let d = dir.to_str().unwrap();
         let (code, out) = run(&["dlq", "--state-dir", d]);
         assert_eq!(code, 2);
@@ -2320,11 +2327,44 @@ mod tests {
         let (code, out) = run(&["dlq", "list", "--state-dir", d, "--backend", "memory"]);
         assert_eq!(code, 2);
         assert!(out.contains("memory backend"), "{out}");
-        // An empty state dir lists an empty queue rather than erroring.
+        let (code, out) = run(&["dlq", "list", "--state-dir", d, "--backend", "dir"]);
+        assert_eq!(code, 2);
+        assert!(out.contains("unknown storage backend"), "{out}");
+        // An empty log lists an empty queue rather than erroring.
         let (code, out) = run(&["dlq", "list", "--state-dir", d]);
         assert_eq!(code, 0, "{out}");
         assert!(out.contains("0 dead-lettered item(s)"), "{out}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn dlq_refuses_a_dir_without_a_wal_and_creates_nothing() {
+        let run = |args: &[&str]| {
+            let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            main_with_args(&v)
+        };
+        let base = tmpdir().join("dlq-typo");
+        // A mistyped path: nothing there, and nothing there afterwards.
+        let typo = base.join("stat-dir");
+        for action in [&["list"][..], &["retry", "job-1"]] {
+            let mut args = vec!["dlq"];
+            args.extend_from_slice(action);
+            args.extend_from_slice(&["--state-dir", typo.to_str().unwrap()]);
+            let (code, out) = run(&args);
+            assert_eq!(code, 2, "{out}");
+            assert!(out.contains(typo.join(WAL_FILE).to_str().unwrap()), "{out}");
+            assert!(!typo.exists(), "dlq {action:?} created {}", typo.display());
+        }
+        // A state dir left by the removed per-file backend looks the same
+        // — records, no log — and is refused untouched, with a hint.
+        let legacy = base.join("per-file");
+        std::fs::create_dir_all(&legacy).unwrap();
+        std::fs::write(legacy.join("job-1.meta"), "name old\n").unwrap();
+        let (code, out) = run(&["dlq", "list", "--state-dir", legacy.to_str().unwrap()]);
+        assert_eq!(code, 2, "{out}");
+        assert!(out.contains("per-file"), "{out}");
+        assert!(!legacy.join(WAL_FILE).exists());
+        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]
