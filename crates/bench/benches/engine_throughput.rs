@@ -1,7 +1,7 @@
 //! Engine navigation throughput: complete workflow executions per second
 //! on the simulated Grid, across the DAG shapes the paper's figures use.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use grid_wfs::engine::Engine;
 use grid_wfs::sim_executor::{SimGrid, TaskProfile};
 use gridwfs_sim::dist::Dist;
@@ -127,13 +127,82 @@ fn bench_recovery_paths(c: &mut Criterion) {
     g.finish();
 }
 
+/// A finished run of a recovery-shaped workflow, as its last checkpoint
+/// decodes: 13 activities — retrying, replicated, an alternative pair, a
+/// handled exception edge — and one foreach whose eight items all
+/// dead-lettered (their only host is not on the grid).  Freshly decoded, so
+/// nothing about it has been encoded yet.
+fn recovery_instance() -> grid_wfs::instance::Instance {
+    use grid_wfs::engine::CheckpointSink;
+    use gridwfs_wpdl::ast::ForeachSpec;
+    use std::sync::{Arc, Mutex};
+
+    let mut spec = ForeachSpec::new((0..8).map(|i| format!("shard-{i}")).collect());
+    spec.max_attempts = 2;
+    let mut b = WorkflowBuilder::new("recovery")
+        .exception("disk_full", false)
+        .program("p", 5.0, &["h"])
+        .program(
+            "rep",
+            5.0,
+            &["h", "volunteer.example.org", "condor.example.org"],
+        )
+        .program("gone", 5.0, &["unplugged.example.org"]);
+    b.dummy("split");
+    b.activity("retry", "p").retry(3, 1.0);
+    b.activity("replica", "rep").replicate();
+    b.activity("primary", "gone");
+    b.activity("alternative", "p");
+    b.activity("risky", "p");
+    b.activity("handler", "p");
+    b.activity("map", "gone").foreach(spec);
+    b.dummy("join");
+    b.activity("reduce", "p");
+    for i in 0..3 {
+        b.activity(format!("post{i}"), "p");
+    }
+    let wf = b
+        .edge("split", "retry")
+        .edge("split", "replica")
+        .edge("split", "primary")
+        .edge("split", "risky")
+        .edge("split", "map")
+        .on_failure("primary", "alternative")
+        .on_exception("risky", "disk_full", "handler")
+        .edge("retry", "join")
+        .edge("replica", "join")
+        .edge("alternative", "join")
+        .edge("map", "join")
+        .edge("join", "reduce")
+        .edge("reduce", "post0")
+        .edge("post0", "post1")
+        .edge("post1", "post2")
+        .build()
+        .unwrap();
+
+    let last = Arc::new(Mutex::new(None));
+    let into = Arc::clone(&last);
+    let report = Engine::new(wf, grid(1))
+        .with_checkpoint_sink(CheckpointSink::new(move |xml: String| {
+            *into.lock().unwrap() = Some(xml);
+            Ok(())
+        }))
+        .run();
+    assert_eq!(report.dlq.len(), 8, "every map item dead-letters");
+    let doc = last.lock().unwrap().take().expect("the run checkpointed");
+    grid_wfs::checkpoint::from_xml(&doc).unwrap()
+}
+
 fn bench_checkpointing(c: &mut Criterion) {
     // Engine checkpointing runs after *every* task termination (§7), so
     // serialisation cost is paid once per task event: measure it per
-    // workflow size.
+    // workflow size.  `to_xml` is an instance's first encode, which also
+    // renders its `<Workflow>` part; `to_xml_repeat` is every later one —
+    // what the engine pays per settlement from the second on.
     use grid_wfs::checkpoint;
     use grid_wfs::instance::{Instance, NodeStatus};
     let mut g = c.benchmark_group("engine_checkpoint");
+    let mut cases: Vec<(String, Instance)> = Vec::new();
     for &n in &[8usize, 64, 256] {
         let mut inst = Instance::new(chain(n));
         // Settle half the chain so the checkpoint carries real progress.
@@ -142,11 +211,24 @@ fn bench_checkpointing(c: &mut Criterion) {
             inst.mark_running(&ready[0]);
             inst.settle(&ready[0], NodeStatus::Done);
         }
-        g.bench_with_input(BenchmarkId::new("to_xml", n), &inst, |b, inst| {
-            b.iter(|| black_box(checkpoint::to_xml(inst)));
+        cases.push((n.to_string(), inst));
+    }
+    cases.push(("recovery".to_string(), recovery_instance()));
+    for (id, inst) in &cases {
+        // `inst` itself is never encoded, so each clone starts cold.
+        g.bench_with_input(BenchmarkId::new("to_xml", id), inst, |b, inst| {
+            b.iter_batched_ref(
+                || inst.clone(),
+                |cold| black_box(checkpoint::to_xml(cold)),
+                BatchSize::SmallInput,
+            );
         });
-        let text = checkpoint::to_xml(&inst);
-        g.bench_with_input(BenchmarkId::new("from_xml", n), &text, |b, text| {
+        let warm = inst.clone();
+        let text = checkpoint::to_xml(&warm);
+        g.bench_with_input(BenchmarkId::new("to_xml_repeat", id), &warm, |b, warm| {
+            b.iter(|| black_box(checkpoint::to_xml(warm)));
+        });
+        g.bench_with_input(BenchmarkId::new("from_xml", id), &text, |b, text| {
             b.iter(|| black_box(checkpoint::from_xml(text).unwrap()));
         });
     }

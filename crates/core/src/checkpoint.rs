@@ -16,9 +16,9 @@
 use std::path::Path;
 
 use gridwfs_wpdl::expr::Value;
+use gridwfs_wpdl::parse as wpdl_parse;
 use gridwfs_wpdl::validate::validate;
-use gridwfs_wpdl::xml::{self, Element};
-use gridwfs_wpdl::{parse as wpdl_parse, writer};
+use gridwfs_wpdl::xml;
 
 use crate::instance::{Instance, ItemProgress, ItemState, NodeStatus};
 
@@ -47,16 +47,6 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-fn status_str(s: &NodeStatus) -> String {
-    match s {
-        NodeStatus::Exception(e) => format!("exception:{e}"),
-        // In-flight attempts are lost across a restart; record as pending
-        // so the restarted engine resubmits them.
-        NodeStatus::Running => "pending".to_string(),
-        other => other.as_expr_str().to_string(),
-    }
-}
-
 fn parse_status(s: &str) -> Result<NodeStatus, CheckpointError> {
     Ok(match s {
         "pending" => NodeStatus::Pending,
@@ -74,53 +64,89 @@ fn parse_status(s: &str) -> Result<NodeStatus, CheckpointError> {
     })
 }
 
-/// Serialises an instance to the checkpoint document.
-pub fn to_xml(instance: &Instance) -> String {
-    let mut runtime = Element::new("Runtime");
+/// Appends ` name='value'` for a value that cannot need escaping (numbers
+/// and booleans); everything else goes through [`xml::push_attr`].
+fn push_plain_attr(out: &mut String, name: &str, value: impl std::fmt::Display) {
+    use std::fmt::Write;
+    write!(out, " {name}='{value}'").expect("writing to a String cannot fail");
+}
+
+/// Appends the `<Node>`/`<Item>`/`<Var>` lines of `<Runtime>`, one element
+/// per line at nesting depth 2.
+fn write_runtime_lines(out: &mut String, instance: &Instance) {
     for (name, status) in instance.statuses() {
-        runtime = runtime.child(
-            Element::new("Node")
-                .attr("name", name)
-                .attr("status", status_str(status))
-                .attr("runs", instance.runs(name).to_string()),
-        );
+        out.push_str("    <Node");
+        xml::push_attr(out, "name", name);
+        match status {
+            NodeStatus::Exception(e) => xml::push_attr(out, "status", &format!("exception:{e}")),
+            // In-flight attempts are lost across a restart; record as
+            // pending so the restarted engine resubmits them.
+            NodeStatus::Running => xml::push_attr(out, "status", "pending"),
+            other => xml::push_attr(out, "status", other.as_expr_str()),
+        }
+        push_plain_attr(out, "runs", instance.runs(name));
+        out.push_str("/>\n");
     }
     for (name, items) in instance.items_iter() {
         for (idx, p) in items.iter().enumerate() {
-            let mut el = Element::new("Item")
-                .attr("activity", name)
-                .attr("index", idx.to_string())
-                .attr("state", p.state.wire_str())
-                .attr("attempts", p.attempts.to_string());
+            out.push_str("    <Item");
+            xml::push_attr(out, "activity", name);
+            push_plain_attr(out, "index", idx);
+            xml::push_attr(out, "state", p.state.wire_str());
+            push_plain_attr(out, "attempts", p.attempts);
             if p.failover {
-                el = el.attr("failover", "true");
+                out.push_str(" failover='true'");
             }
             if p.reprocess {
-                el = el.attr("reprocess", "true");
+                out.push_str(" reprocess='true'");
             }
             if !p.reason.is_empty() {
-                el = el.attr("reason", &p.reason);
+                xml::push_attr(out, "reason", &p.reason);
             }
-            runtime = runtime.child(el);
+            out.push_str("/>\n");
         }
     }
     for (name, value) in instance.vars_iter() {
-        let (ty, raw) = match value {
-            Value::Num(n) => ("num", n.to_string()),
-            Value::Str(s) => ("str", s.clone()),
-            Value::Bool(b) => ("bool", b.to_string()),
-        };
-        runtime = runtime.child(
-            Element::new("Var")
-                .attr("name", name)
-                .attr("type", ty)
-                .attr("value", raw),
-        );
+        out.push_str("    <Var");
+        xml::push_attr(out, "name", name);
+        match value {
+            Value::Num(n) => {
+                xml::push_attr(out, "type", "num");
+                push_plain_attr(out, "value", n);
+            }
+            Value::Str(s) => {
+                xml::push_attr(out, "type", "str");
+                xml::push_attr(out, "value", s);
+            }
+            Value::Bool(b) => {
+                xml::push_attr(out, "type", "bool");
+                push_plain_attr(out, "value", b);
+            }
+        }
+        out.push_str("/>\n");
     }
-    let doc = Element::new("EngineCheckpoint")
-        .child(writer::to_element(instance.workflow()))
-        .child(runtime);
-    xml::write(&doc)
+}
+
+/// Serialises an instance to the checkpoint document.
+///
+/// The engine calls this after every settlement, so the cost follows what
+/// can have changed: the `<Workflow>` child is rendered once per instance
+/// ([`Instance::workflow_xml`]) and copied, and the `<Runtime>` lines are
+/// written straight into a buffer.  `concat` allocates the document at its
+/// exact length, which matters because storage backends keep it as-is.
+pub fn to_xml(instance: &Instance) -> String {
+    // A validated workflow has at least one activity, so `<Runtime>` always
+    // has children and never self-closes.
+    let mut runtime = String::with_capacity(64 * instance.topological_order().len());
+    write_runtime_lines(&mut runtime, instance);
+    [
+        "<?xml version='1.0'?>\n<EngineCheckpoint>\n",
+        instance.workflow_xml(),
+        "  <Runtime>\n",
+        &runtime,
+        "  </Runtime>\n</EngineCheckpoint>\n",
+    ]
+    .concat()
 }
 
 /// Writes the checkpoint crash-atomically: tmp file + `sync_all`, then
@@ -302,11 +328,391 @@ pub fn load(path: &Path) -> Result<Instance, CheckpointError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridwfs_wpdl::builder::figure4;
+    use gridwfs_wpdl::ast::{Activity, ForeachSpec, Program, Transition, Workflow};
+    use gridwfs_wpdl::builder::{figure4, figure5, figure6, WorkflowBuilder};
     use gridwfs_wpdl::validate::validate;
+    use gridwfs_wpdl::writer;
+    use gridwfs_wpdl::xml::Element;
 
     fn fresh() -> Instance {
         Instance::new(validate(figure4(30.0, 150.0)).unwrap())
+    }
+
+    /// The tree-building encoder [`to_xml`] replaced, kept as the reference
+    /// the streaming one must match byte for byte: one `Element` tree for
+    /// the whole document, pretty-printed by `xml::write`.
+    fn reference_to_xml(instance: &Instance) -> String {
+        let mut runtime = Element::new("Runtime");
+        for (name, status) in instance.statuses() {
+            let status = match status {
+                NodeStatus::Exception(e) => format!("exception:{e}"),
+                NodeStatus::Running => "pending".to_string(),
+                other => other.as_expr_str().to_string(),
+            };
+            runtime = runtime.child(
+                Element::new("Node")
+                    .attr("name", name)
+                    .attr("status", status)
+                    .attr("runs", instance.runs(name).to_string()),
+            );
+        }
+        for (name, items) in instance.items_iter() {
+            for (idx, p) in items.iter().enumerate() {
+                let mut el = Element::new("Item")
+                    .attr("activity", name)
+                    .attr("index", idx.to_string())
+                    .attr("state", p.state.wire_str())
+                    .attr("attempts", p.attempts.to_string());
+                if p.failover {
+                    el = el.attr("failover", "true");
+                }
+                if p.reprocess {
+                    el = el.attr("reprocess", "true");
+                }
+                if !p.reason.is_empty() {
+                    el = el.attr("reason", &p.reason);
+                }
+                runtime = runtime.child(el);
+            }
+        }
+        for (name, value) in instance.vars_iter() {
+            let (ty, raw) = match value {
+                Value::Num(n) => ("num", n.to_string()),
+                Value::Str(s) => ("str", s.clone()),
+                Value::Bool(b) => ("bool", b.to_string()),
+            };
+            runtime = runtime.child(
+                Element::new("Var")
+                    .attr("name", name)
+                    .attr("type", ty)
+                    .attr("value", raw),
+            );
+        }
+        let doc = Element::new("EngineCheckpoint")
+            .child(writer::to_element(instance.workflow()))
+            .child(runtime);
+        xml::write(&doc)
+    }
+
+    /// Everything the codec promises about one state of one instance: the
+    /// document is the reference encoder's, a second encode (served from
+    /// the cached `<Workflow>`) and a clone's encode repeat it, and
+    /// decoding then re-encoding is a fixpoint.
+    fn assert_codec_holds(inst: &Instance, what: &str) {
+        let doc = to_xml(inst);
+        assert_eq!(
+            doc,
+            reference_to_xml(inst),
+            "{what}: differs from reference"
+        );
+        assert_eq!(doc.capacity(), doc.len(), "{what}: padded allocation");
+        assert_eq!(to_xml(inst), doc, "{what}: second encode differs");
+        assert_eq!(
+            to_xml(&inst.clone()),
+            doc,
+            "{what}: clone encodes differently"
+        );
+        let back = from_xml(&doc).unwrap_or_else(|e| panic!("{what}: {e}\n{doc}"));
+        assert_eq!(back.workflow(), inst.workflow(), "{what}");
+        assert_eq!(
+            to_xml(&back),
+            doc,
+            "{what}: decode + encode is not a fixpoint"
+        );
+    }
+
+    /// xorshift64: the walk below must repeat exactly, with no dev-dependency.
+    struct Rng(u64);
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    const AWKWARD: [&str; 4] = ["crashed", "it's \"down\"", "a<b>&c", "héllo — ✓"];
+
+    /// Drives `inst` from fresh to terminal along a seeded path — every
+    /// ready activity is started, then settled as done / failed / exception
+    /// (foreach items get random terminal states, flags and reasons first),
+    /// variables of all three types change on the way — and checks the codec
+    /// at every state it passes through.
+    fn walk(mut inst: Instance, seed: u64, what: &str) {
+        let mut rng = Rng(seed | 1);
+        // Cloned before the first encode: nothing cached, so it renders
+        // its own fragment.
+        let cold = inst.clone();
+        assert_codec_holds(&inst, &format!("{what}: fresh"));
+        assert_eq!(to_xml(&cold), to_xml(&inst), "{what}: cold clone");
+        for step in 0..200 {
+            let ready = inst.ready_nodes();
+            if ready.is_empty() {
+                break;
+            }
+            let name = ready[rng.below(ready.len())].clone();
+            inst.mark_running(&name);
+            let at = format!("{what}: step {step} '{name}'");
+            assert_codec_holds(&inst, &format!("{at} running"));
+            let items = inst.items(&name).map_or(0, <[ItemProgress]>::len);
+            for idx in 0..items {
+                let state = [
+                    ItemState::Pending,
+                    ItemState::Done,
+                    ItemState::Skipped,
+                    ItemState::DeadLettered,
+                    ItemState::Cancelled,
+                    ItemState::Failed,
+                ][rng.below(6)];
+                let progress = ItemProgress {
+                    state,
+                    attempts: rng.below(5) as u32,
+                    failover: rng.below(2) == 0,
+                    reprocess: rng.below(3) == 0,
+                    reason: if state == ItemState::DeadLettered {
+                        AWKWARD[rng.below(AWKWARD.len())].to_string()
+                    } else {
+                        String::new()
+                    },
+                };
+                inst.force_item(&name, idx, progress);
+                assert_codec_holds(&inst, &format!("{at} item {idx}"));
+            }
+            match rng.below(4) {
+                0 => inst.set_var("n", Value::Num([2.5, -3.0, 1e21, 0.1][rng.below(4)])),
+                1 => inst.set_var("s & <t>", Value::Str(AWKWARD[rng.below(4)].to_string())),
+                2 => inst.set_var("b", Value::Bool(rng.below(2) == 0)),
+                _ => {}
+            }
+            let status = match rng.below(6) {
+                0 => NodeStatus::Failed,
+                1 => NodeStatus::Exception(AWKWARD[rng.below(AWKWARD.len())].to_string()),
+                _ => NodeStatus::Done,
+            };
+            inst.settle(&name, status);
+            assert_codec_holds(&inst, &format!("{at} settled"));
+        }
+        assert!(
+            inst.is_finished(),
+            "{what}: walk did not reach a terminal state"
+        );
+    }
+
+    fn shipped_workflows() -> Vec<(String, Workflow)> {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../workflows");
+        let mut found = Vec::new();
+        for entry in std::fs::read_dir(&dir).expect("workflows/ is readable") {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "xml") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let w = wpdl_parse::from_str(&text).unwrap_or_else(|e| panic!("{path:?}: {e}"));
+                found.push((path.file_name().unwrap().to_string_lossy().into_owned(), w));
+            }
+        }
+        found.sort_by(|a, b| a.0.cmp(&b.0));
+        assert!(
+            found.len() >= 8,
+            "expected the shipped workflows, found {found:?}"
+        );
+        found
+    }
+
+    /// Figures 2 and 3 have no builder of their own: task-level retrying and
+    /// replication on one activity.
+    fn figure2() -> Workflow {
+        let mut b = WorkflowBuilder::new("figure2-retry").program("sum", 30.0, &["bolas.isi.edu"]);
+        b.activity("summation", "sum").retry(3, 10.0);
+        b.build_unchecked()
+    }
+
+    fn figure3() -> Workflow {
+        let hosts = ["bolas.isi.edu", "vanuatu.isi.edu", "jupiter.isi.edu"];
+        let mut b = WorkflowBuilder::new("figure3-replica").program("sum", 30.0, &hosts);
+        b.activity("summation", "sum").replicate();
+        b.build_unchecked()
+    }
+
+    /// A workflow whose every name needs escaping, with a foreach, a loop,
+    /// a guarded edge and declared variables of all three types.
+    fn awkward_workflow() -> Workflow {
+        let mut b = WorkflowBuilder::new("it's \"odd\" <w> & co")
+            .variable("limit", Value::Num(2.0))
+            .variable("tag's", Value::Str("a \"b\" <c> & d".into()))
+            .variable("flag", Value::Bool(true))
+            .exception("disk_full", false)
+            .program("p & q", 10.0, &["h<1>", "h'2'"]);
+        b.activity("first \"one\"", "p & q")
+            .retry(2, 1.5)
+            .input("in <1>.dat");
+        b.activity("map's <items> & more", "p & q").foreach({
+            let mut f = ForeachSpec::new(vec!["s'0".into(), "s<1>".into(), "s&2".into()]);
+            f.max_attempts = 2;
+            f.failover = Some("p & q".into());
+            f
+        });
+        b.activity("handler", "p & q");
+        b.dummy("join").or_join();
+        b.edge("first \"one\"", "map's <items> & more")
+            .on_exception("first \"one\"", "disk_full", "handler")
+            .on_failure("first \"one\"", "handler")
+            .edge_if("map's <items> & more", "join", "$limit >= 2")
+            .edge("handler", "join")
+            .do_while("handler", "runs('handler') < $limit")
+            .build_unchecked()
+    }
+
+    #[test]
+    fn streaming_encoder_matches_reference_on_every_shipped_workflow() {
+        for (file, w) in shipped_workflows() {
+            for seed in 1..=6 {
+                let inst = Instance::new(validate(w.clone()).unwrap());
+                walk(inst, seed * 0x9E37_79B9, &format!("{file} seed {seed}"));
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_encoder_matches_reference_on_the_figure_builders() {
+        let figures = [
+            ("figure2", figure2()),
+            ("figure3", figure3()),
+            ("figure4", figure4(30.0, 150.0)),
+            ("figure5", figure5(30.0, 150.0)),
+            ("figure6", figure6(30.0, 150.0)),
+        ];
+        for (name, w) in figures {
+            for seed in 1..=12 {
+                let inst = Instance::new(validate(w.clone()).unwrap());
+                walk(inst, seed * 0x2545_F491, &format!("{name} seed {seed}"));
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_encoder_matches_reference_when_everything_needs_escaping() {
+        for seed in 1..=40 {
+            let inst = Instance::new(validate(awkward_workflow()).unwrap());
+            walk(inst, seed * 0xD1B5_4A33, &format!("awkward seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn document_layout_is_pinned() {
+        // The reference shares `xml::write` with nothing else pinned to
+        // literal bytes; this is the one spelled-out document.
+        let mut inst = foreach_instance();
+        inst.set_var("x", Value::Num(2.5));
+        inst.mark_running("map");
+        inst.force_item(
+            "map",
+            1,
+            ItemProgress {
+                state: ItemState::DeadLettered,
+                attempts: 4,
+                failover: true,
+                reprocess: true,
+                reason: "it's <gone> & \"lost\"".into(),
+            },
+        );
+        inst.settle("map", NodeStatus::Exception("disk_full".into()));
+        let expected = "\
+<?xml version='1.0'?>
+<EngineCheckpoint>
+  <Workflow name='mapred'>
+    <Activity name='map'>
+      <Implement>p</Implement>
+      <Foreach max_attempts='2'>
+        <Item>s0</Item>
+        <Item>s1</Item>
+        <Item>s2</Item>
+      </Foreach>
+    </Activity>
+    <Activity name='reduce'>
+      <Implement>p</Implement>
+    </Activity>
+    <Program name='p' duration='10'>
+      <Option hostname='h1'/>
+      <Option hostname='h2'/>
+    </Program>
+    <Transition from='map' to='reduce'/>
+  </Workflow>
+  <Runtime>
+    <Node name='map' status='exception:disk_full' runs='0'/>
+    <Node name='reduce' status='skipped' runs='0'/>
+    <Item activity='map' index='0' state='pending' attempts='0'/>
+    <Item activity='map' index='1' state='dlq' attempts='4' failover='true' reprocess='true' \
+reason='it&apos;s &lt;gone&gt; &amp; &quot;lost&quot;'/>
+    <Item activity='map' index='2' state='pending' attempts='0'/>
+    <Var name='x' type='num' value='2.5'/>
+  </Runtime>
+</EngineCheckpoint>
+";
+        assert_eq!(to_xml(&inst), expected);
+    }
+
+    #[test]
+    fn reset_dead_letters_equals_a_fresh_encode_of_the_reset_instance() {
+        let mut inst = foreach_instance();
+        inst.mark_running("map");
+        for (idx, state) in [
+            ItemState::DeadLettered,
+            ItemState::Done,
+            ItemState::DeadLettered,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            inst.force_item(
+                "map",
+                idx,
+                ItemProgress {
+                    state,
+                    attempts: 3,
+                    failover: true,
+                    reprocess: false,
+                    reason: if state == ItemState::DeadLettered {
+                        "crashed & <burned>".into()
+                    } else {
+                        String::new()
+                    },
+                },
+            );
+        }
+        inst.settle("map", NodeStatus::Done);
+        inst.mark_running("reduce");
+        inst.settle("reduce", NodeStatus::Done);
+        let before = to_xml(&inst); // the fragment is cached from here on
+
+        // The same reset, done by hand on the instance that holds the cache.
+        let mut expected = inst.clone();
+        for idx in [0, 2] {
+            expected.force_item(
+                "map",
+                idx,
+                ItemProgress {
+                    reprocess: true,
+                    ..Default::default()
+                },
+            );
+        }
+        expected.force_status("map", NodeStatus::Pending);
+        expected.recompute_edges();
+
+        let (reset_doc, reset) = reset_dead_letters(&before).unwrap();
+        assert_eq!(reset, 2);
+        assert_eq!(reset_doc, reference_to_xml(&expected));
+        assert_eq!(
+            reset_doc,
+            to_xml(&expected),
+            "cache carried through the mutation"
+        );
+        assert_ne!(reset_doc, before);
+        assert_eq!(
+            to_xml(&inst),
+            before,
+            "the original is unaffected by its clone"
+        );
     }
 
     #[test]
@@ -402,7 +808,6 @@ mod tests {
     }
 
     fn foreach_instance() -> Instance {
-        use gridwfs_wpdl::ast::{Activity, ForeachSpec, Program, Transition, Workflow};
         let mut w = Workflow::new("mapred");
         w.programs.push(Program::new("p", 10.0, "h1").option("h2"));
         let mut m = Activity::new("map", "p");

@@ -33,10 +33,12 @@
 //! hold — the diagnostic lists every unhandled terminal failure.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use gridwfs_wpdl::ast::{JoinMode, Trigger, Workflow};
 use gridwfs_wpdl::expr::{Env, EvalError, Value};
 use gridwfs_wpdl::validate::Validated;
+use gridwfs_wpdl::{writer, xml};
 
 /// Runtime status of an activity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,7 +187,14 @@ pub enum Outcome {
 /// Runtime instance: static workflow + runtime annotations.
 #[derive(Debug, Clone)]
 pub struct Instance {
+    /// Never mutated after [`Instance::new`] (there is no mutable accessor):
+    /// `workflow_xml` below relies on it.
     workflow: Workflow,
+    /// The `<Workflow>` element as it stands inside a checkpoint document,
+    /// rendered on the first checkpoint and reused by every later one — the
+    /// engine checkpoints after every settlement and the definition is most
+    /// of the document.  A clone carries the rendered text along.
+    workflow_xml: OnceLock<String>,
     topo: Vec<String>,
     status: HashMap<String, NodeStatus>,
     edges: Vec<EdgeState>,
@@ -229,6 +238,7 @@ impl Instance {
             .collect();
         Instance {
             workflow,
+            workflow_xml: OnceLock::new(),
             topo,
             status,
             edges,
@@ -242,6 +252,16 @@ impl Instance {
     /// The underlying definition.
     pub fn workflow(&self) -> &Workflow {
         &self.workflow
+    }
+
+    /// The definition as the `<Workflow>` child of a checkpoint document
+    /// (nesting depth 1, trailing newline).
+    pub(crate) fn workflow_xml(&self) -> &str {
+        self.workflow_xml.get_or_init(|| {
+            let mut out = String::new();
+            xml::write_element(&mut out, &writer::to_element(&self.workflow), 1);
+            out
+        })
     }
 
     /// Topological order of activities.

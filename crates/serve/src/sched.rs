@@ -70,9 +70,11 @@ pub(crate) struct Run {
     pub(crate) journal: Option<Arc<JsonlSink>>,
     /// Latest checkpoint XML the engine staged via its
     /// [`grid_wfs::CheckpointSink`] and the record it commits to.  The
-    /// worker drains the cell into its [`StateBatch`] after every slice,
-    /// so only the newest checkpoint of a tick pays for serialization to
-    /// storage.
+    /// engine serialises a checkpoint at *every* settlement and each one
+    /// overwrites the cell; the worker drains the cell into its
+    /// [`StateBatch`] after every slice.  What is coalesced is the storage
+    /// write — only the newest checkpoint of a slice is staged — not the
+    /// serialisation.
     pub(crate) checkpoint: Option<(String, worker::CheckpointCell)>,
     /// Pickup instant; `run_wall` on the record is pickup-to-settle.
     pub(crate) started: Instant,
@@ -404,8 +406,8 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, me: usize) {
         if let Some(mut run) = next {
             let slice = step_slice(&shared, &mut run);
             // Drain the engine's staged checkpoint (if any) into the
-            // batch: at most the newest checkpoint per record per tick
-            // reaches storage.
+            // batch: at most the newest checkpoint per record per slice
+            // reaches storage (the engine serialised every one of them).
             if let Some((name, cell)) = &run.checkpoint {
                 if let Some(xml) = relock(cell).take() {
                     batch.stage(name.clone(), xml);

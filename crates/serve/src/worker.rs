@@ -37,8 +37,10 @@ use crate::sched::StateBatch;
 use crate::service::Shared;
 
 /// Mailbox between an engine's [`CheckpointSink`] and the scheduler: the
-/// sink overwrites it with the newest serialized checkpoint, the worker
-/// drains it into its [`StateBatch`] after every slice.
+/// engine serialises a checkpoint at every settlement and the sink
+/// overwrites the cell with it; the worker drains the cell into its
+/// [`StateBatch`] after every slice.  Only the storage write is coalesced
+/// (the newest document of a slice wins); every document was encoded.
 pub(crate) type CheckpointCell = Arc<Mutex<Option<Vec<u8>>>>;
 
 /// A steppable engine on whichever executor the submission's Grid spec
@@ -182,7 +184,8 @@ pub(crate) fn build_engine(
     });
     // With a storage backend, checkpoints are staged into a mailbox the
     // scheduler group-commits (one durability point per tick) instead of
-    // paying a file write + fsync inside the engine step.
+    // paying a file write + fsync inside the engine step.  The step still
+    // pays for encoding each one.
     let checkpoint = shared.storage.as_ref().map(|_| {
         let cell: CheckpointCell = Arc::new(Mutex::new(None));
         (ckpt_name, cell)

@@ -20,12 +20,13 @@
 //! ## Crash model
 //!
 //! Appends happen with one `write_all` + one `sync_all` while holding the
-//! table lock, so the log on disk is always a valid prefix plus at most
-//! one torn frame from a crash mid-append.  Replay applies frames until
-//! the first length/checksum mismatch, moves every byte from there on to
-//! `wal.quarantined`, and atomically rewrites the log as the valid prefix
-//! — corruption is quarantined, never fatal, and never reaches records
-//! that committed before it.  An op whose frame is torn never had its
+//! table lock, and an append that fails without a crash is cut back out of
+//! the file before the lock is released, so the log on disk is always a
+//! valid prefix plus at most one torn frame from a crash mid-append.
+//! Replay applies frames until the first length/checksum mismatch, moves
+//! every byte from there on to `wal.quarantined`, and atomically rewrites
+//! the log as the valid prefix — corruption is quarantined, never fatal,
+//! and never reaches records that committed before it.  An op whose frame is torn never had its
 //! commit acknowledged (the fsync didn't complete), so dropping the tail
 //! loses nothing that was promised durable.
 //!
@@ -72,7 +73,9 @@ pub struct WalStorage {
 
 struct WalInner {
     table: BTreeMap<String, Vec<u8>>,
-    /// Append handle; `None` only transiently while compaction swaps files.
+    /// Append handle; `None` once the log can no longer be appended to
+    /// safely (a compaction swap landed but the path would not re-open, or a
+    /// failed append could not be rolled back) — every later `apply` fails.
     file: Option<File>,
     log_bytes: u64,
     snapshot_bytes: u64,
@@ -196,6 +199,24 @@ impl WalStorage {
     }
 }
 
+/// Cuts the log back to its last acknowledged frame after a failed append.
+///
+/// A failed `write_all`/`sync_all` can leave part of its frame in the file.
+/// Left there, every later frame — acknowledged as durable — would sit
+/// behind a torn one, and replay stops at the first torn frame and
+/// quarantines the rest.  If the log cannot be cut back, the handle is
+/// dropped so that later appends fail (`append handle lost`) instead of
+/// acknowledging commits the next open would discard.
+fn roll_back_append(inner: &mut WalInner) {
+    let Some(f) = inner.file.as_mut() else { return };
+    if f.set_len(inner.log_bytes)
+        .and_then(|()| f.sync_all())
+        .is_err()
+    {
+        inner.file = None;
+    }
+}
+
 impl Storage for WalStorage {
     fn read(&self, name: &str) -> io::Result<Vec<u8>> {
         relock(&self.inner)
@@ -239,8 +260,8 @@ impl Storage for WalStorage {
         };
         if let Err(e) = committed {
             // The batch is all-or-nothing: nothing reaches the table, and
-            // every op reports the commit failure.  (A torn frame on disk
-            // is healed by the next open.)
+            // every op reports the commit failure.
+            roll_back_append(&mut inner);
             return ops
                 .iter()
                 .map(|op| {
@@ -632,6 +653,84 @@ mod tests {
         );
         let log_len = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
         assert!(log_len < 600 * 1024, "log did not shrink: {log_len}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What a failed `write_all` leaves behind: the first bytes of a frame
+    /// at the end of the log, written through the append handle itself.
+    fn tear_an_append(st: &WalStorage) {
+        let frame = encode_frame(&[Op::Put("job-9.meta".into(), vec![b'x'; 64])]);
+        let mut inner = relock(&st.inner);
+        let f = inner.file.as_mut().unwrap();
+        f.write_all(&frame[..frame.len() / 2]).unwrap();
+        f.sync_all().unwrap();
+    }
+
+    #[test]
+    fn failed_append_is_rolled_back_so_later_commits_replay() {
+        let dir = tmpdir("rollback");
+        let st = WalStorage::open(&dir).unwrap();
+        st.put("job-1.meta", b"before").unwrap();
+        let acknowledged = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+
+        tear_an_append(&st);
+        assert!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len() > acknowledged);
+        roll_back_append(&mut relock(&st.inner));
+        assert_eq!(
+            std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(),
+            acknowledged,
+            "log cut back to the last acknowledged frame"
+        );
+
+        // The handle survived and appends land where the torn bytes were.
+        st.put("job-2.meta", b"after").unwrap();
+        st.put("job-3.meta", b"later").unwrap();
+        drop(st);
+        let st = WalStorage::open(&dir).unwrap();
+        for (name, want) in [
+            ("job-1.meta", "before"),
+            ("job-2.meta", "after"),
+            ("job-3.meta", "later"),
+        ] {
+            assert_eq!(st.read_to_string(name).unwrap(), want);
+        }
+        assert!(!st.exists("job-9.meta"), "the torn batch never committed");
+        assert!(!dir.join(WAL_QUARANTINE).exists(), "nothing left to heal");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_that_cannot_be_rolled_back_loses_the_handle() {
+        let dir = tmpdir("handle-lost");
+        let st = WalStorage::open(&dir).unwrap();
+        st.put("job-1.meta", b"before").unwrap();
+        // A read-only handle fails the append and the truncation alike.
+        relock(&st.inner).file = Some(File::open(dir.join(WAL_FILE)).unwrap());
+
+        let errors = st.apply(vec![
+            Op::Put("job-2.meta".into(), b"x".to_vec()),
+            Op::Del("job-1.meta".into()),
+        ]);
+        assert_eq!(errors.len(), 2, "every op of the batch reports");
+        assert!(
+            errors[0].1.to_string().contains("wal append failed"),
+            "{}",
+            errors[0].1
+        );
+        assert!(relock(&st.inner).file.is_none(), "handle dropped");
+        assert!(st.exists("job-1.meta") && !st.exists("job-2.meta"));
+
+        // Nothing is acknowledged from here on, by any path.
+        let err = st.put("job-3.meta", b"y").unwrap_err();
+        assert!(err.to_string().contains("append handle lost"), "{err}");
+        assert!(!st.exists("job-3.meta"));
+        assert_eq!(st.counters().group_commits, 1, "only the first put");
+        drop(st);
+
+        // What was acknowledged is exactly what a reopen sees.
+        let st = WalStorage::open(&dir).unwrap();
+        assert_eq!(st.list().unwrap(), ["job-1.meta"]);
+        assert!(!dir.join(WAL_QUARANTINE).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -512,29 +512,47 @@ pub fn parse(src: &str) -> Result<Element, XmlError> {
 }
 
 fn escape_into(out: &mut String, s: &str, attr: bool) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '\'' if attr => out.push_str("&apos;"),
-            '"' if attr => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
+    // Copy unescaped runs whole.  Every escaped character is ASCII, so the
+    // byte offsets below always fall on `char` boundaries.
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'\'' if attr => "&apos;",
+            b'"' if attr => "&quot;",
+            _ => continue,
+        };
+        out.push_str(&s[copied..i]);
+        out.push_str(entity);
+        copied = i + 1;
     }
+    out.push_str(&s[copied..]);
 }
 
-fn write_element(out: &mut String, el: &Element, indent: usize) {
+/// Appends ` name='value'` with the value attribute-escaped — the one
+/// attribute encoder, shared by [`write_element`] and by callers that stream
+/// elements without building an [`Element`] first.
+pub fn push_attr(out: &mut String, name: &str, value: &str) {
+    out.push(' ');
+    out.push_str(name);
+    out.push_str("='");
+    escape_into(out, value, true);
+    out.push('\'');
+}
+
+/// Appends `el` pretty-printed at nesting depth `indent` (two spaces per
+/// level, one line per element, trailing newline): exactly the bytes
+/// [`write`] emits for `el` as a descendant at that depth, so a fragment
+/// rendered here can be spliced into a larger document.
+pub fn write_element(out: &mut String, el: &Element, indent: usize) {
     let pad = "  ".repeat(indent);
     out.push_str(&pad);
     out.push('<');
     out.push_str(&el.name);
     for a in &el.attrs {
-        out.push(' ');
-        out.push_str(&a.name);
-        out.push_str("='");
-        escape_into(out, &a.value, true);
-        out.push('\'');
+        push_attr(out, &a.name, &a.value);
     }
     if el.children.is_empty() {
         out.push_str("/>\n");
@@ -742,6 +760,87 @@ mod tests {
         let el = Element::new("a").attr("v", "it's \"quoted\"");
         let back = parse(&write(&el)).unwrap();
         assert_eq!(back.get_attr("v"), Some("it's \"quoted\""));
+    }
+
+    fn fragment_sample() -> Element {
+        Element::new("Workflow")
+            .attr("name", "it's \"a\" <w> & co")
+            .child(
+                Element::new("Activity")
+                    .attr("name", "a")
+                    .child(Element::new("Input").text("x < y & \"z\""))
+                    .child(Element::new("Foreach").child(Element::new("Item").text("héllo"))),
+            )
+            .child(Element::new("Empty"))
+            .child(
+                Element::new("Mixed")
+                    .text(" lead ")
+                    .child(Element::new("b")),
+            )
+    }
+
+    #[test]
+    fn fragment_at_depth_zero_is_the_document_body() {
+        let el = fragment_sample();
+        let mut out = String::from("<?xml version='1.0'?>\n");
+        write_element(&mut out, &el, 0);
+        assert_eq!(out, write(&el));
+    }
+
+    #[test]
+    fn fragment_splices_into_a_parent_byte_for_byte() {
+        let el = fragment_sample();
+        for depth in 1..4 {
+            // `depth` nested parents p0 > p1 > ..; the innermost also holds
+            // a sibling after the fragment.
+            let mut doc = Element::new(format!("p{}", depth - 1))
+                .child(el.clone())
+                .child(Element::new("Sibling").attr("k", "v"));
+            for level in (0..depth - 1).rev() {
+                doc = Element::new(format!("p{level}")).child(doc);
+            }
+            let mut spliced = String::from("<?xml version='1.0'?>\n");
+            for level in 0..depth {
+                spliced.push_str(&format!("{}<p{level}>\n", "  ".repeat(level)));
+            }
+            write_element(&mut spliced, &el, depth);
+            spliced.push_str(&format!("{}<Sibling k='v'/>\n", "  ".repeat(depth)));
+            for level in (0..depth).rev() {
+                spliced.push_str(&format!("{}</p{level}>\n", "  ".repeat(level)));
+            }
+            assert_eq!(spliced, write(&doc), "depth {depth}");
+        }
+    }
+
+    #[test]
+    fn fragment_of_a_childless_element_self_closes() {
+        let mut out = String::new();
+        write_element(&mut out, &Element::new("Runtime"), 1);
+        assert_eq!(out, "  <Runtime/>\n");
+    }
+
+    #[test]
+    fn push_attr_escapes_all_five_and_keeps_utf8() {
+        let mut out = String::from("<a");
+        push_attr(&mut out, "v", "' \" & < > é—✓ tail");
+        push_attr(&mut out, "plain", "no-specials");
+        push_attr(&mut out, "empty", "");
+        out.push_str("/>");
+        assert_eq!(
+            out,
+            "<a v='&apos; &quot; &amp; &lt; &gt; é—✓ tail' plain='no-specials' empty=''/>"
+        );
+        let back = parse(&out).unwrap();
+        assert_eq!(back.get_attr("v"), Some("' \" & < > é—✓ tail"));
+    }
+
+    #[test]
+    fn text_escapes_only_markup_characters() {
+        let text = write(&Element::new("a").text("it's \"1 < 2\" & 3 > 2"));
+        assert!(
+            text.ends_with("<a>it's \"1 &lt; 2\" &amp; 3 &gt; 2</a>\n"),
+            "{text}"
+        );
     }
 
     #[test]
