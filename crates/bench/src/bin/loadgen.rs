@@ -52,7 +52,7 @@ use gridwfs_serve::json::{json_number, json_string};
 use gridwfs_serve::metrics::percentile;
 use gridwfs_serve::{
     recover, splitmix64, Backend, FaultPlan, GridSpec, JobState, MemStorage, Service,
-    ServiceConfig, Storage, Submission, SubmitError, WalStorage,
+    ServiceConfig, Storage, Submission, SubmitError, WalStorage, COMMIT_WINDOW,
 };
 use gridwfs_wpdl::builder::WorkflowBuilder;
 
@@ -558,13 +558,18 @@ fn main() {
         "load did not finish"
     );
     let wall = started.elapsed().as_secs_f64();
+    if opts.state_dir.is_some() {
+        // Records turn terminal before their markers are durable: let the
+        // last commit window close so the snapshot covers every job.
+        std::thread::sleep(COMMIT_WINDOW * 4);
+    }
     let metrics_json = service.metrics_json();
     let summary = service.metrics().latency_summary();
-    let panicked = service
-        .metrics()
-        .counters
-        .jobs_panicked
-        .load(std::sync::atomic::Ordering::Relaxed);
+    let commit_lag = service.metrics().commit_lag_summary();
+    let counter = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+    let panicked = counter(&service.metrics().counters.jobs_panicked);
+    let state_commits = counter(&service.metrics().counters.state_commits);
+    let records_committed = counter(&service.metrics().counters.records_committed);
     let records = service.drain();
 
     let done = records.iter().filter(|r| r.state == JobState::Done).count();
@@ -623,6 +628,17 @@ fn main() {
         "   latency: p50 {:.3}s  p90 {:.3}s  p99 {:.3}s  max {:.3}s",
         summary.p50, summary.p90, summary.p99, summary.max
     );
+    if state_commits > 0 {
+        println!(
+            "   state commits: {state_commits} ({:.2} jobs, {:.1} records each), \
+             commit lag p50 {:.4}s  p90 {:.4}s  max {:.4}s",
+            (done + failed) as f64 / state_commits as f64,
+            records_committed as f64 / state_commits as f64,
+            commit_lag.p50,
+            commit_lag.p90,
+            commit_lag.max
+        );
+    }
     if let Some(dir) = &opts.trace_dir {
         println!("   per-job trace journals in {}", dir.display());
     }

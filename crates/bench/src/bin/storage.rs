@@ -7,7 +7,11 @@
 //! time) and the p99 admission-to-terminal settle latency.  Virtual time
 //! keeps the engines nearly free, so the differences between cases are
 //! storage costs: one group fsync per commit batch for the WAL, nothing
-//! for memory.
+//! for memory.  The grouping is read from the service's own counters
+//! (`state_commits`, `records_committed`, the `commit_lag` histogram),
+//! and the binary asserts that a WAL case spends at most 1.5 group
+//! commits per admission: one for the admission itself, and a settle
+//! commit shared by the jobs of a commit window.
 //!
 //! ```text
 //! cargo run --release -p gridwfs-bench --bin storage -- \
@@ -24,7 +28,7 @@ use std::time::{Duration, Instant};
 use gridwfs_serve::json::{json_number, json_string};
 use gridwfs_serve::{
     Backend, CountersSnapshot, GridSpec, JobState, MemStorage, Service, ServiceConfig, Storage,
-    Submission, SubmitError, WalStorage,
+    Submission, SubmitError, WalStorage, COMMIT_WINDOW,
 };
 use gridwfs_wpdl::builder::WorkflowBuilder;
 
@@ -88,6 +92,12 @@ struct CaseResult {
     jobs_per_sec: f64,
     p99_settle: f64,
     counters: CountersSnapshot,
+    /// `QueueFull` rejections: each cost an admission commit and a rollback.
+    rejected: u64,
+    /// The scheduler's group commits and the records they carried.
+    state_commits: u64,
+    records_committed: u64,
+    commit_lag_p90: f64,
 }
 
 fn run_case(m: usize, backend: Backend, workers: usize, root: &Path) -> CaseResult {
@@ -133,13 +143,31 @@ fn run_case(m: usize, backend: Backend, workers: usize, root: &Path) -> CaseResu
         "{backend:?} x{workers}: load did not finish"
     );
     let wall = started.elapsed().as_secs_f64();
-    let p99_settle = service.metrics().latency_summary().p99;
+    // Records turn terminal before their markers are durable: give the
+    // last window time to commit, so the counters cover every job.
+    std::thread::sleep(COMMIT_WINDOW * 4);
+    let metrics = service.metrics();
+    let p99_settle = metrics.latency_summary().p99;
+    let commit_lag_p90 = metrics.commit_lag_summary().p90;
+    let count = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+    let rejected = count(&metrics.counters.rejected);
+    let state_commits = count(&metrics.counters.state_commits);
+    let records_committed = count(&metrics.counters.records_committed);
     let records = service.drain();
     let done = records.iter().filter(|r| r.state == JobState::Done).count();
     assert_eq!(done, m, "{backend:?} x{workers}: {done}/{m} completed");
     let counters = storage.counters();
     drop(storage);
     let _ = std::fs::remove_dir_all(&dir);
+    if backend == Backend::Wal {
+        let ceiling = 1.5 * (m as u64 + rejected) as f64;
+        assert!(
+            counters.group_commits as f64 <= ceiling,
+            "wal x{workers}: {} group commits for {m} jobs + {rejected} rejections \
+             (ceiling {ceiling}): settlements are not sharing their commits",
+            counters.group_commits
+        );
+    }
     CaseResult {
         backend,
         workers,
@@ -147,6 +175,10 @@ fn run_case(m: usize, backend: Backend, workers: usize, root: &Path) -> CaseResu
         jobs_per_sec: m as f64 / wall,
         p99_settle,
         counters,
+        rejected,
+        state_commits,
+        records_committed,
+        commit_lag_p90,
     }
 }
 
@@ -177,6 +209,15 @@ fn main() {
                 r.counters.compactions,
                 r.counters.bytes_logged,
             );
+            eprintln!(
+                "          {:.2} jobs and {:.1} records per state commit ({} commits), \
+                 commit lag p90 {:.4}s, {} rejected submits",
+                opts.m as f64 / r.state_commits.max(1) as f64,
+                r.records_committed as f64 / r.state_commits.max(1) as f64,
+                r.state_commits,
+                r.commit_lag_p90,
+                r.rejected,
+            );
             results.push(r);
         }
     }
@@ -205,7 +246,8 @@ fn main() {
                 "    {{\"backend\": {}, \"workers\": {}, \"wall_seconds\": {}, \
                  \"jobs_per_sec\": {}, \"p99_settle_seconds\": {}, \
                  \"wal_appends\": {}, \"group_commits\": {}, \"compactions\": {}, \
-                 \"bytes_logged\": {}}}{comma}\n",
+                 \"bytes_logged\": {}, \"rejected\": {}, \"state_commits\": {}, \
+                 \"records_committed\": {}, \"commit_lag_p90_seconds\": {}}}{comma}\n",
                 json_string(r.backend.as_str()),
                 r.workers,
                 json_number(r.wall),
@@ -215,6 +257,10 @@ fn main() {
                 r.counters.group_commits,
                 r.counters.compactions,
                 r.counters.bytes_logged,
+                r.rejected,
+                r.state_commits,
+                r.records_committed,
+                json_number(r.commit_lag_p90),
             ));
         }
         out.push_str("  ]\n}\n");

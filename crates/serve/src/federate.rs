@@ -213,7 +213,7 @@ fn record_job(name: &str) -> Option<u64> {
 
 /// The federated replacement for the scheduler's plain group commit:
 /// every staged write is grouped by job and prefixed with a `Check` on
-/// the job's lease, so the whole tick commits if and only if this
+/// the job's lease, so the whole window commits if and only if this
 /// replica still owns everything it is writing.  On a fence conflict the
 /// batch is split per job and retried, so one lost lease never vetoes
 /// the other jobs' progress.
@@ -247,7 +247,7 @@ pub(crate) fn flush_fenced(
             eprintln!("gridwfs-serve: batched state write failed for {name}: {e}");
         }
     }
-    // Fast path: one guarded batch for the whole tick.
+    // Fast path: one guarded batch for the whole window.
     let epochs: Vec<Option<u64>> = {
         let owned = relock(&fed.owned);
         jobs.iter()

@@ -16,7 +16,7 @@
 //! * `sched` — the cooperative work-stealing scheduler: each worker
 //!   steps many paused engines (`Engine::step`) from a local run queue
 //!   plus a timer heap, steals from siblings when idle, and
-//!   group-commits state-dir writes once per tick;
+//!   group-commits state-dir writes once per [`COMMIT_WINDOW`];
 //! * `worker` — per-job lifecycle: engine construction, journals,
 //!   settlement;
 //! * [`recover`] — persistence policy over the pluggable storage
@@ -84,6 +84,7 @@ pub use gridwfs_trace::{TraceEvent, TraceKind, TraceSink};
 pub use job::{JobId, JobRecord, JobState, Submission};
 pub use metrics::{LatencySummary, Metrics, TraceMetricsSink};
 pub use queue::{BoundedQueue, Pop, PushError};
+pub use sched::COMMIT_WINDOW;
 pub use service::{Service, ServiceConfig, SubmitError};
 
 #[cfg(test)]

@@ -91,9 +91,17 @@ pub struct Counters {
     /// Per-host checkpoint-interval adaptations journalled by the
     /// resilient scheduler (derived from the trace stream).
     pub adaptive_ckpt_updates: AtomicU64,
+    /// Group commits of scheduler state batches (settlements, checkpoints,
+    /// ledgers): `(completed + failed) / state_commits` is jobs per fsync
+    /// on the settle side.  Admission commits are not counted here — the
+    /// backend's `group_commits` has both.
+    pub state_commits: AtomicU64,
+    /// Records those commits carried; over `state_commits`, the batch size.
+    pub records_committed: AtomicU64,
 }
 
-/// The registry: counters + the running-jobs gauge + the latency sketch.
+/// The registry: counters + the running-jobs gauge + the latency and
+/// commit-lag sketches.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Event counters.
@@ -101,6 +109,9 @@ pub struct Metrics {
     /// Jobs currently held by a worker (gauge).
     pub running: AtomicU64,
     latency: LatencyHisto,
+    /// First staging of a scheduler state batch → its `apply` returned:
+    /// how long a settlement waits to become durable.
+    commit_lag: LatencyHisto,
 }
 
 /// Smallest resolvable latency; everything at or below lands in bucket 0.
@@ -274,6 +285,23 @@ impl Metrics {
         self.latency.summary()
     }
 
+    /// Records one group commit of a scheduler state batch: `records`
+    /// staged writes became durable `lag` seconds after the first of them
+    /// was staged.
+    pub(crate) fn observe_commit(&self, records: u64, lag: f64) {
+        Metrics::incr(&self.counters.state_commits);
+        self.counters
+            .records_committed
+            .fetch_add(records, Ordering::Relaxed);
+        self.commit_lag.observe(lag);
+    }
+
+    /// Summarises the commit-lag histogram (seconds; same sketch as
+    /// [`Metrics::latency_summary`]).
+    pub fn commit_lag_summary(&self) -> LatencySummary {
+        self.commit_lag.summary()
+    }
+
     /// Renders the registry as JSON.  `queue_depth` is sampled by the
     /// caller (the queue lives next to the registry, not inside it).
     pub fn snapshot_json(&self, queue_depth: usize) -> String {
@@ -281,8 +309,10 @@ impl Metrics {
     }
 
     /// Renders the registry as JSON with an optional `storage` section —
-    /// the backend label plus the [`gridwfs_storage::Storage::counters`]
-    /// snapshot the service samples at the same instant as the gauges.
+    /// the backend label, the [`gridwfs_storage::Storage::counters`]
+    /// snapshot the service samples at the same instant as the gauges, and
+    /// the scheduler's own view of its group commits (`state_commits`,
+    /// `records_committed`, `commit_lag_seconds`).
     /// Schema 1 is the storage-less document; schema 2 adds the section.
     pub fn snapshot_json_with_storage(
         &self,
@@ -342,28 +372,44 @@ impl Metrics {
                 ("compactions", s.compactions),
                 ("bytes_logged", s.bytes_logged),
                 ("recovery_replayed_records", s.recovery_replayed_records),
+                ("state_commits", get(&c.state_commits)),
+                ("records_committed", get(&c.records_committed)),
             ];
-            for (i, (name, v)) in fields.iter().enumerate() {
-                let comma = if i + 1 < fields.len() { "," } else { "" };
-                out.push_str(&format!("    {}: {v}{comma}\n", json_string(name)));
+            for (name, v) in fields {
+                out.push_str(&format!("    {}: {v},\n", json_string(name)));
             }
-            out.push_str("  },\n");
+            out.push_str("    \"commit_lag_seconds\": ");
+            push_summary(&mut out, "    ", &self.commit_lag_summary());
+            out.push_str("\n  },\n");
         }
-        out.push_str("  \"latency_seconds\": {\n");
-        out.push_str(&format!("    \"count\": {},\n", l.count));
-        for (name, v) in [
-            ("mean", l.mean),
-            ("min", l.min),
-            ("p50", l.p50),
-            ("p90", l.p90),
-            ("p99", l.p99),
-        ] {
-            out.push_str(&format!("    {}: {},\n", json_string(name), json_number(v)));
-        }
-        out.push_str(&format!("    \"max\": {}\n", json_number(l.max)));
-        out.push_str("  }\n}\n");
+        out.push_str("  \"latency_seconds\": ");
+        push_summary(&mut out, "  ", &l);
+        out.push_str("\n}\n");
         out
     }
+}
+
+/// Renders a histogram summary as a JSON object whose closing brace sits
+/// at `indent`.
+fn push_summary(out: &mut String, indent: &str, l: &LatencySummary) {
+    out.push_str(&format!("{{\n{indent}  \"count\": {},\n", l.count));
+    for (name, v) in [
+        ("mean", l.mean),
+        ("min", l.min),
+        ("p50", l.p50),
+        ("p90", l.p90),
+        ("p99", l.p99),
+    ] {
+        out.push_str(&format!(
+            "{indent}  {}: {},\n",
+            json_string(name),
+            json_number(v)
+        ));
+    }
+    out.push_str(&format!(
+        "{indent}  \"max\": {}\n{indent}}}",
+        json_number(l.max)
+    ));
 }
 
 /// A [`TraceSink`] that turns the engines' flight-recorder stream into
@@ -503,8 +549,16 @@ mod tests {
             bytes_logged: 4096,
             recovery_replayed_records: 7,
         };
+        m.observe_commit(5, 0.002);
+        m.observe_commit(3, 0.004);
         let json = m.snapshot_json_with_storage(0, Some(("wal", counters)));
         assert!(json.contains("\"schema\": 2"), "{json}");
+        assert!(json.contains("\"state_commits\": 2"), "{json}");
+        assert!(json.contains("\"records_committed\": 8"), "{json}");
+        let lag = &json[json.find("\"commit_lag_seconds\": {").expect("lag section")..];
+        assert!(lag.contains("\"count\": 2"), "{json}");
+        assert!(lag.contains("\"max\": 0.004"), "{json}");
+        assert_eq!(m.commit_lag_summary().min, 0.002);
         assert!(json.contains("\"backend\": \"wal\""), "{json}");
         assert!(json.contains("\"wal_appends\": 12"), "{json}");
         assert!(json.contains("\"group_commits\": 3"), "{json}");
@@ -512,7 +566,9 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(!json.contains(",\n  }"), "{json}");
         // The storage-less snapshot keeps the original schema.
-        assert!(m.snapshot_json(0).contains("\"schema\": 1"));
+        let plain = m.snapshot_json(0);
+        assert!(plain.contains("\"schema\": 1"));
+        assert!(!plain.contains("commit_lag_seconds"), "{plain}");
     }
 
     #[test]

@@ -19,9 +19,45 @@
 //!   sleeps until the next timer;
 //! * terminal markers, elapsed ledgers, and engine checkpoints are
 //!   staged on a per-worker [`StateBatch`] and group-committed once per
-//!   scheduler tick through [`gridwfs_storage::Storage::apply`]: one
-//!   durability point (one WAL fsync) amortised over the whole tick
-//!   instead of one per settlement.
+//!   **commit window** through [`gridwfs_storage::Storage::apply`]: one
+//!   durability point (one WAL fsync) amortised over every settlement of
+//!   the window instead of one per settlement.
+//!
+//! ## The commit window
+//!
+//! A virtual-time job finishes inside one slice, so "nothing runnable"
+//! comes round after every job; committing there is one fsync per job.
+//! Instead, a worker that holds staged writes and has room under
+//! `max_in_flight` first waits on the admission queue for what is left of
+//! [`COMMIT_WINDOW`] (counted from the first staging of the batch, and
+//! never past its next timer wake).  An arrival is picked up and run, and
+//! its settlement joins the batch.  The batch is committed when
+//!
+//! * that wait times out with nothing admitted,
+//! * its oldest staged write is a window old — checked after every slice,
+//!   so a steady trickle of arrivals cannot postpone durability,
+//! * it holds [`BATCH_MAX`] writes,
+//! * the worker is at capacity (or draining after close) and has nothing
+//!   runnable, or
+//! * the worker exits (queue closed and drained, or hard abort).
+//!
+//! **Durability bound:** a staged write reaches `apply` within
+//! `COMMIT_WINDOW` plus one slice of its staging.  A job's record turns
+//! terminal in the table (and `wait_all_terminal` sees it) when its run
+//! settles, *before* its marker is durable; the marker, its dead-letter
+//! record and its last checkpoint commit together, at most a window
+//! later.  A crash inside the window therefore loses markers that were
+//! staged but not committed: those jobs still have their admission
+//! records, so the next incarnation re-admits them and re-runs each from
+//! its last *committed* checkpoint (from scratch for a job that started
+//! and finished inside the lost window).  Every job still ends with
+//! exactly one result record.
+//!
+//! A run's staged checkpoint never sits in one worker's batch while the
+//! run is where another worker can steal it: [`requeue`] moves it out of
+//! the batch and onto the [`Run`], and whoever slices the run next stages
+//! it again before anything newer.  So the checkpoints of one job are
+//! committed in the order they were written, whichever workers ran it.
 //!
 //! Concurrency is opt-in: [`crate::ServiceConfig::max_in_flight`]
 //! defaults to 1, which reproduces the old one-job-per-worker admission
@@ -60,8 +96,15 @@ const IDLE_TICK: Duration = Duration::from_millis(1);
 /// worker at capacity.
 const POLL: Duration = Duration::from_millis(25);
 
-/// Staged state-dir writes that force a group commit mid-tick.
+/// Staged state-dir writes that force a group commit mid-window.
 const BATCH_MAX: usize = 256;
+
+/// How long a worker holding staged writes waits for further settlements
+/// to join them before it commits (see the module docs).  The durability
+/// lag of a settlement is at most this plus one slice.  2 ms is about ten
+/// WAL fsyncs on the bench host: EXPERIMENTS.md "What a group commit
+/// groups" has the 1 / 2 / 4 ms rows this value was picked from.
+pub const COMMIT_WINDOW: Duration = Duration::from_millis(2);
 
 /// One paused (or runnable) engine instance and its per-job plumbing.
 pub(crate) struct Run {
@@ -76,6 +119,10 @@ pub(crate) struct Run {
     /// write — only the newest checkpoint of a slice is staged — not the
     /// serialisation.
     pub(crate) checkpoint: Option<(String, worker::CheckpointCell)>,
+    /// A checkpoint that was staged but not yet committed when the run
+    /// last became stealable, with the age of the batch it left (see
+    /// [`requeue`]).  The next slicer stages it before anything newer.
+    pub(crate) carried: Option<(Instant, Vec<u8>)>,
     /// Pickup instant; `run_wall` on the record is pickup-to-settle.
     pub(crate) started: Instant,
 }
@@ -109,15 +156,21 @@ impl Ord for Sleeper {
     }
 }
 
-/// Per-worker staged state writes, group-committed per tick.  `stage`
-/// replaces any pending write to the same record, so a batch holds at
-/// most one (the latest) version of each record — same end state a
-/// sequence of synchronous single-record puts leaves.
+/// Per-worker staged state writes, group-committed once per commit window
+/// (module docs).  `stage` replaces any pending write to the same record,
+/// so a batch holds at most one (the latest) version of each record — same
+/// end state a sequence of synchronous single-record puts leaves.
+///
+/// Nothing staged here is durable, and nothing here is visible through
+/// the storage backend, until [`StateBatch::flush`] returns.
 #[derive(Default)]
 pub(crate) struct StateBatch {
     /// `Some(data)` stages a put, `None` stages a delete; either way the
     /// latest staging for a record name wins.
     writes: Vec<(String, Option<Vec<u8>>)>,
+    /// When the oldest write still staged was staged: the start of the
+    /// commit window.  `Some` exactly while `writes` is non-empty.
+    since: Option<Instant>,
 }
 
 impl StateBatch {
@@ -126,13 +179,14 @@ impl StateBatch {
     }
 
     /// Stages a delete so record removal rides the same group commit as
-    /// the tick's puts (backends apply dels before puts, but a batch
+    /// the window's puts (backends apply dels before puts, but a batch
     /// never holds both ops for one name — latest staging wins).
     pub(crate) fn stage_del(&mut self, name: String) {
         self.entry(name, None);
     }
 
     fn entry(&mut self, name: String, data: Option<Vec<u8>>) {
+        self.since.get_or_insert_with(Instant::now);
         if let Some(slot) = self.writes.iter_mut().find(|(n, _)| *n == name) {
             slot.1 = data;
         } else {
@@ -140,8 +194,38 @@ impl StateBatch {
         }
     }
 
-    fn len(&self) -> usize {
-        self.writes.len()
+    /// Takes the staged put of `name` back out, with the batch's age: the
+    /// write has waited at most that long, so whoever stages it again
+    /// ([`StateBatch::restage`]) keeps its durability bound.
+    fn unstage(&mut self, name: &str) -> Option<(Instant, Vec<u8>)> {
+        let since = self.since?;
+        let at = self
+            .writes
+            .iter()
+            .position(|(n, data)| n == name && data.is_some())?;
+        let (_, data) = self.writes.remove(at);
+        if self.writes.is_empty() {
+            self.since = None;
+        }
+        Some((since, data?))
+    }
+
+    /// Stages a write that has been waiting since `since` in another batch.
+    fn restage(&mut self, name: String, data: Vec<u8>, since: Instant) {
+        self.since = Some(self.since.map_or(since, |mine| mine.min(since)));
+        self.entry(name, Some(data));
+    }
+
+    /// What is left of the commit window; `None` with nothing staged.
+    fn window_left(&self) -> Option<Duration> {
+        self.since
+            .map(|since| COMMIT_WINDOW.saturating_sub(since.elapsed()))
+    }
+
+    /// True once the batch must commit whatever else is going on: it is
+    /// full, or its oldest write is a window old.
+    fn due(&self) -> bool {
+        self.writes.len() >= BATCH_MAX || self.window_left().is_some_and(|left| left.is_zero())
     }
 
     /// Group commit: every staged record lands crash-atomically with one
@@ -149,31 +233,35 @@ impl StateBatch {
     ///
     /// [`Storage::apply`]: gridwfs_storage::Storage::apply
     fn flush(&mut self, shared: &Shared) {
-        if self.writes.is_empty() {
+        let Some(since) = self.since.take() else {
             return;
-        }
+        };
         let Some(st) = &shared.storage else {
             self.writes.clear();
             return;
         };
+        let records = self.writes.len() as u64;
         if let Some(fed) = &shared.federate {
             // Federated: every job's writes are fenced on its lease
             // epoch; a batch from a replica that lost a lease is
             // rejected at the storage layer, never double-settling.
             crate::federate::flush_fenced(shared, fed, std::mem::take(&mut self.writes));
-            return;
+        } else {
+            let ops = self
+                .writes
+                .drain(..)
+                .map(|(name, data)| match data {
+                    Some(data) => Op::Put(name, data),
+                    None => Op::Del(name),
+                })
+                .collect();
+            for (name, e) in st.apply(ops) {
+                eprintln!("gridwfs-serve: batched state write failed for {name}: {e}");
+            }
         }
-        let ops = self
-            .writes
-            .drain(..)
-            .map(|(name, data)| match data {
-                Some(data) => Op::Put(name, data),
-                None => Op::Del(name),
-            })
-            .collect();
-        for (name, e) in st.apply(ops) {
-            eprintln!("gridwfs-serve: batched state write failed for {name}: {e}");
-        }
+        shared
+            .metrics
+            .observe_commit(records, since.elapsed().as_secs_f64());
     }
 }
 
@@ -343,6 +431,7 @@ fn pickup(shared: &Arc<Shared>, id: JobId, batch: &mut StateBatch) -> Option<Run
                 engine,
                 journal,
                 checkpoint,
+                carried: None,
                 started,
             });
         }
@@ -382,6 +471,71 @@ fn park_time(next_wake: Option<Instant>) -> Duration {
     }
 }
 
+/// Puts `run` on worker `me`'s run queue, where a sibling may steal it.
+/// A checkpoint of the run that is staged in `batch` but not committed
+/// leaves with the run: were it to stay, the thief could stage and commit
+/// a newer checkpoint (or the result marker) first, and this worker's
+/// later commit would write the older one back over it.
+fn requeue(sched: &SchedState, me: usize, batch: &mut StateBatch, mut run: Run) {
+    if let Some((name, _)) = &run.checkpoint {
+        if let Some(carried) = batch.unstage(name) {
+            run.carried = Some(carried);
+        }
+    }
+    sched.push_runnable(me, run);
+}
+
+/// Steps `run` for one slice on behalf of worker `me` and files it where
+/// the outcome says: back on the run queue, on the timer heap, or settled.
+fn run_slice(
+    shared: &Shared,
+    me: usize,
+    mut run: Run,
+    batch: &mut StateBatch,
+    sleepers: &mut BinaryHeap<Sleeper>,
+    seq: &mut u64,
+) {
+    // What the last slicer left uncommitted goes in first, so the newer
+    // checkpoint staged below replaces it instead of racing it.
+    if let (Some((name, _)), Some((since, xml))) = (&run.checkpoint, run.carried.take()) {
+        batch.restage(name.clone(), xml, since);
+    }
+    let slice = step_slice(shared, &mut run);
+    // Drain the engine's staged checkpoint (if any) into the batch: at
+    // most the newest checkpoint per record per slice reaches storage
+    // (the engine serialised every one of them).
+    if let Some((name, cell)) = &run.checkpoint {
+        if let Some(xml) = relock(cell).take() {
+            batch.stage(name.clone(), xml);
+        }
+    }
+    let yielded = match slice {
+        Slice::Yield => Some(run),
+        Slice::Sleep(wake) => {
+            *seq += 1;
+            sleepers.push(Sleeper {
+                wake,
+                seq: *seq,
+                run,
+            });
+            None
+        }
+        Slice::Done(result) => {
+            finish_run(shared, run, result, batch);
+            shared.sched.dec_in_flight(me);
+            None
+        }
+    };
+    // Full, or a window old: commit now, however busy the worker is —
+    // and before a yielded run takes its checkpoint away again.
+    if batch.due() {
+        batch.flush(shared);
+    }
+    if let Some(run) = yielded {
+        requeue(&shared.sched, me, batch, run);
+    }
+}
+
 /// The scheduler loop for worker `me`.  Exits once the admission queue is
 /// closed and drained and every run this worker owns has settled.
 pub(crate) fn worker_loop(shared: Arc<Shared>, me: usize) {
@@ -396,48 +550,35 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, me: usize) {
         let now = Instant::now();
         while sleepers.peek().is_some_and(|s| s.wake <= now) {
             let sleeper = sleepers.pop().expect("peeked");
-            sched.push_runnable(me, sleeper.run);
+            requeue(sched, me, &mut batch, sleeper.run);
         }
         // Step one slice of runnable work — own queue first, then steal.
         let next = sched.pop_runnable(me).or_else(|| {
             sched.steal_into(me);
             sched.pop_runnable(me)
         });
-        if let Some(mut run) = next {
-            let slice = step_slice(&shared, &mut run);
-            // Drain the engine's staged checkpoint (if any) into the
-            // batch: at most the newest checkpoint per record per slice
-            // reaches storage (the engine serialised every one of them).
-            if let Some((name, cell)) = &run.checkpoint {
-                if let Some(xml) = relock(cell).take() {
-                    batch.stage(name.clone(), xml);
-                }
-            }
-            match slice {
-                Slice::Yield => sched.push_runnable(me, run),
-                Slice::Sleep(wake) => {
-                    seq += 1;
-                    sleepers.push(Sleeper { wake, seq, run });
-                }
-                Slice::Done(result) => {
-                    finish_run(&shared, run, result, &mut batch);
-                    sched.dec_in_flight(me);
-                }
-            }
-            if batch.len() >= BATCH_MAX {
-                batch.flush(&shared);
-            }
+        if let Some(run) = next {
+            run_slice(&shared, me, run, &mut batch, &mut sleepers, &mut seq);
             continue;
         }
-        // Nothing runnable: a tick boundary.  Group-commit staged state,
-        // then either admit new work or sleep until the next timer.
-        batch.flush(&shared);
+        // Nothing runnable: a tick boundary.  A worker with room admits
+        // before it commits: while the commit window is open it waits on
+        // the admission queue for what is left of it, so the settlement
+        // of whatever arrives joins the batch.  Anyone else commits now.
+        let admitting = !closed && sched.in_flight(me) < cap;
+        let window = batch
+            .window_left()
+            .filter(|left| admitting && !left.is_zero());
+        if window.is_none() {
+            batch.flush(&shared);
+        }
         if closed && sched.in_flight(me) == 0 {
             return;
         }
-        let next_wake = sleepers.peek().map(|s| s.wake);
-        if !closed && sched.in_flight(me) < cap {
-            match shared.queue.pop_timeout(park_time(next_wake)) {
+        let park = park_time(sleepers.peek().map(|s| s.wake));
+        if admitting {
+            let wait = window.map_or(park, |left| left.min(park));
+            match shared.queue.pop_timeout(wait) {
                 Pop::Closed => closed = true,
                 Pop::Empty => {}
                 Pop::Item(id) => {
@@ -449,17 +590,189 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, me: usize) {
                     }
                     if let Some(run) = pickup(&shared, id, &mut batch) {
                         sched.inc_in_flight(me);
-                        sched.push_runnable(me, run);
+                        requeue(sched, me, &mut batch, run);
                     }
                 }
             }
-        } else {
+        } else if !park.is_zero() {
             // At capacity, or draining after close: sleep until the next
             // timer (or a poll tick, to re-check for stealable work).
-            let nap = park_time(next_wake);
-            if !nap.is_zero() {
-                std::thread::sleep(nap);
-            }
+            std::thread::sleep(park);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::{JobRecord, Submission};
+    use crate::{GridSpec, MemStorage, Service, ServiceConfig, Storage};
+    use gridwfs_storage::CountersSnapshot;
+    use gridwfs_wpdl::builder::WorkflowBuilder;
+    use std::io;
+
+    /// Records every checkpoint document in the order it was committed.
+    struct CheckpointLog {
+        inner: MemStorage,
+        committed: Mutex<Vec<(String, String)>>,
+    }
+
+    impl Storage for CheckpointLog {
+        fn read(&self, name: &str) -> io::Result<Vec<u8>> {
+            self.inner.read(name)
+        }
+        fn exists(&self, name: &str) -> bool {
+            self.inner.exists(name)
+        }
+        fn list(&self) -> io::Result<Vec<String>> {
+            self.inner.list()
+        }
+        fn apply(&self, ops: Vec<Op>) -> Vec<(String, io::Error)> {
+            for op in &ops {
+                if let Op::Put(name, data) = op {
+                    if name.ends_with(".ckpt.xml") {
+                        let doc = String::from_utf8(data.clone()).expect("checkpoints are text");
+                        relock(&self.committed).push((name.clone(), doc));
+                    }
+                }
+            }
+            self.inner.apply(ops)
+        }
+        fn counters(&self) -> CountersSnapshot {
+            self.inner.counters()
+        }
+        fn compact(&self) -> io::Result<()> {
+            self.inner.compact()
+        }
+        fn backend_name(&self) -> &'static str {
+            self.inner.backend_name()
+        }
+    }
+
+    /// A virtual chain long enough to outlast several slices.
+    fn long_chain(activities: usize) -> Submission {
+        let mut b = WorkflowBuilder::new("long").program("p", 1.0, &["local"]);
+        for i in 0..activities {
+            b.activity(format!("a{i}"), "p");
+        }
+        for i in 1..activities {
+            b = b.edge(&format!("a{}", i - 1), &format!("a{i}"));
+        }
+        Submission {
+            name: "long".into(),
+            workflow_xml: b.to_xml().expect("test workflow serialises"),
+            grid: GridSpec::virtual_grid().with_host("local", 1.0),
+            seed: 7,
+            deadline: None,
+        }
+    }
+
+    /// Worker 0 slices a job once and yields it with a checkpoint staged;
+    /// worker 1 steals the run, finishes it and commits first; worker 0
+    /// commits last.  The job's committed checkpoints must never go
+    /// backwards: a crash resumes from the last one, and `dlq retry`
+    /// resets from it.
+    #[test]
+    fn a_stolen_runs_checkpoints_commit_in_the_order_they_were_written() {
+        let log = Arc::new(CheckpointLog {
+            inner: MemStorage::new(),
+            committed: Mutex::new(Vec::new()),
+        });
+        let mut service = Service::start(ServiceConfig {
+            workers: 2,
+            max_in_flight: 4,
+            storage: Some(log.clone()),
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        // This test plays both workers itself.
+        let shared = service.retire_workers();
+        let sched = &shared.sched;
+        let id = JobId(1);
+        {
+            let sub = long_chain(120);
+            let mut shard = shared.table.shard(id.0);
+            shard
+                .jobs
+                .insert(id.0, JobRecord::new(id, sub.name.clone(), 0.0, false));
+            shard.subs.insert(id.0, sub);
+        }
+        let (mut batch0, mut batch1) = (StateBatch::default(), StateBatch::default());
+        let (mut sleepers, mut seq) = (BinaryHeap::new(), 0);
+
+        let run = pickup(&shared, id, &mut batch0).expect("engine builds");
+        sched.inc_in_flight(0);
+        requeue(sched, 0, &mut batch0, run);
+        let run = sched.pop_runnable(0).expect("just queued");
+        run_slice(&shared, 0, run, &mut batch0, &mut sleepers, &mut seq);
+        assert!(
+            log.committed.lock().unwrap().is_empty(),
+            "nothing was due: the first slice's checkpoint is still staged"
+        );
+
+        sched.steal_into(1);
+        let mut slices = 0;
+        while let Some(run) = sched.pop_runnable(1) {
+            run_slice(&shared, 1, run, &mut batch1, &mut sleepers, &mut seq);
+            slices += 1;
+        }
+        assert!(
+            slices >= 1,
+            "the first slice yielded and worker 1 stole the run"
+        );
+        assert!(sleepers.is_empty(), "virtual jobs never sleep");
+        assert_eq!(
+            shared.table.shard(id.0).jobs[&id.0].state,
+            JobState::Done,
+            "worker 1 finished the job"
+        );
+        batch1.flush(&shared);
+        batch0.flush(&shared);
+
+        let progress = |doc: &str| doc.matches("status='done'").count();
+        let committed = log.committed.lock().unwrap();
+        assert!(!committed.is_empty());
+        let mut last = 0;
+        for (name, doc) in committed.iter() {
+            assert_eq!(*name, crate::recover::checkpoint_name(id));
+            assert!(
+                progress(doc) >= last,
+                "a checkpoint with {} activities done was committed over one with {last}",
+                progress(doc)
+            );
+            last = progress(doc);
+        }
+        assert_eq!(last, 120, "the last committed checkpoint is the final one");
+    }
+
+    #[test]
+    fn an_unstaged_write_keeps_its_age() {
+        let mut from = StateBatch::default();
+        from.stage("job-1.ckpt.xml".into(), b"v1".to_vec());
+        from.stage_del("job-1.dlq".into());
+        let began = from.since.expect("staging opens the window");
+        assert!(from.unstage("job-1.dlq").is_none(), "only puts travel");
+        let (since, data) = from.unstage("job-1.ckpt.xml").expect("staged above");
+        assert_eq!((since, data.as_slice()), (began, &b"v1"[..]));
+        assert_eq!(from.writes.len(), 1);
+        assert!(from.unstage("job-1.ckpt.xml").is_none());
+
+        std::thread::sleep(Duration::from_millis(1));
+        let mut to = StateBatch::default();
+        to.stage("job-2.result".into(), b"done".to_vec());
+        to.restage("job-1.ckpt.xml".into(), data, since);
+        assert_eq!(to.since, Some(began), "the older write sets the window");
+        to.stage("job-1.ckpt.xml".into(), b"v2".to_vec());
+        assert_eq!(
+            to.writes.len(),
+            2,
+            "the newer checkpoint replaces the carried one"
+        );
+
+        // Emptying a batch closes its window.
+        let mut lone = StateBatch::default();
+        lone.stage("job-3.ckpt.xml".into(), b"v1".to_vec());
+        assert!(lone.unstage("job-3.ckpt.xml").is_some());
+        assert!(lone.since.is_none() && lone.window_left().is_none() && !lone.due());
     }
 }

@@ -644,6 +644,15 @@ impl Service {
         }
     }
 
+    /// Test hook: stops the worker threads (a graceful halt) and hands out
+    /// the shared state, so a scheduler test can play the workers itself,
+    /// one deterministic step at a time.
+    #[cfg(test)]
+    pub(crate) fn retire_workers(&mut self) -> Arc<Shared> {
+        self.halt(false);
+        self.shared.clone()
+    }
+
     /// Graceful shutdown: stop accepting, drain the queue, wait for every
     /// worker to finish, return the final records.
     pub fn drain(mut self) -> Vec<JobRecord> {

@@ -11,8 +11,12 @@
 //!   budget, and trace fanout;
 //! * [`open_journal`] — the per-job journal with its incarnation header;
 //! * [`settle`] — apply a finished run's outcome to the job record, the
-//!   metrics registry, and the storage backend (terminal markers ride the
-//!   scheduler's group-commit batch);
+//!   metrics registry, and the storage backend.  The record turns
+//!   terminal in the table here; its marker (with the dead-letter record
+//!   and the lease release) is only *staged* on the scheduler's
+//!   [`StateBatch`] and becomes durable when the commit window closes
+//!   (see [`crate::sched`]), at most a window plus one slice later.  A
+//!   crash in between re-runs the job from its last committed checkpoint;
 //! * [`note_panic`] / [`panic_message`] — a workflow closure that panics
 //!   must not take its scheduler thread down; the catch sites in
 //!   [`crate::sched`] route the payload here so the panicking job settles
@@ -183,9 +187,9 @@ pub(crate) fn build_engine(
         (total - consumed).max(0.0)
     });
     // With a storage backend, checkpoints are staged into a mailbox the
-    // scheduler group-commits (one durability point per tick) instead of
-    // paying a file write + fsync inside the engine step.  The step still
-    // pays for encoding each one.
+    // scheduler group-commits (one durability point per commit window)
+    // instead of paying a file write + fsync inside the engine step.  The
+    // step still pays for encoding each one.
     let checkpoint = shared.storage.as_ref().map(|_| {
         let cell: CheckpointCell = Arc::new(Mutex::new(None));
         (ckpt_name, cell)
@@ -247,8 +251,9 @@ pub(crate) fn build_engine(
 
 /// Applies the run's outcome to the job record, the metrics registry, and
 /// the storage backend.  Terminal markers and elapsed ledgers are staged
-/// on the scheduler's [`StateBatch`] (group-committed per tick) instead
-/// of paying one durability point each.
+/// on the scheduler's [`StateBatch`] (group-committed per commit window)
+/// instead of paying one durability point each: the record is terminal
+/// when this returns, the marker durable up to a window later.
 pub(crate) fn settle(
     shared: &Shared,
     id: JobId,
