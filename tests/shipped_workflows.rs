@@ -288,6 +288,141 @@ fn mapreduce_parks_shard_06_at_the_documented_seed() {
     assert_eq!(entry.reason, "exception:bad_shard");
 }
 
+/// FNV-1a (64-bit) — the digest `loadgen --journal-hash` uses.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `workflow grid seed` then the journal digest under each engine
+/// configuration: default, `--scheduler resilient --breaker 2`,
+/// `--detector phi:4`.
+const JOURNAL_PINS: &str = "\
+figure2_retry.xml grid.example.json 11 cc0835ed03d24be7 7617917e757348ae cc0835ed03d24be7
+figure2_retry.xml grid.example.json 37 1c3ad3df8061d705 cdadf47f48f23e56 0ab4d1503ce5195b
+figure2_retry.xml grid.example.json 2003 89a70a2aa277d501 fa31f9bbd4f092a5 fe07e70b315b8526
+figure2_retry.xml grid.flaky.json 11 5f0977a5a88f87e7 670e6929d5f8d094 5f0977a5a88f87e7
+figure2_retry.xml grid.flaky.json 37 5f0977a5a88f87e7 670e6929d5f8d094 5f0977a5a88f87e7
+figure2_retry.xml grid.flaky.json 2003 5f0977a5a88f87e7 670e6929d5f8d094 5f0977a5a88f87e7
+figure2_retry.xml grid.lossy.json 11 ee3556ddc261de69 7a6aca0fb735e7b7 ee3556ddc261de69
+figure2_retry.xml grid.lossy.json 37 9187196f25447766 eec209b9b2d221b8 9187196f25447766
+figure2_retry.xml grid.lossy.json 2003 276c2eee67804cc2 aeb1dde19d86ad84 fbb1c5dae260a138
+figure3_replica.xml grid.example.json 11 38610fbbf4af0f63 b49ba3fc36be9c3e 38610fbbf4af0f63
+figure3_replica.xml grid.example.json 37 29ac15843b28a1d6 8b2266b25651c35d 4dc33edac649e902
+figure3_replica.xml grid.example.json 2003 66a155bcbb8b9a20 5f7d16f35c559193 119fc6f98281fd3c
+figure3_replica.xml grid.flaky.json 11 1c3ac3bec67aaba3 b20690ae2dbb03f9 1c3ac3bec67aaba3
+figure3_replica.xml grid.flaky.json 37 1c3ac3bec67aaba3 b20690ae2dbb03f9 1c3ac3bec67aaba3
+figure3_replica.xml grid.flaky.json 2003 1c3ac3bec67aaba3 b20690ae2dbb03f9 1c3ac3bec67aaba3
+figure3_replica.xml grid.lossy.json 11 96f9e2191a5b5edd 18dddae5e8c431bb 127b95132e2a4e21
+figure3_replica.xml grid.lossy.json 37 b40a1b93ce3a4eb8 839d593b2c809d22 b40a1b93ce3a4eb8
+figure3_replica.xml grid.lossy.json 2003 c609f62e7c27a783 6083968ffe1f133d c937bae482b1f25b
+figure4_alternative.xml grid.example.json 11 701340741b260991 cac176fffc9f0178 d71f4503133e284b
+figure4_alternative.xml grid.example.json 37 c7422332ba03d4f0 cab8570796d37141 c7422332ba03d4f0
+figure4_alternative.xml grid.example.json 2003 6266e7368a0f084c ef16d686701fbbbf 6266e7368a0f084c
+figure4_alternative.xml grid.flaky.json 11 190c98677d4fa2c8 d8a7359834caaec4 190c98677d4fa2c8
+figure4_alternative.xml grid.flaky.json 37 190c98677d4fa2c8 d8a7359834caaec4 190c98677d4fa2c8
+figure4_alternative.xml grid.flaky.json 2003 190c98677d4fa2c8 d8a7359834caaec4 190c98677d4fa2c8
+figure4_alternative.xml grid.lossy.json 11 b080605c6e91a528 fd076a0df7515d32 6e6571bf2bee8ec6
+figure4_alternative.xml grid.lossy.json 37 b080605c6e91a528 fd076a0df7515d32 6e6571bf2bee8ec6
+figure4_alternative.xml grid.lossy.json 2003 b2a24d8acffc7492 cb326551f8d29544 4fdc1f49e0d523f5
+figure5_redundancy.xml grid.example.json 11 27ac3fd739aa1c69 4a2d2992d3969c61 1ca11b42152bc377
+figure5_redundancy.xml grid.example.json 37 923ff4ac44f2ca32 0c0cdddc26f55d8a 923ff4ac44f2ca32
+figure5_redundancy.xml grid.example.json 2003 72668a0657b71498 936f10ff4edb8d80 72668a0657b71498
+figure5_redundancy.xml grid.flaky.json 11 0c3ebc14aa4c292f 1a0718f5a7e92215 0c3ebc14aa4c292f
+figure5_redundancy.xml grid.flaky.json 37 0c3ebc14aa4c292f 1a0718f5a7e92215 0c3ebc14aa4c292f
+figure5_redundancy.xml grid.flaky.json 2003 0c3ebc14aa4c292f 1a0718f5a7e92215 0c3ebc14aa4c292f
+figure5_redundancy.xml grid.lossy.json 11 cf296b6e6ac5afdb 8c56eb5a51bb7f81 3e82aeb92b84fb95
+figure5_redundancy.xml grid.lossy.json 37 cf296b6e6ac5afdb 8c56eb5a51bb7f81 3e82aeb92b84fb95
+figure5_redundancy.xml grid.lossy.json 2003 9fd8aebacaf87087 e5cbd35e228a0a41 b1e85bb8d5ea42c6
+figure6_exception.xml grid.example.json 11 f82821dea6b8a33f 2ceceb7514dbff54 e326e539bb6d21a3
+figure6_exception.xml grid.example.json 37 df902e34311ae738 423df3216db5cbc3 df902e34311ae738
+figure6_exception.xml grid.example.json 2003 6266e7368a0f084c ef16d686701fbbbf 6266e7368a0f084c
+figure6_exception.xml grid.flaky.json 11 1b2f473ee5c60a7d 6ebce34f8610e778 1b2f473ee5c60a7d
+figure6_exception.xml grid.flaky.json 37 1b2f473ee5c60a7d 6ebce34f8610e778 1b2f473ee5c60a7d
+figure6_exception.xml grid.flaky.json 2003 1b2f473ee5c60a7d 6ebce34f8610e778 1b2f473ee5c60a7d
+figure6_exception.xml grid.lossy.json 11 a7dacf979e9d4793 70dbe0046d7d352a a7dacf979e9d4793
+figure6_exception.xml grid.lossy.json 37 a7dacf979e9d4793 70dbe0046d7d352a a7dacf979e9d4793
+figure6_exception.xml grid.lossy.json 2003 a7dacf979e9d4793 70dbe0046d7d352a a7dacf979e9d4793
+mapreduce.xml grid.example.json 11 f23e8d6b13a85fa6 8680eb646a3d3a5c f23e8d6b13a85fa6
+mapreduce.xml grid.example.json 37 f23e8d6b13a85fa6 8680eb646a3d3a5c f23e8d6b13a85fa6
+mapreduce.xml grid.example.json 2003 f23e8d6b13a85fa6 8680eb646a3d3a5c f23e8d6b13a85fa6
+mapreduce.xml grid.flaky.json 11 2def3f1d29ef98b5 dc94f4b1e3983132 2def3f1d29ef98b5
+mapreduce.xml grid.flaky.json 37 9855891902c4badb 5d06e116b44629b9 9855891902c4badb
+mapreduce.xml grid.flaky.json 2003 9a8440c134ad1d22 96212bf614c83519 9a8440c134ad1d22
+mapreduce.xml grid.lossy.json 11 e9c86966e434a024 0749a6a99cba1ebb 0ec4fad856f77172
+mapreduce.xml grid.lossy.json 37 0571553c584ddf78 ce62d735b062471a 6d69179f85aadf1c
+mapreduce.xml grid.lossy.json 2003 bbfc07b42a27e544 b36be2d70616f2c4 37f4f1e0e6f9a38c
+pipeline.xml grid.example.json 11 62a91baf83f61c63 2499f40856acbb8b 69ee5a6faa7b7ea9
+pipeline.xml grid.example.json 37 7912cdf3ae8bef59 6cfec574535952ac 78bb3c6dd6af5586
+pipeline.xml grid.example.json 2003 7763d8b3053ccad8 af8c89bd831895d9 5232fe78a8b14f32
+pipeline.xml grid.flaky.json 11 6a21a46c3c1e8983 351f3a182af0aaed 6a21a46c3c1e8983
+pipeline.xml grid.flaky.json 37 6a21a46c3c1e8983 351f3a182af0aaed 6a21a46c3c1e8983
+pipeline.xml grid.flaky.json 2003 6a21a46c3c1e8983 351f3a182af0aaed 6a21a46c3c1e8983
+pipeline.xml grid.lossy.json 11 dacea58852bbcf15 6865acc86e2633b7 712b4055d9abf0ef
+pipeline.xml grid.lossy.json 37 dacea58852bbcf15 6865acc86e2633b7 712b4055d9abf0ef
+pipeline.xml grid.lossy.json 2003 2dd1ad4f3dcda12e 9fc2c1ec781b55f3 2dd1ad4f3dcda12e
+recovery_demo.xml grid.example.json 11 ced2148215336ebb 0403162dc84309e6 ced2148215336ebb
+recovery_demo.xml grid.example.json 37 53a5df52106e4974 718421f5870b48a9 53a5df52106e4974
+recovery_demo.xml grid.example.json 2003 13531a272a07c570 e3d6aebcdf4c1680 13531a272a07c570
+recovery_demo.xml grid.flaky.json 11 55e0e2443059b0ce ad89f02d1ba22257 55e0e2443059b0ce
+recovery_demo.xml grid.flaky.json 37 55e0e2443059b0ce ad89f02d1ba22257 55e0e2443059b0ce
+recovery_demo.xml grid.flaky.json 2003 55e0e2443059b0ce ad89f02d1ba22257 55e0e2443059b0ce
+recovery_demo.xml grid.lossy.json 11 28347b19ab36b96c 30b26834c83d63e1 7dcfb57064e9a00a
+recovery_demo.xml grid.lossy.json 37 6f8f13bda3d32842 4026e5a6654a07cf 1442bb6cb7ba33ec
+recovery_demo.xml grid.lossy.json 2003 0e9fbdc5b55b3ad3 5ba0a7399d8e9b6d c0b627539210cae6
+";
+
+/// Every shipped workflow × shipped grid × three seeds × three engine
+/// configurations journals exactly what it did when these digests were
+/// taken: a refactor of the engine must leave every journal byte-identical.
+/// After an intended journal change, replace the table with the one this
+/// test prints.
+#[test]
+fn shipped_journals_are_pinned() {
+    use std::fmt::Write;
+    let modes: [(Option<&str>, Option<u32>, Option<&str>); 3] = [
+        (None, None, None),
+        (Some("resilient"), Some(2), None),
+        (None, None, Some("phi:4")),
+    ];
+    let mut got = String::new();
+    for wf in all_xml() {
+        let wf_name = wf.file_name().unwrap().to_str().unwrap();
+        for grid in ["grid.example.json", "grid.flaky.json", "grid.lossy.json"] {
+            for seed in [11, 37, 2003] {
+                let _ = write!(got, "{wf_name} {grid} {seed}");
+                for (scheduler, breaker, detector) in modes {
+                    let opts = RunOptions {
+                        workflow: Some(wf.clone()),
+                        grid: Some(workflows_dir().join(grid)),
+                        seed: Some(seed),
+                        scheduler: scheduler.map(str::to_string),
+                        breaker,
+                        detector: detector.map(str::to_string),
+                        ..RunOptions::default()
+                    };
+                    let (report, _) = cmd_run(&opts).expect("setup succeeds");
+                    let _ = write!(got, " {:016x}", fnv1a(report.trace_jsonl().as_bytes()));
+                }
+                got.push('\n');
+            }
+        }
+    }
+    let changed: Vec<String> = got
+        .lines()
+        .zip(JOURNAL_PINS.lines().chain(std::iter::repeat("")))
+        .filter(|(g, w)| g != w)
+        .map(|(g, w)| format!("  want {w}\n  got  {g}"))
+        .collect();
+    assert!(
+        changed.is_empty() && got.lines().count() == JOURNAL_PINS.lines().count(),
+        "{} journal(s) changed:\n{}\nfull table:\n{got}",
+        changed.len(),
+        changed.join("\n")
+    );
+}
+
 #[test]
 fn recovery_demo_trace_shows_all_three_mechanisms() {
     let dir = std::env::temp_dir().join(format!(
