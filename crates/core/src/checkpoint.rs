@@ -153,10 +153,11 @@ pub fn to_xml(instance: &Instance) -> String {
 /// rename, then parent-dir fsync.  A crash at any point leaves either the
 /// previous checkpoint or the new one in full, never a torn file.
 ///
-/// This is the standalone path (`gridwfs run --checkpoint`), one fsync
-/// pair per checkpoint.  The service never calls it: engines there hand
-/// serialized checkpoints to a [`crate::CheckpointSink`] and the
-/// scheduler group-commits them through its storage backend.
+/// This is the file an engine built with
+/// [`crate::Engine::with_checkpointing`] writes at every checkpoint
+/// (`gridwfs run --checkpoint`), one fsync pair each.  The service never
+/// writes files: its engines' [`crate::CheckpointSink`] stages the XML and
+/// the scheduler group-commits it through its storage backend.
 pub fn save(instance: &Instance, path: &Path) -> Result<(), CheckpointError> {
     gridwfs_chaos::write_atomic(&gridwfs_chaos::RealFs, path, to_xml(instance).as_bytes())?;
     Ok(())

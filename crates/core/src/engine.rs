@@ -15,9 +15,23 @@
 //!   node: alternative-task edges, OR-join redundancy, user-defined
 //!   exception handlers.
 //!
+//! Task-level recovery is one mechanism, whatever it recovers: a plain
+//! activity's try, one replica, and one `<Foreach>` item are all *slots*
+//! with the same attempt lifecycle.  One `submit` places an attempt
+//! (scorer first, then option cycling that skips open breakers; replicas
+//! pinned to their own option) and submits it; a failed attempt is charged
+//! to the slot's counter and one pure decision, `recovery`, picks retry
+//! after a delay, failover (items only) or exhaustion; one
+//! `schedule_retry` arms the timer, tagged with the node's loop iteration
+//! so it cannot fire into a later one.  The kinds differ only in where the
+//! counter lives (an item's is durable, in the instance) and in what
+//! success or exhaustion settles: the node, or the item.
+//!
 //! The engine itself is fault tolerant: after every task termination it can
-//! persist the annotated parse tree to an XML file ([`crate::checkpoint`])
-//! and a restarted engine resumes navigation from where it left off.
+//! hand the annotated parse tree as XML ([`crate::checkpoint`]) to a
+//! [`CheckpointSink`] — [`Engine::with_checkpointing`] installs one that
+//! writes a file — and a restarted engine resumes navigation from where it
+//! left off.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
@@ -31,11 +45,12 @@ use gridwfs_detect::heartbeat::Liveness;
 use gridwfs_detect::notify::TaskId;
 use gridwfs_detect::transport::ReorderBuffer;
 use gridwfs_trace::{TaskOutcome, TraceEvent, TraceKind, TraceSink};
-use gridwfs_wpdl::ast::{ForeachSpec, ItemAction, Policy, Trigger};
+use gridwfs_wpdl::ast::{Activity, ForeachSpec, ItemAction, Policy, Program, Trigger};
 use gridwfs_wpdl::validate::Validated;
 
 use crate::executor::{Executor, Polled, SubmitRequest};
 use crate::instance::{CompleteResult, EdgeState, Instance, ItemState, NodeStatus, Outcome};
+use crate::sched_score::Placement;
 use crate::timeline::{Span, SpanOutcome};
 
 /// What a log entry records.
@@ -174,10 +189,11 @@ impl Report {
     }
 }
 
-/// Where the engine hands finished checkpoint XML when the host, not the
-/// engine, owns durability.  The callback must be cheap and non-blocking
-/// (the serve worker just replaces a staging cell); any error is logged
-/// and traced exactly like a failed direct checkpoint write.
+/// Where the engine hands finished checkpoint XML: a file writer
+/// ([`Engine::with_checkpointing`]) or a host that owns durability.  The
+/// callback runs on the engine's thread at every checkpoint, so a host's
+/// must be cheap (the serve worker just replaces a staging cell); an error
+/// is logged and journalled as a failed `engine_checkpoint`.
 #[derive(Clone)]
 pub struct CheckpointSink(Arc<dyn Fn(String) -> std::io::Result<()> + Send + Sync>);
 
@@ -201,15 +217,13 @@ impl fmt::Debug for CheckpointSink {
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Write an engine checkpoint here after every task termination
-    /// (paper §7's engine fault tolerance).
-    pub checkpoint_path: Option<PathBuf>,
-    /// Hand checkpoints to a host-provided sink instead of (or as well
-    /// as — the sink wins when both are set) writing `checkpoint_path`
-    /// directly.  The serve worker uses this to stage checkpoint XML into
-    /// the scheduler's group-committed state batch, so checkpoint
-    /// durability costs one shared fsync per tick instead of a private
-    /// tmp→rename→fsync per settlement.
+    /// Hand an engine checkpoint to this sink after every task
+    /// termination (paper §7's engine fault tolerance).
+    /// [`Engine::with_checkpointing`] installs one that writes a file
+    /// atomically; the serve worker's stages the XML into the scheduler's
+    /// group-committed state batch, so checkpoint durability costs one
+    /// shared fsync per tick instead of a private tmp→rename→fsync per
+    /// settlement.
     pub checkpoint_sink: Option<CheckpointSink>,
     /// Safety cap on do-while iterations per activity.
     pub max_loop_iterations: u32,
@@ -263,7 +277,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            checkpoint_path: None,
             checkpoint_sink: None,
             max_loop_iterations: 10_000,
             reorder_settle: None,
@@ -310,15 +323,21 @@ struct RunState {
     done: bool,
 }
 
+/// One attempt lane of a running node: a plain activity's single slot, one
+/// replica, or one `<Foreach>` item.  Every kind goes through the same
+/// lifecycle — submit, settle, and on failure retry or exhaust — and differs
+/// only in where its attempt counter lives (see [`Engine::spent`]).
 #[derive(Debug)]
 struct Slot {
+    /// Failed tries of a plain slot or replica.  Items count attempts in
+    /// their durable [`crate::instance::ItemProgress`] instead.
     tries_used: u32,
     live: Option<TaskId>,
     exhausted: bool,
     ckpt_flag: Option<String>,
-    /// A retry timer is pending for this slot.  Only `<Foreach>` slots set
-    /// it: a waiting item keeps holding its `max_parallel` token so the
-    /// fan-out never runs more than the bound when the timer fires.
+    /// A retry timer is pending for this slot.  For a `<Foreach>` item it
+    /// also keeps holding its `max_parallel` token, so the fan-out never
+    /// runs more than the bound when the timer fires.
     waiting: bool,
 }
 
@@ -338,6 +357,67 @@ impl Slot {
 struct NodeRt {
     slots: Vec<Slot>,
     loop_iterations: u32,
+}
+
+/// The option oblivious cycling starts from: a replica's own, otherwise
+/// the attempts spent so far modulo the program's option count.
+fn cycling_base(policy: Policy, slot: usize, spent: u32, options: usize) -> usize {
+    match policy {
+        Policy::Replica => slot,
+        Policy::Simple => spent as usize % options,
+    }
+}
+
+/// What task-level recovery does after a failed attempt: the masking step
+/// of §4 (the Prodigy flowchart's "attempts left?"), one decision for
+/// slots, replicas and fan-out items alike.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Recovery {
+    /// Resubmit on the same program after `delay`.
+    Retry { delay: f64 },
+    /// A fan-out item switches to its failover program on a fresh
+    /// `max_attempts` budget.
+    Failover,
+    /// Nothing is left to try at task level.
+    Exhausted,
+}
+
+/// The recovery decision for a failed attempt of `act`.  `attempts` is
+/// the number spent, this one included; `maskable` is false for fatal
+/// exceptions, which retrying the same program cannot mask, so the rest
+/// of the budget is forfeited; `failed_over` says a fan-out item already
+/// runs its failover program.
+///
+/// A slot or replica retries while `attempts < max_tries`, waiting
+/// `retry_interval × retry_backoff^(attempts-1)`.  An item retries while
+/// `attempts < max_attempts` (twice that once failed over) at a constant
+/// `retry_interval`, then fails over once if it declares a failover
+/// program.
+fn recovery(act: &Activity, attempts: u32, maskable: bool, failed_over: bool) -> Recovery {
+    let (budget, interval, backoff, can_fail_over) = match &act.foreach {
+        None => (act.max_tries, act.retry_interval, act.retry_backoff, false),
+        Some(spec) if failed_over => (
+            spec.max_attempts.saturating_mul(2),
+            spec.retry_interval,
+            1.0,
+            false,
+        ),
+        Some(spec) => (
+            spec.max_attempts,
+            spec.retry_interval,
+            1.0,
+            spec.failover.is_some(),
+        ),
+    };
+    if maskable && attempts < budget {
+        Recovery::Retry {
+            delay: interval * backoff.powi(attempts as i32 - 1),
+        }
+    } else if can_fail_over {
+        Recovery::Failover
+    } else {
+        Recovery::Exhausted
+    }
 }
 
 /// Timer heap key: earliest time first, FIFO within a time.
@@ -365,6 +445,9 @@ struct Timer {
     key: TimerKey,
     activity: String,
     slot: usize,
+    /// The node's `loop_iterations` when the retry was scheduled: a timer
+    /// left over from a finished do-while iteration is dropped.
+    iteration: u32,
 }
 
 impl PartialEq for Timer {
@@ -481,14 +564,19 @@ impl<X: Executor> Engine<X> {
         self
     }
 
-    /// Enables engine checkpointing to `path`.
-    pub fn with_checkpointing(mut self, path: impl Into<PathBuf>) -> Self {
-        self.config.checkpoint_path = Some(path.into());
-        self
+    /// Enables engine checkpointing to the file `path`, replaced atomically
+    /// (tmp → fsync → rename) at every checkpoint, as
+    /// [`crate::checkpoint::save`] does.  Call it after
+    /// [`Self::with_config`], which replaces the whole configuration.
+    pub fn with_checkpointing(self, path: impl Into<PathBuf>) -> Self {
+        let path = path.into();
+        self.with_checkpoint_sink(CheckpointSink::new(move |xml| {
+            gridwfs_chaos::write_atomic(&gridwfs_chaos::RealFs, &path, xml.as_bytes())
+        }))
     }
 
     /// Enables engine checkpointing through a host-owned sink (see
-    /// [`CheckpointSink`]); takes precedence over `checkpoint_path`.
+    /// [`CheckpointSink`]).  Call it after [`Self::with_config`].
     pub fn with_checkpoint_sink(mut self, sink: CheckpointSink) -> Self {
         self.config.checkpoint_sink = Some(sink);
         self
@@ -566,38 +654,64 @@ impl<X: Executor> Engine<X> {
         }
     }
 
+    /// Launches an activity with one slot per replica (one under the simple
+    /// policy) or per `<Foreach>` item.  Items restored from a checkpoint
+    /// keep their terminal state (their slots start exhausted); the rest
+    /// launch in index order under the `max_parallel` bound.  Routing a
+    /// fan-out's launch through [`Self::foreach_after_item`] makes a fresh
+    /// start, a restart and a dead-letter reprocess the same code path —
+    /// including the case where the checkpoint already holds a settled
+    /// item set and the node must settle without submitting anything.
     fn start_activity(&mut self, name: &str) {
         let act = self
             .instance
             .workflow()
             .activity(name)
-            .expect("known activity")
-            .clone();
-        if act.foreach.is_some() {
-            self.start_foreach(name);
-            return;
-        }
-        let program = self
-            .instance
-            .workflow()
-            .program(act.implement.as_deref().expect("non-dummy"))
-            .expect("validated reference")
-            .clone();
-        let n_slots = match act.policy {
-            Policy::Simple => 1,
-            Policy::Replica => program.options.len(),
+            .expect("known activity");
+        let slots: Vec<Slot> = match (self.instance.items(name), act.policy) {
+            (Some(items), _) => items
+                .iter()
+                .map(|p| Slot {
+                    exhausted: p.state.is_terminal(),
+                    ..Slot::idle()
+                })
+                .collect(),
+            (None, Policy::Simple) => vec![Slot::idle()],
+            (None, Policy::Replica) => {
+                let program = self
+                    .instance
+                    .workflow()
+                    .program(act.implement.as_deref().expect("non-dummy"))
+                    .expect("validated reference");
+                program.options.iter().map(|_| Slot::idle()).collect()
+            }
         };
+        let n_slots = slots.len();
+        let loop_iterations = self.nodes.get(name).map_or(0, |n| n.loop_iterations);
         self.nodes.insert(
             name.to_string(),
             NodeRt {
-                slots: (0..n_slots).map(|_| Slot::idle()).collect(),
-                loop_iterations: self.nodes.get(name).map(|n| n.loop_iterations).unwrap_or(0),
+                slots,
+                loop_iterations,
             },
         );
         self.instance.mark_running(name);
         self.trace_launch(name);
-        for slot in 0..n_slots {
-            self.submit_slot(name, slot);
+        match self.instance.items(name) {
+            Some(items) => {
+                let pending = items.iter().filter(|p| !p.state.is_terminal()).count();
+                self.trace(TraceKind::ForeachStarted {
+                    activity: name.to_string(),
+                    items: n_slots,
+                    pending,
+                });
+                self.foreach_after_item(name);
+            }
+            None => {
+                for slot in 0..n_slots {
+                    self.submit(name, slot, None);
+                }
+            }
         }
     }
 
@@ -729,82 +843,109 @@ impl<X: Executor> Engine<X> {
         Some(interval)
     }
 
-    fn submit_slot(&mut self, name: &str, slot: usize) {
-        self.submit_slot_inner(name, slot, None);
+    // ---------------------------------------------------------- attempts ---
+
+    /// Attempts `slot` has spent and whether it runs its failover program.
+    /// A fan-out item keeps both in its durable
+    /// [`crate::instance::ItemProgress`], so option cycling and budgets
+    /// survive engine restarts; a plain slot or replica counts its failed
+    /// tries in memory and never fails over.
+    fn spent(&self, name: &str, slot: usize) -> (u32, bool) {
+        match self.instance.items(name) {
+            Some(items) => (items[slot].attempts, items[slot].failover),
+            None => (self.nodes[name].slots[slot].tries_used, false),
+        }
     }
 
-    /// The body of [`Self::submit_slot`].  `forced_option` pins the
-    /// placement to one resource option — used by pre-emptive
-    /// re-replication, whose target the scorer already chose (and whose
-    /// decision the `rereplicate` trace event already journals, so no
-    /// `placement_scored` is emitted for it).
-    fn submit_slot_inner(&mut self, name: &str, slot: usize, forced_option: Option<usize>) {
+    /// Where an attempt runs when nothing forces the choice.  The resilient
+    /// scheduler scores every option from live evidence; replicas also
+    /// exclude their live siblings' hosts so the replica set stays
+    /// failure-decorrelated.  When the scorer is off or abstains (every
+    /// candidate blocked or suspect), replicas stay pinned to their own
+    /// option and everything else cycles from `base` ("retrying on
+    /// different resources by simply defining multiple Grid resources",
+    /// Figure 2 caption), skipping hosts whose breaker is open — unless
+    /// every candidate is open, in which case the cycled choice goes ahead
+    /// as a forced probe (a breaker degrades placement, it never deadlocks
+    /// it).
+    fn place(
+        &self,
+        name: &str,
+        slot: usize,
+        program: &Program,
+        policy: Policy,
+        base: usize,
+    ) -> (usize, Option<Placement>) {
+        if self.scorer.is_some() {
+            let exclude = match policy {
+                Policy::Replica => self.sibling_hosts(name, slot),
+                Policy::Simple => Vec::new(),
+            };
+            if let Some(p) = self.scored_option(program, base, &exclude) {
+                return (p.index, Some(p));
+            }
+        }
+        let index = match (&self.breakers, policy) {
+            (Some(br), Policy::Simple) => {
+                let now = self.executor.now();
+                let n = program.options.len();
+                (0..n)
+                    .map(|k| (base + k) % n)
+                    .find(|&i| !br.is_blocked(&program.options[i].hostname, now))
+                    .unwrap_or(base)
+            }
+            _ => base,
+        };
+        (index, None)
+    }
+
+    /// Submits the next attempt of `slot` — a plain activity's try, one
+    /// replica, or one fan-out item, all on this one path.  The program is
+    /// the activity's own, or the item's failover program once it failed
+    /// over; placement cycles from the attempts [`Self::spent`].
+    /// `forced_option` pins the placement to one resource option — used by
+    /// pre-emptive re-replication, whose target the scorer already chose
+    /// (and whose decision the `rereplicate` trace event already journals,
+    /// so no `placement_scored` is emitted for it).
+    fn submit(&mut self, name: &str, slot: usize, forced_option: Option<usize>) {
+        let (spent, failed_over) = self.spent(name, slot);
         let act = self
             .instance
             .workflow()
             .activity(name)
-            .expect("known activity")
-            .clone();
+            .expect("known activity");
+        let (policy, heartbeat_interval, heartbeat_tolerance) =
+            (act.policy, act.heartbeat_interval, act.heartbeat_tolerance);
+        let program_name = match &act.foreach {
+            Some(spec) if failed_over => spec
+                .failover
+                .as_deref()
+                .expect("failover only when declared"),
+            _ => act.implement.as_deref().expect("non-dummy"),
+        };
         let program = self
             .instance
             .workflow()
-            .program(act.implement.as_deref().expect("non-dummy"))
+            .program(program_name)
             .expect("validated reference")
             .clone();
         let task = self.fresh_task();
         let now = self.executor.now();
-        let (tries_used, flag) = {
-            let rt = self.nodes.get_mut(name).expect("runtime exists");
-            let s = &mut rt.slots[slot];
+        let flag = {
+            let s = &mut self.nodes.get_mut(name).expect("runtime exists").slots[slot];
             s.live = Some(task);
-            (s.tries_used, s.ckpt_flag.clone())
+            s.waiting = false;
+            s.ckpt_flag.clone()
         };
-        // Simple policy cycles through the options on retry ("retrying on
-        // different resources by simply defining multiple Grid resources",
-        // Figure 2 caption); replicas are pinned to their own option.  With
-        // breakers enabled, cycling additionally skips hosts whose breaker
-        // is open — unless every candidate is open, in which case the
-        // cycled choice goes ahead as a forced probe (a breaker degrades
-        // placement, it never deadlocks it).
-        let obl_base = match act.policy {
-            Policy::Simple => (tries_used as usize) % program.options.len(),
-            Policy::Replica => slot,
-        };
-        // The resilient scheduler scores every candidate from live
-        // evidence; replicas additionally exclude their live siblings'
-        // hosts so the replica set stays failure-decorrelated.  When the
-        // scorer abstains (every candidate blocked or suspect) the
-        // oblivious path below takes over: steered, never deadlocked.
-        let scored = if forced_option.is_none() && self.scorer.is_some() {
-            let exclude = match act.policy {
-                Policy::Replica => self.sibling_hosts(name, slot),
-                Policy::Simple => Vec::new(),
-            };
-            self.scored_option(&program, obl_base, &exclude)
-        } else {
-            None
-        };
-        let option_index = if let Some(i) = forced_option {
-            i
-        } else if let Some(p) = &scored {
-            p.index
-        } else {
-            match act.policy {
-                Policy::Simple => {
-                    let n = program.options.len();
-                    match &self.breakers {
-                        Some(br) => (0..n)
-                            .map(|k| (obl_base + k) % n)
-                            .find(|&i| !br.is_blocked(&program.options[i].hostname, now))
-                            .unwrap_or(obl_base),
-                        None => obl_base,
-                    }
-                }
-                Policy::Replica => slot,
+        let (option_index, scored) = match forced_option {
+            Some(i) => (i, None),
+            None => {
+                let base = cycling_base(policy, slot, spent, program.options.len());
+                self.place(name, slot, &program, policy, base)
             }
         };
         let option = &program.options[option_index];
-        let attempt = tries_used + 1;
+        let attempt = spent + 1;
         let is_probe = match &mut self.breakers {
             Some(br) => br.on_submit(&option.hostname, now),
             None => false,
@@ -813,8 +954,8 @@ impl<X: Executor> Engine<X> {
         self.attempt_hosts.insert(task, option.hostname.clone());
         let replaced = self.detector.register_task(
             task,
-            act.heartbeat_interval,
-            act.heartbeat_tolerance,
+            heartbeat_interval,
+            heartbeat_tolerance,
             self.executor.now(),
         );
         let checkpoint_hint = self.adapt_checkpoint_hint(&option.hostname);
@@ -826,7 +967,7 @@ impl<X: Executor> Engine<X> {
             service: option.service.clone(),
             nominal_duration: program.nominal_duration,
             checkpoint_flag: flag.clone(),
-            heartbeat_interval: act.heartbeat_interval,
+            heartbeat_interval,
             checkpoint_hint,
         };
         let host = option.hostname.clone();
@@ -866,7 +1007,8 @@ impl<X: Executor> Engine<X> {
         self.log(
             LogKind::Submit,
             format!(
-                "{name} slot={slot} try={attempt} task={task} host={host}{}",
+                "{name} slot={slot} try={attempt} task={task} host={host}{}{}",
+                if failed_over { " failover" } else { "" },
                 flag.map(|f| format!(" resume={f}")).unwrap_or_default()
             ),
         );
@@ -874,63 +1016,16 @@ impl<X: Executor> Engine<X> {
 
     // ----------------------------------------------------------- foreach ---
 
-    fn foreach_spec(&self, name: &str) -> ForeachSpec {
-        self.instance
-            .workflow()
-            .activity(name)
-            .expect("known activity")
-            .foreach
-            .clone()
-            .expect("foreach activity")
-    }
-
-    fn is_foreach(&self, name: &str) -> bool {
+    fn foreach_spec(&self, name: &str) -> &ForeachSpec {
         self.instance
             .workflow()
             .activity(name)
             .and_then(|a| a.foreach.as_ref())
-            .is_some()
+            .expect("foreach activity")
     }
 
-    /// Launches a `<Foreach>` fan-out: one slot per item.  Items restored
-    /// from a checkpoint keep their terminal state (their slots start
-    /// exhausted); everything else is launched in index order under the
-    /// `max_parallel` bound.  Routing the launch through
-    /// [`Self::foreach_after_item`] makes a fresh start, a restart and a
-    /// dead-letter reprocess the same code path — including the case where
-    /// the checkpoint already holds a settled item set and the node must
-    /// settle without submitting anything.
-    fn start_foreach(&mut self, name: &str) {
-        let states: Vec<ItemState> = self
-            .instance
-            .items(name)
-            .expect("foreach activity has items")
-            .iter()
-            .map(|p| p.state)
-            .collect();
-        self.nodes.insert(
-            name.to_string(),
-            NodeRt {
-                slots: states
-                    .iter()
-                    .map(|st| {
-                        let mut s = Slot::idle();
-                        s.exhausted = st.is_terminal();
-                        s
-                    })
-                    .collect(),
-                loop_iterations: 0,
-            },
-        );
-        self.instance.mark_running(name);
-        self.trace_launch(name);
-        let pending = states.iter().filter(|st| !st.is_terminal()).count();
-        self.trace(TraceKind::ForeachStarted {
-            activity: name.to_string(),
-            items: states.len(),
-            pending,
-        });
-        self.foreach_after_item(name);
+    fn is_foreach(&self, name: &str) -> bool {
+        self.instance.items(name).is_some()
     }
 
     /// The fan-out's settlement policy, re-evaluated after every item
@@ -941,6 +1036,7 @@ impl<X: Executor> Engine<X> {
     /// otherwise the next pending items launch under `max_parallel`.
     fn foreach_after_item(&mut self, name: &str) {
         let spec = self.foreach_spec(name);
+        let (max_failures, failure_threshold) = (spec.max_failures, spec.failure_threshold);
         let (failures, stop, terminal, total) = {
             let items = self.instance.items(name).expect("foreach activity");
             let failures = items
@@ -956,10 +1052,8 @@ impl<X: Executor> Engine<X> {
             let terminal = items.iter().filter(|p| p.state.is_terminal()).count();
             (failures, stop, terminal, items.len())
         };
-        let breached = spec.max_failures.is_some_and(|m| failures > m as usize)
-            || spec
-                .failure_threshold
-                .is_some_and(|t| failures as f64 / total as f64 > t);
+        let breached = max_failures.is_some_and(|m| failures > m as usize)
+            || failure_threshold.is_some_and(|t| failures as f64 / total as f64 > t);
         if stop || breached {
             if breached && !stop {
                 self.log(
@@ -980,7 +1074,7 @@ impl<X: Executor> Engine<X> {
     /// a retry timer keeps holding its token, so firing timers never push
     /// the fan-out over the bound.
     fn pump_foreach(&mut self, name: &str) {
-        let spec = self.foreach_spec(name);
+        let max_parallel = self.foreach_spec(name).max_parallel;
         loop {
             let idx = {
                 let rt = self.nodes.get(name).expect("runtime exists");
@@ -989,7 +1083,7 @@ impl<X: Executor> Engine<X> {
                     .iter()
                     .filter(|s| s.live.is_some() || s.waiting)
                     .count();
-                if spec.max_parallel != 0 && active >= spec.max_parallel {
+                if max_parallel != 0 && active >= max_parallel {
                     return;
                 }
                 let items = self.instance.items(name).expect("foreach activity");
@@ -997,266 +1091,35 @@ impl<X: Executor> Engine<X> {
                     s.live.is_none() && !s.waiting && !s.exhausted && p.state == ItemState::Pending
                 })
             };
-            match idx {
-                Some(i) => self.submit_item(name, i),
-                None => return,
+            let Some(idx) = idx else { return };
+            let p = &self.instance.items(name).expect("foreach activity")[idx];
+            // A `dlq retry` reset: journal it before its first attempt.
+            if p.reprocess && p.attempts == 0 {
+                self.trace(TraceKind::ItemReprocessed {
+                    activity: name.to_string(),
+                    item: idx,
+                });
+                self.log(
+                    LogKind::Submit,
+                    format!("{name} item={idx} reprocessing from the dead-letter queue"),
+                );
             }
+            self.submit(name, idx, None);
         }
-    }
-
-    /// Submits one attempt for a fan-out item.  Mirrors
-    /// [`Self::submit_slot`] with the item's own bookkeeping: the durable
-    /// attempt counter lives in the instance (so option cycling and retry
-    /// budgets survive engine restarts), and an item that failed over runs
-    /// the alternative program instead of the primary.
-    fn submit_item(&mut self, name: &str, idx: usize) {
-        let act = self
-            .instance
-            .workflow()
-            .activity(name)
-            .expect("known activity")
-            .clone();
-        let spec = act.foreach.clone().expect("foreach activity");
-        let progress = self.instance.items(name).expect("foreach activity")[idx].clone();
-        if progress.reprocess && progress.attempts == 0 {
-            self.trace(TraceKind::ItemReprocessed {
-                activity: name.to_string(),
-                item: idx,
-            });
-            self.log(
-                LogKind::Submit,
-                format!("{name} item={idx} reprocessing from the dead-letter queue"),
-            );
-        }
-        let program_name = if progress.failover {
-            spec.failover
-                .as_deref()
-                .expect("failover only when declared")
-        } else {
-            act.implement.as_deref().expect("non-dummy")
-        };
-        let program = self
-            .instance
-            .workflow()
-            .program(program_name)
-            .expect("validated reference")
-            .clone();
-        let task = self.fresh_task();
-        let now = self.executor.now();
-        let flag = {
-            let rt = self.nodes.get_mut(name).expect("runtime exists");
-            let s = &mut rt.slots[idx];
-            s.live = Some(task);
-            s.waiting = false;
-            s.ckpt_flag.clone()
-        };
-        // Items cycle through the chosen program's options exactly like the
-        // simple policy, keyed on the durable attempt counter; open host
-        // breakers are skipped the same way.  The resilient scheduler
-        // scores the options first, falling back to the cycling below when
-        // it abstains.
-        let n = program.options.len();
-        let base = (progress.attempts as usize) % n;
-        let scored = self.scored_option(&program, base, &[]);
-        let option_index = if let Some(p) = &scored {
-            p.index
-        } else {
-            match &self.breakers {
-                Some(br) => (0..n)
-                    .map(|k| (base + k) % n)
-                    .find(|&i| !br.is_blocked(&program.options[i].hostname, now))
-                    .unwrap_or(base),
-                None => base,
-            }
-        };
-        let option = &program.options[option_index];
-        let attempt = progress.attempts + 1;
-        let is_probe = match &mut self.breakers {
-            Some(br) => br.on_submit(&option.hostname, now),
-            None => false,
-        };
-        self.attempts.insert(task, (name.to_string(), idx));
-        self.attempt_hosts.insert(task, option.hostname.clone());
-        let replaced = self.detector.register_task(
-            task,
-            act.heartbeat_interval,
-            act.heartbeat_tolerance,
-            self.executor.now(),
-        );
-        let checkpoint_hint = self.adapt_checkpoint_hint(&option.hostname);
-        let req = SubmitRequest {
-            task,
-            activity: name.to_string(),
-            program: program.name.clone(),
-            hostname: option.hostname.clone(),
-            service: option.service.clone(),
-            nominal_duration: program.nominal_duration,
-            checkpoint_flag: flag.clone(),
-            heartbeat_interval: act.heartbeat_interval,
-            checkpoint_hint,
-        };
-        let host = option.hostname.clone();
-        self.open_attempts.insert(task);
-        self.executor.submit(req);
-        if let Some(liveness) = replaced {
-            self.trace(TraceKind::WatchReplaced {
-                task: task.0,
-                was_presumed_dead: liveness == Liveness::PresumedDead,
-            });
-        }
-        if is_probe {
-            self.trace(TraceKind::BreakerProbe { host: host.clone() });
-        }
-        if let Some(p) = &scored {
-            self.trace(TraceKind::PlacementScored {
-                activity: name.to_string(),
-                slot: idx,
-                attempt,
-                host: host.clone(),
-                score: p.score,
-                steered: p.steered,
-            });
-        }
-        self.trace(TraceKind::TaskSubmitted {
-            activity: name.to_string(),
-            slot: idx,
-            attempt,
-            task: task.0,
-            host: host.clone(),
-            resume: flag.clone(),
-        });
-        self.log(
-            LogKind::Submit,
-            format!(
-                "{name} slot={idx} try={attempt} task={task} host={host}{}{}",
-                if progress.failover { " failover" } else { "" },
-                flag.map(|f| format!(" resume={f}")).unwrap_or_default()
-            ),
-        );
-    }
-
-    /// A fan-out item's attempt completed: settle the item `done` and
-    /// re-evaluate the fan-out.  The checkpoint written here is what makes
-    /// item settlement exactly-once across engine incarnations — a crash
-    /// after it can only re-run items that never durably settled.
-    fn foreach_item_done(&mut self, name: &str, idx: usize) {
-        // Item settlements count toward `max_settlements`, so the simulated
-        // engine crash can land in the middle of a fan-out.
-        self.settlements += 1;
-        let attempts = {
-            let p = self.instance.item_mut(name, idx);
-            p.attempts += 1;
-            p.state = ItemState::Done;
-            p.reason.clear();
-            p.attempts
-        };
-        self.nodes.get_mut(name).expect("runtime exists").slots[idx].exhausted = true;
-        self.trace(TraceKind::ItemSettled {
-            activity: name.to_string(),
-            item: idx,
-            outcome: "done".to_string(),
-            attempts,
-        });
-        self.log(
-            LogKind::Settle,
-            format!("{name} item={idx} done after {attempts} attempt(s)"),
-        );
-        self.write_checkpoint();
-        self.foreach_after_item(name);
-    }
-
-    /// Task-level recovery for a failed fan-out item: retry on the current
-    /// program while its `max_attempts` budget lasts, then fail over to
-    /// the alternative program on a fresh budget if one is declared, then
-    /// apply the exhaustion action.  `maskable` is false for fatal
-    /// exceptions — retrying the same program cannot mask those, so the
-    /// remaining retry budget is forfeited and the item goes straight to
-    /// failover (a different program may well succeed) or exhaustion.
-    fn foreach_item_failed(&mut self, name: &str, idx: usize, reason: &str, maskable: bool) {
-        let spec = self.foreach_spec(name);
-        self.nodes.get_mut(name).expect("runtime exists").slots[idx].live = None;
-        let (attempts, failover) = {
-            let p = self.instance.item_mut(name, idx);
-            p.attempts += 1;
-            p.reason = reason.to_string();
-            (p.attempts, p.failover)
-        };
-        let budget = if failover {
-            spec.max_attempts.saturating_mul(2)
-        } else {
-            spec.max_attempts
-        };
-        if maskable && attempts < budget {
-            self.schedule_item_retry(name, idx, &spec, attempts);
-        } else if !failover && spec.failover.is_some() {
-            let program = spec.failover.clone().expect("just checked");
-            let attempts = {
-                let p = self.instance.item_mut(name, idx);
-                p.failover = true;
-                // Forfeit any unused primary budget (non-maskable path) so
-                // the failover phase is always attempts max+1 ..= 2*max —
-                // a fresh `max_attempts` budget on the alternative program.
-                p.attempts = p.attempts.max(spec.max_attempts);
-                p.attempts
-            };
-            self.trace(TraceKind::ItemFailover {
-                activity: name.to_string(),
-                item: idx,
-                program: program.clone(),
-            });
-            self.log(
-                LogKind::Recovery,
-                format!("{name} item={idx} failing over to '{program}'"),
-            );
-            self.schedule_item_retry(name, idx, &spec, attempts);
-        } else {
-            self.foreach_item_exhaust(name, idx);
-        }
-    }
-
-    fn schedule_item_retry(&mut self, name: &str, idx: usize, spec: &ForeachSpec, attempts: u32) {
-        let delay = spec.retry_interval;
-        let at = self.executor.now() + delay;
-        let seq = self.timer_seq;
-        self.timer_seq += 1;
-        self.timers.push(Timer {
-            key: TimerKey(at, seq),
-            activity: name.to_string(),
-            slot: idx,
-        });
-        self.nodes.get_mut(name).expect("runtime exists").slots[idx].waiting = true;
-        self.trace(TraceKind::RetryScheduled {
-            activity: name.to_string(),
-            slot: idx,
-            attempt: attempts + 1,
-            fire_at: at,
-        });
-        self.log(
-            LogKind::Recovery,
-            format!(
-                "{name} item={idx} retry (attempt {}) in {delay}",
-                attempts + 1
-            ),
-        );
     }
 
     /// Every recovery avenue for the item is spent: apply the fan-out's
     /// exhaustion action and re-evaluate the node.
     fn foreach_item_exhaust(&mut self, name: &str, idx: usize) {
         self.settlements += 1;
-        let spec = self.foreach_spec(name);
-        let (attempts, reason) = {
-            let p = self.instance.item_mut(name, idx);
-            p.state = match spec.on_exhausted {
-                ItemAction::DeadLetter => ItemState::DeadLettered,
-                ItemAction::Skip => ItemState::Skipped,
-                ItemAction::Stop => ItemState::Failed,
-            };
-            (p.attempts, p.reason.clone())
-        };
-        self.nodes.get_mut(name).expect("runtime exists").slots[idx].exhausted = true;
-        match spec.on_exhausted {
+        let s = &mut self.nodes.get_mut(name).expect("runtime exists").slots[idx];
+        s.live = None;
+        s.exhausted = true;
+        match self.foreach_spec(name).on_exhausted {
             ItemAction::DeadLetter => {
+                let p = self.instance.item_mut(name, idx);
+                p.state = ItemState::DeadLettered;
+                let (attempts, reason) = (p.attempts, p.reason.clone());
                 self.trace(TraceKind::ItemDeadLettered {
                     activity: name.to_string(),
                     item: idx,
@@ -1270,33 +1133,31 @@ impl<X: Executor> Engine<X> {
                     ),
                 );
             }
-            ItemAction::Skip => {
-                self.trace(TraceKind::ItemSettled {
-                    activity: name.to_string(),
-                    item: idx,
-                    outcome: "skipped".to_string(),
-                    attempts,
-                });
-                self.log(
-                    LogKind::Settle,
-                    format!("{name} item={idx} skipped after {attempts} attempt(s)"),
-                );
-            }
-            ItemAction::Stop => {
-                self.trace(TraceKind::ItemSettled {
-                    activity: name.to_string(),
-                    item: idx,
-                    outcome: "failed".to_string(),
-                    attempts,
-                });
-                self.log(
-                    LogKind::Settle,
-                    format!("{name} item={idx} failed; stopping the fan-out"),
-                );
-            }
+            ItemAction::Skip => self.settle_item(name, idx, ItemState::Skipped),
+            ItemAction::Stop => self.settle_item(name, idx, ItemState::Failed),
         }
         self.write_checkpoint();
         self.foreach_after_item(name);
+    }
+
+    /// Settles item `idx` as `state` — done, skipped, failed (the `stop`
+    /// action) or cancelled — and journals it.
+    fn settle_item(&mut self, name: &str, idx: usize, state: ItemState) {
+        let p = self.instance.item_mut(name, idx);
+        p.state = state;
+        let attempts = p.attempts;
+        self.trace(TraceKind::ItemSettled {
+            activity: name.to_string(),
+            item: idx,
+            outcome: state.wire_str().to_string(),
+            attempts,
+        });
+        let what = match state {
+            ItemState::Failed => "failed; stopping the fan-out".to_string(),
+            ItemState::Cancelled => "cancelled (node settled)".to_string(),
+            _ => format!("{} after {attempts} attempt(s)", state.wire_str()),
+        };
+        self.log(LogKind::Settle, format!("{name} item={idx} {what}"));
     }
 
     /// Marks every non-terminal item of a settling fan-out `cancelled` —
@@ -1305,42 +1166,33 @@ impl<X: Executor> Engine<X> {
     /// per-item accounting invariant (every instantiated item reaches
     /// exactly one terminal state) holds no matter why the node settled.
     fn cancel_foreach_items(&mut self, name: &str) {
-        if !self.is_foreach(name) {
-            return;
-        }
-        let n = self.instance.items(name).map(|it| it.len()).unwrap_or(0);
+        let n = self.instance.items(name).map_or(0, |it| it.len());
         for idx in 0..n {
-            let attempts = {
-                let p = self.instance.item_mut(name, idx);
-                if p.state.is_terminal() {
-                    None
-                } else {
-                    p.state = ItemState::Cancelled;
-                    Some(p.attempts)
-                }
-            };
-            if let Some(attempts) = attempts {
-                self.trace(TraceKind::ItemSettled {
-                    activity: name.to_string(),
-                    item: idx,
-                    outcome: "cancelled".to_string(),
-                    attempts,
-                });
-                self.log(
-                    LogKind::Settle,
-                    format!("{name} item={idx} cancelled (node settled)"),
-                );
+            if !self.instance.items(name).expect("foreach activity")[idx]
+                .state
+                .is_terminal()
+            {
+                self.settle_item(name, idx, ItemState::Cancelled);
             }
         }
     }
 
     // -------------------------------------------------------- settlement ---
 
-    /// Journals an attempt's terminal classification exactly once (the
-    /// `open_attempts` guard absorbs duplicate settlement paths).  Spans
-    /// are no longer tracked separately — [`Report::spans`] derives from
-    /// these events.
-    fn settle_attempt(&mut self, name: &str, task: TaskId, outcome: TaskOutcome, reason: &str) {
+    /// Closes attempt `task` of `name`: it leaves the live-attempt maps,
+    /// and its terminal classification is journalled exactly once (the
+    /// `open_attempts` guard absorbs duplicate settlement paths;
+    /// [`Report::spans`] derives from these events).  Returns the host it
+    /// ran on.
+    fn close_attempt(
+        &mut self,
+        name: &str,
+        task: TaskId,
+        outcome: TaskOutcome,
+        reason: &str,
+    ) -> Option<String> {
+        self.attempts.remove(&task);
+        let host = self.attempt_hosts.remove(&task);
         if self.open_attempts.remove(&task) {
             self.trace(TraceKind::TaskSettled {
                 activity: name.to_string(),
@@ -1349,6 +1201,7 @@ impl<X: Executor> Engine<X> {
                 reason: reason.to_string(),
             });
         }
+        host
     }
 
     /// Feeds a task success on `host` to the breaker registry (if enabled)
@@ -1427,25 +1280,19 @@ impl<X: Executor> Engine<X> {
                 .instance
                 .workflow()
                 .activity(&name)
-                .expect("known activity")
-                .clone();
+                .expect("known activity");
             let program = self
                 .instance
                 .workflow()
                 .program(act.implement.as_deref().expect("non-dummy"))
                 .expect("validated reference")
                 .clone();
-            let base = match act.policy {
-                Policy::Simple => {
-                    let tries = self
-                        .nodes
-                        .get(&name)
-                        .map(|rt| rt.slots[slot].tries_used)
-                        .unwrap_or(0);
-                    (tries as usize) % program.options.len()
-                }
-                Policy::Replica => slot,
-            };
+            let base = cycling_base(
+                act.policy,
+                slot,
+                self.spent(&name, slot).0,
+                program.options.len(),
+            );
             // Exclude the suspected host and every sibling's host; if no
             // healthy decorrelated target exists, stay put — the detector
             // will presume in its own time and the ordinary retry path
@@ -1456,13 +1303,9 @@ impl<X: Executor> Engine<X> {
                 continue;
             };
             let to = program.options[placement.index].hostname.clone();
-            self.attempts.remove(&task);
-            self.attempt_hosts.remove(&task);
-            if let Some(rt) = self.nodes.get_mut(&name) {
-                rt.slots[slot].live = None;
-            }
+            self.close_attempt(&name, task, TaskOutcome::Cancelled, "rereplicate");
+            self.nodes.get_mut(&name).expect("runtime exists").slots[slot].live = None;
             self.executor.cancel(task);
-            self.settle_attempt(&name, task, TaskOutcome::Cancelled, "rereplicate");
             self.trace(TraceKind::Rereplicate {
                 activity: name.clone(),
                 slot,
@@ -1475,7 +1318,7 @@ impl<X: Executor> Engine<X> {
                 format!("{name} slot={slot} phi={phi:.2} rereplicate {from} -> {to}"),
             );
             *self.rereplications.entry(key).or_insert(0) += 1;
-            self.submit_slot_inner(&name, slot, Some(placement.index));
+            self.submit(&name, slot, Some(placement.index));
         }
     }
 
@@ -1493,10 +1336,8 @@ impl<X: Executor> Engine<X> {
         if let Some(rt) = self.nodes.get_mut(name) {
             let live: Vec<TaskId> = rt.slots.iter_mut().filter_map(|s| s.live.take()).collect();
             for task in live {
-                self.attempts.remove(&task);
-                self.attempt_hosts.remove(&task);
+                self.close_attempt(name, task, TaskOutcome::Cancelled, "node-settled");
                 self.executor.cancel(task);
-                self.settle_attempt(name, task, TaskOutcome::Cancelled, "node-settled");
                 self.log(LogKind::Cancel, format!("{name} cancelled {task}"));
             }
         }
@@ -1613,93 +1454,182 @@ impl<X: Executor> Engine<X> {
     }
 
     fn write_checkpoint(&mut self) {
-        if let Some(sink) = self.config.checkpoint_sink.clone() {
-            // The log message is a constant, never a path: sink hosts
-            // assert journals byte-identical across state-dir locations.
-            let ok = match sink.save(crate::checkpoint::to_xml(&self.instance)) {
-                Err(e) => {
-                    self.log(LogKind::Checkpoint, format!("checkpoint stage failed: {e}"));
-                    false
-                }
-                Ok(()) => {
-                    self.log(LogKind::Checkpoint, "staged for group commit".to_string());
-                    true
-                }
-            };
-            self.trace(TraceKind::EngineCheckpoint { ok });
-        } else if let Some(path) = self.config.checkpoint_path.clone() {
-            let ok = match crate::checkpoint::save(&self.instance, &path) {
-                Err(e) => {
-                    self.log(LogKind::Checkpoint, format!("checkpoint write failed: {e}"));
-                    false
-                }
-                Ok(()) => {
-                    self.log(LogKind::Checkpoint, format!("saved to {}", path.display()));
-                    true
-                }
-            };
-            self.trace(TraceKind::EngineCheckpoint { ok });
-        }
+        let Some(sink) = self.config.checkpoint_sink.clone() else {
+            return;
+        };
+        // The log message is a constant, never a path: hosts assert
+        // journals byte-identical across state-dir locations.
+        let ok = match sink.save(crate::checkpoint::to_xml(&self.instance)) {
+            Err(e) => {
+                self.log(LogKind::Checkpoint, format!("checkpoint failed: {e}"));
+                false
+            }
+            Ok(()) => {
+                self.log(LogKind::Checkpoint, "checkpoint saved".to_string());
+                true
+            }
+        };
+        self.trace(TraceKind::EngineCheckpoint { ok });
     }
 
     // ---------------------------------------------------------- recovery ---
 
-    /// Task-level recovery for a crashed (or retryably-excepted) attempt.
-    fn recover_or_fail(&mut self, name: &str, slot: usize, final_status: NodeStatus) {
+    /// An attempt of `idx` completed.  A plain slot or replica settles its
+    /// node `done`, cancelling the losing replicas.  A fan-out item settles
+    /// `done` and the fan-out is re-evaluated; the checkpoint written here
+    /// is what makes item settlement exactly-once across engine
+    /// incarnations — a crash after it can only re-run items that never
+    /// durably settled.
+    fn attempt_done(&mut self, name: &str, idx: usize) {
+        if !self.is_foreach(name) {
+            self.settle_node(name, NodeStatus::Done);
+            return;
+        }
+        // Item settlements count toward `max_settlements`, so the simulated
+        // engine crash can land in the middle of a fan-out.
+        self.settlements += 1;
+        let p = self.instance.item_mut(name, idx);
+        p.attempts += 1;
+        p.reason.clear();
+        self.nodes.get_mut(name).expect("runtime exists").slots[idx].exhausted = true;
+        self.settle_item(name, idx, ItemState::Done);
+        self.write_checkpoint();
+        self.foreach_after_item(name);
+    }
+
+    /// Task-level recovery for a failed attempt of `slot` — a crash, or an
+    /// exception that `maskable` says retrying may mask — the same for
+    /// plain slots, replicas and fan-out items: charge the attempt, ask
+    /// [`recovery`] what is left, then retry, fail over or exhaust.
+    /// `settle_as` is what exhaustion settles a plain node as, so an
+    /// `on="exception:<name>"` handler still catches an exception retrying
+    /// could not mask.
+    fn attempt_failed(
+        &mut self,
+        name: &str,
+        slot: usize,
+        reason: &str,
+        maskable: bool,
+        settle_as: NodeStatus,
+    ) {
+        let (spent, failed_over) = self.charge(name, slot, reason);
         let act = self
             .instance
             .workflow()
             .activity(name)
-            .expect("known activity")
-            .clone();
+            .expect("known activity");
+        match recovery(act, spent, maskable, failed_over) {
+            Recovery::Retry { delay } => self.schedule_retry(name, slot, delay),
+            Recovery::Failover => self.fail_over(name, slot),
+            Recovery::Exhausted => self.exhaust(name, slot, maskable, settle_as),
+        }
+    }
+
+    /// Charges one failed attempt to `slot`'s counter (see [`Self::spent`]);
+    /// an item also records why, for the dead-letter queue.  Returns the
+    /// new [`Self::spent`].
+    fn charge(&mut self, name: &str, slot: usize, reason: &str) -> (u32, bool) {
+        if self.is_foreach(name) {
+            let p = self.instance.item_mut(name, slot);
+            p.attempts += 1;
+            p.reason = reason.to_string();
+        } else {
+            self.nodes.get_mut(name).expect("runtime exists").slots[slot].tries_used += 1;
+        }
+        self.spent(name, slot)
+    }
+
+    /// Arms `slot`'s retry timer.  The slot stops being live and waits (an
+    /// item keeps its `max_parallel` token meanwhile); the timer carries
+    /// the node's loop iteration so it cannot fire into a later one.
+    fn schedule_retry(&mut self, name: &str, slot: usize, delay: f64) {
+        let at = self.executor.now() + delay;
+        let seq = self.timer_seq;
+        self.timer_seq += 1;
         let rt = self.nodes.get_mut(name).expect("runtime exists");
-        let s = &mut rt.slots[slot];
-        s.live = None;
-        s.tries_used += 1;
-        if s.tries_used < act.max_tries {
-            // Retry n waits interval * backoff^(n-1) (backoff 1.0 = paper).
-            let delay = act.retry_interval * act.retry_backoff.powi(s.tries_used as i32 - 1);
-            let at = self.executor.now() + delay;
-            let seq = self.timer_seq;
-            self.timer_seq += 1;
-            self.timers.push(Timer {
-                key: TimerKey(at, seq),
+        rt.slots[slot].live = None;
+        rt.slots[slot].waiting = true;
+        let iteration = rt.loop_iterations;
+        self.timers.push(Timer {
+            key: TimerKey(at, seq),
+            activity: name.to_string(),
+            slot,
+            iteration,
+        });
+        let attempt = self.spent(name, slot).0 + 1;
+        self.trace(TraceKind::RetryScheduled {
+            activity: name.to_string(),
+            slot,
+            attempt,
+            fire_at: at,
+        });
+        let act = self
+            .instance
+            .workflow()
+            .activity(name)
+            .expect("known activity");
+        let what = match act.foreach {
+            None => format!("slot={slot} retry {attempt}/{}", act.max_tries),
+            Some(_) => format!("item={slot} retry (attempt {attempt})"),
+        };
+        self.log(LogKind::Recovery, format!("{name} {what} in {delay}"));
+    }
+
+    /// Switches a fan-out item to its failover program on a fresh
+    /// `max_attempts` budget and schedules its first attempt there.
+    fn fail_over(&mut self, name: &str, idx: usize) {
+        let spec = self.foreach_spec(name);
+        let program = spec.failover.clone().expect("failover only when declared");
+        let (max_attempts, delay) = (spec.max_attempts, spec.retry_interval);
+        let p = self.instance.item_mut(name, idx);
+        p.failover = true;
+        // Forfeit any unused primary budget (non-maskable path) so the
+        // failover phase is always attempts max+1 ..= 2*max.
+        p.attempts = p.attempts.max(max_attempts);
+        self.trace(TraceKind::ItemFailover {
+            activity: name.to_string(),
+            item: idx,
+            program: program.clone(),
+        });
+        self.log(
+            LogKind::Recovery,
+            format!("{name} item={idx} failing over to '{program}'"),
+        );
+        self.schedule_retry(name, idx, delay);
+    }
+
+    /// Task-level recovery has nothing left for `slot`.  A fan-out item
+    /// takes its exhaustion action.  A plain slot or replica retires, and
+    /// its node settles as `settle_as` once every replica has — or at once
+    /// on a fatal exception, which no replica can mask either (§5.3); the
+    /// excepted attempt then still holds its slot, so settling cancels it
+    /// along with any replica still racing.
+    fn exhaust(&mut self, name: &str, slot: usize, maskable: bool, settle_as: NodeStatus) {
+        if self.is_foreach(name) {
+            self.foreach_item_exhaust(name, slot);
+            return;
+        }
+        if !maskable {
+            self.settle_node(name, settle_as);
+            return;
+        }
+        let rt = self.nodes.get_mut(name).expect("runtime exists");
+        rt.slots[slot].live = None;
+        rt.slots[slot].exhausted = true;
+        if rt.slots.iter().all(|s| s.exhausted) {
+            self.trace(TraceKind::RecoveryExhausted {
                 activity: name.to_string(),
-                slot,
-            });
-            self.trace(TraceKind::RetryScheduled {
-                activity: name.to_string(),
-                slot,
-                attempt: self.nodes[name].slots[slot].tries_used + 1,
-                fire_at: at,
             });
             self.log(
                 LogKind::Recovery,
-                format!(
-                    "{name} slot={slot} retry {}/{} in {delay}",
-                    self.nodes[name].slots[slot].tries_used + 1,
-                    act.max_tries
-                ),
+                format!("{name} task-level recovery exhausted"),
             );
+            self.settle_node(name, settle_as);
         } else {
-            let rt = self.nodes.get_mut(name).expect("runtime exists");
-            rt.slots[slot].exhausted = true;
-            let all_exhausted = rt.slots.iter().all(|s| s.exhausted);
-            if all_exhausted {
-                self.trace(TraceKind::RecoveryExhausted {
-                    activity: name.to_string(),
-                });
-                self.log(
-                    LogKind::Recovery,
-                    format!("{name} task-level recovery exhausted"),
-                );
-                self.settle_node(name, final_status);
-            } else {
-                self.log(
-                    LogKind::Recovery,
-                    format!("{name} slot={slot} exhausted; other replicas still racing"),
-                );
-            }
+            self.log(
+                LogKind::Recovery,
+                format!("{name} slot={slot} exhausted; other replicas still racing"),
+            );
         }
     }
 
@@ -1747,24 +1677,15 @@ impl<X: Executor> Engine<X> {
             return; // stale: attempt was cancelled or node already settled
         };
         let name = name.clone();
-        let is_foreach = self.is_foreach(&name);
         match detection {
             Detection::Completed { .. } => {
                 self.log(LogKind::Detect, format!("{name} {task} completed"));
                 // The winner is no longer live; cancel_live must only touch
                 // the losing replicas.
-                self.attempts.remove(&task);
-                let host = self.attempt_hosts.remove(&task);
-                if let Some(rt) = self.nodes.get_mut(&name) {
-                    rt.slots[slot].live = None;
-                }
-                self.settle_attempt(&name, task, TaskOutcome::Completed, "task-end");
+                let host = self.close_attempt(&name, task, TaskOutcome::Completed, "task-end");
+                self.nodes.get_mut(&name).expect("runtime exists").slots[slot].live = None;
                 self.breaker_success(host.as_deref());
-                if is_foreach {
-                    self.foreach_item_done(&name, slot);
-                } else {
-                    self.settle_node(&name, NodeStatus::Done);
-                }
+                self.attempt_done(&name, slot);
             }
             Detection::Crashed { reason, .. } => {
                 let (why, reason_str) = match reason {
@@ -1790,9 +1711,7 @@ impl<X: Executor> Engine<X> {
                     });
                     self.presumed.insert(task, name.clone());
                 }
-                self.attempts.remove(&task);
-                let host = self.attempt_hosts.remove(&task);
-                self.settle_attempt(&name, task, TaskOutcome::Crashed, reason_str);
+                let host = self.close_attempt(&name, task, TaskOutcome::Crashed, reason_str);
                 if reason == CrashReason::HeartbeatLoss {
                     // Best-effort cancel to the possibly-alive orphan — it
                     // travels the same unreliable network, so it may be lost
@@ -1804,11 +1723,7 @@ impl<X: Executor> Engine<X> {
                     });
                 }
                 self.breaker_failure(host.as_deref());
-                if is_foreach {
-                    self.foreach_item_failed(&name, slot, reason_str, true);
-                } else {
-                    self.recover_or_fail(&name, slot, NodeStatus::Failed);
-                }
+                self.attempt_failed(&name, slot, reason_str, true, NodeStatus::Failed);
             }
             Detection::ExceptionRaised {
                 name: exc, known, ..
@@ -1820,46 +1735,21 @@ impl<X: Executor> Engine<X> {
                         if known { "" } else { " (undeclared)" }
                     ),
                 );
-                self.attempts.remove(&task);
                 // Exceptions are application-level outcomes, not host
                 // flakiness: they neither trip nor reset the host breaker.
-                self.attempt_hosts.remove(&task);
-                self.settle_attempt(&name, task, TaskOutcome::Exception, &exc);
-                let severity = self
+                self.close_attempt(&name, task, TaskOutcome::Exception, &exc);
+                // Recoverable exceptions are maskable: retrying may
+                // encounter a different environment (§2.1's transient
+                // failures).  Fatal (and undeclared) ones are not: a slot
+                // goes straight to the workflow level (§5.3), an item
+                // straight to failover or its exhaustion action.
+                let maskable = self
                     .detector
                     .registry()
                     .get(&exc)
-                    .map(|d| d.severity)
-                    .unwrap_or(Severity::Fatal);
-                match severity {
-                    // Recoverable exceptions are maskable: retrying may
-                    // encounter a different environment (§2.1's transient
-                    // failures).  Exhaustion still surfaces the exception so
-                    // on='exception:<name>' handlers can catch it.
-                    Severity::Recoverable => {
-                        if is_foreach {
-                            self.foreach_item_failed(&name, slot, &format!("exception:{exc}"), true)
-                        } else {
-                            self.recover_or_fail(&name, slot, NodeStatus::Exception(exc))
-                        }
-                    }
-                    // Fatal (and undeclared) exceptions cannot be masked by
-                    // retrying — straight to the workflow level (§5.3); for
-                    // a fan-out item that means forfeiting retries and going
-                    // straight to failover or the exhaustion action.
-                    Severity::Fatal => {
-                        if is_foreach {
-                            self.foreach_item_failed(
-                                &name,
-                                slot,
-                                &format!("exception:{exc}"),
-                                false,
-                            )
-                        } else {
-                            self.settle_node(&name, NodeStatus::Exception(exc))
-                        }
-                    }
-                }
+                    .is_some_and(|d| d.severity == Severity::Recoverable);
+                let reason = format!("exception:{exc}");
+                self.attempt_failed(&name, slot, &reason, maskable, NodeStatus::Exception(exc));
             }
             Detection::CheckpointRecorded { flag, .. } => {
                 if let Some(rt) = self.nodes.get_mut(&name) {
@@ -1901,30 +1791,15 @@ impl<X: Executor> Engine<X> {
     /// Fires all timers due at or before `now`.  Returns how many fired.
     fn fire_timers(&mut self, now: f64) -> usize {
         let mut fired = 0;
-        while self.timers.peek().map(|t| t.key.0 <= now).unwrap_or(false) {
+        while self.timers.peek().is_some_and(|t| t.key.0 <= now) {
             let t = self.timers.pop().expect("peeked");
-            // The node may have settled since the retry was scheduled
-            // (e.g. a sibling replica won): skip stale timers.
-            if self.instance.status(&t.activity) != &NodeStatus::Running {
-                continue;
-            }
-            if self.is_foreach(&t.activity) {
-                if let Some(rt) = self.nodes.get_mut(&t.activity) {
-                    rt.slots[t.slot].waiting = false;
-                }
-                // The item may have settled since (node-level cancellation
-                // races the timer): only still-pending items resubmit.
-                let pending = self
-                    .instance
-                    .items(&t.activity)
-                    .map(|it| it[t.slot].state == ItemState::Pending)
-                    .unwrap_or(false);
-                if pending {
-                    self.submit_item(&t.activity, t.slot);
-                    fired += 1;
-                }
-            } else {
-                self.submit_slot(&t.activity, t.slot);
+            // Skip stale timers: the node settled since the retry was
+            // scheduled (e.g. a sibling replica won), or it looped and the
+            // timer belongs to a finished iteration.
+            let current = self.instance.status(&t.activity) == &NodeStatus::Running
+                && self.nodes[&t.activity].loop_iterations == t.iteration;
+            if current {
+                self.submit(&t.activity, t.slot, None);
                 fired += 1;
             }
         }
@@ -1937,18 +1812,19 @@ impl<X: Executor> Engine<X> {
     /// statuses are untouched — running nodes checkpoint as `pending` and
     /// are resubmitted on restart, exactly like a crashed engine.
     fn abort_live(&mut self) {
-        let live: Vec<(TaskId, String)> = self
+        let mut live: Vec<(TaskId, String)> = self
             .attempts
             .iter()
             .map(|(t, (n, _))| (*t, n.clone()))
             .collect();
+        // Ascending task id, not hash-map order: the journal is
+        // deterministic.
+        live.sort_by_key(|(t, _)| t.0);
         for (task, name) in live {
+            self.close_attempt(&name, task, TaskOutcome::Cancelled, "abort");
             self.executor.cancel(task);
-            self.settle_attempt(&name, task, TaskOutcome::Cancelled, "abort");
             self.log(LogKind::Cancel, format!("{name} cancelled {task} (abort)"));
         }
-        self.attempts.clear();
-        self.attempt_hosts.clear();
         self.write_checkpoint();
     }
 
@@ -2198,6 +2074,7 @@ mod tests {
                 key: TimerKey(t, i),
                 activity: format!("a{i}"),
                 slot: 0,
+                iteration: 0,
             });
         }
         let order: Vec<String> = std::iter::from_fn(|| heap.pop().map(|t| t.activity)).collect();
@@ -2209,9 +2086,86 @@ mod tests {
     }
 
     #[test]
+    fn recovery_decision_table() {
+        // A slot: 4 tries, 2 s apart, the pause tripling per retry.
+        let mut slot = Activity::new("a", "p");
+        slot.max_tries = 4;
+        slot.retry_interval = 2.0;
+        slot.retry_backoff = 3.0;
+        // Items: 2 attempts 1.5 s apart, then the exhaustion action; the
+        // `fo` variant first fails over to `q`.
+        let item = |action: ItemAction, failover: Option<&str>| {
+            let mut a = Activity::new("m", "p");
+            let mut spec = ForeachSpec::new(vec!["x".into()]);
+            spec.max_attempts = 2;
+            spec.retry_interval = 1.5;
+            spec.on_exhausted = action;
+            spec.failover = failover.map(str::to_string);
+            a.foreach = Some(spec);
+            a
+        };
+        let dlq = item(ItemAction::DeadLetter, None);
+        let skip = item(ItemAction::Skip, None);
+        let stop = item(ItemAction::Stop, None);
+        let fo = item(ItemAction::DeadLetter, Some("q"));
+        let retry = |delay| Recovery::Retry { delay };
+        // (case, activity, attempts spent, maskable, failed over, decision)
+        let rows: [(&str, &Activity, u32, bool, bool, Recovery); 13] = [
+            ("slot, first retry", &slot, 1, true, false, retry(2.0)),
+            ("slot, backoff", &slot, 3, true, false, retry(18.0)),
+            (
+                "slot, out of budget",
+                &slot,
+                4,
+                true,
+                false,
+                Recovery::Exhausted,
+            ),
+            ("slot, fatal", &slot, 1, false, false, Recovery::Exhausted),
+            ("item, within budget", &dlq, 1, true, false, retry(1.5)),
+            ("item, fails over", &fo, 2, true, false, Recovery::Failover),
+            (
+                "item, fatal fails over",
+                &fo,
+                1,
+                false,
+                false,
+                Recovery::Failover,
+            ),
+            ("item, retries its failover", &fo, 3, true, true, retry(1.5)),
+            (
+                "item, failover spent",
+                &fo,
+                4,
+                true,
+                true,
+                Recovery::Exhausted,
+            ),
+            (
+                "item, fatal on failover",
+                &fo,
+                3,
+                false,
+                true,
+                Recovery::Exhausted,
+            ),
+            ("item, dlq", &dlq, 2, true, false, Recovery::Exhausted),
+            ("item, skip", &skip, 2, true, false, Recovery::Exhausted),
+            ("item, stop", &stop, 2, true, false, Recovery::Exhausted),
+        ];
+        for (case, act, attempts, maskable, failed_over, want) in rows {
+            assert_eq!(
+                recovery(act, attempts, maskable, failed_over),
+                want,
+                "{case}"
+            );
+        }
+    }
+
+    #[test]
     fn config_defaults_match_paper_behaviour() {
         let c = EngineConfig::default();
-        assert!(c.checkpoint_path.is_none());
+        assert!(c.checkpoint_sink.is_none());
         assert!(
             c.reorder_settle.is_none(),
             "prototype delivered immediately"

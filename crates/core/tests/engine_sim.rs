@@ -969,6 +969,67 @@ fn loop_with_retry_inside_each_iteration() {
 }
 
 #[test]
+fn a_retry_timer_does_not_leak_into_the_next_loop_iteration() {
+    // The ghost replica is waiting on its t=6 retry when the h replica
+    // wins at t=4 and the loop goes round: that timer belongs to the
+    // finished iteration and must not fire into the next one, where it
+    // would spend a retry and resubmit over the live slot.
+    let mut b = WorkflowBuilder::new("loopreplica").program("p", 4.0, &["ghost", "h"]);
+    b.activity("a", "p").replicate().retry(3, 3.0);
+    let b = b.do_while("a", "runs('a') < 2");
+    let mut grid = SimGrid::new(78);
+    grid.add_host(ResourceSpec::reliable("h"));
+    let report = Engine::new(build(b), grid).run();
+    assert!(report.is_success(), "{:?}", report.outcome);
+    let ghost_submits: Vec<f64> = report
+        .log
+        .iter()
+        .filter(|e| e.kind == LogKind::Submit && e.message.ends_with("host=ghost"))
+        .map(|e| e.at)
+        .collect();
+    // Iteration 1: t=0 and its retry at 3; iteration 2: t=4 and its retry
+    // at 7 — nothing at 6.
+    assert_eq!(ghost_submits, vec![0.0, 3.0, 4.0, 7.0]);
+    assert_eq!(report.submissions_of("a"), 6);
+    assert_eq!(report.makespan, 8.0);
+}
+
+#[test]
+fn a_deadline_abort_journals_its_cancellations_in_task_order() {
+    // Four replicas are live when the deadline aborts the run: the abort
+    // must cancel them in a fixed order, or the journal of a deadline run
+    // would depend on hash-map iteration order.
+    let run = || {
+        let mut b = WorkflowBuilder::new("abort").program("p", 50.0, &["h1", "h2", "h3", "h4"]);
+        b.activity("a", "p").replicate();
+        let mut grid = SimGrid::new(82);
+        for h in ["h1", "h2", "h3", "h4"] {
+            grid.add_host(ResourceSpec::reliable(h));
+        }
+        let config = EngineConfig {
+            deadline: Some(5.0),
+            ..EngineConfig::default()
+        };
+        Engine::new(build(b), grid).with_config(config).run()
+    };
+    let first = run();
+    assert_eq!(first.aborted.as_deref(), Some("deadline"));
+    let cancelled: Vec<&str> = first
+        .log
+        .iter()
+        .filter(|e| e.kind == LogKind::Cancel)
+        .map(|e| e.message.as_str())
+        .collect();
+    assert_eq!(
+        cancelled,
+        [1, 2, 3, 4].map(|t| format!("a cancelled task#{t} (abort)")),
+    );
+    for _ in 0..8 {
+        assert_eq!(run().trace_jsonl(), first.trace_jsonl());
+    }
+}
+
+#[test]
 fn exception_handler_chain_cascades() {
     // a raises oom -> handler b raises disk_full -> handler c completes:
     // workflow-level handlers can themselves be handled.
@@ -1023,11 +1084,13 @@ fn abort_via_max_settlements_leaves_resumable_state() {
     let mut grid = SimGrid::new(80);
     grid.add_host(ResourceSpec::reliable("h"));
     let config = EngineConfig {
-        checkpoint_path: Some(ckpt.clone()),
         max_settlements: Some(1),
         ..EngineConfig::default()
     };
-    let phase1 = Engine::new(mk(), grid).with_config(config).run();
+    let phase1 = Engine::new(mk(), grid)
+        .with_config(config)
+        .with_checkpointing(&ckpt)
+        .run();
     assert!(!phase1.is_success(), "aborted mid-run");
     assert_eq!(phase1.status_of("a"), Some("done"));
 

@@ -211,12 +211,12 @@ fn engine_crash_mid_fan_out_resumes_without_resettling_items() {
     std::fs::create_dir_all(&dir).unwrap();
     let ckpt = dir.join("mapred.ckpt.xml");
     let config = EngineConfig {
-        checkpoint_path: Some(ckpt.clone()),
         max_settlements: Some(3),
         ..EngineConfig::default()
     };
     let first = Engine::new(mapred(5, |s| s.max_parallel = 1), reliable_grid(8))
         .with_config(config)
+        .with_checkpointing(&ckpt)
         .run();
     assert_eq!(first.aborted.as_deref(), Some("max_settlements"));
     assert_eq!(settled_with(&first, "done"), 3);

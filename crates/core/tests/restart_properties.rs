@@ -78,11 +78,13 @@ fn restart_at_any_cut_point_preserves_done_work() {
 
         let validated = validate(w).expect("generated workflows validate");
         let config = EngineConfig {
-            checkpoint_path: Some(ckpt.clone()),
             max_settlements: Some(cut),
             ..EngineConfig::default()
         };
-        let phase1 = Engine::new(validated, grid(seed)).with_config(config).run();
+        let phase1 = Engine::new(validated, grid(seed))
+            .with_config(config)
+            .with_checkpointing(&ckpt)
+            .run();
         // The aborted run must have checkpointed whatever it settled.
         if !ckpt.exists() {
             // Nothing settled before the cut (e.g. everything still

@@ -1,8 +1,6 @@
-//! Randomized (but fully seeded) properties of the φ-accrual detector.
-//!
-//! These are plain `#[test]`s over a deterministic splitmix64 stream, not
-//! proptest cases: every run sees the same heartbeat histories, so a
-//! failure reproduces byte-for-byte from the test name alone.
+//! Seeded properties of the φ-accrual detector, on
+//! `gridwfs_sim::check::forall`: every run sees the same heartbeat
+//! histories, and a failure names the seed that reproduces it.
 //!
 //! * Raising the threshold can only *remove* false suspicions — the
 //!   presumption margin `mean + std·z(threshold)` is monotone in the
@@ -13,33 +11,16 @@
 use gridwfs_detect::notify::TaskId;
 use gridwfs_detect::phi::PhiConfig;
 use gridwfs_detect::{BeatOutcome, PhiAccrualDetector};
-
-/// Tiny deterministic generator (splitmix64) so this test file needs no
-/// extra dependencies.
-struct Stream(u64);
-
-impl Stream {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
+use gridwfs_sim::check::forall;
+use gridwfs_sim::rng::Rng;
 
 /// Heartbeat arrival times for one trial: beats every interval, each
 /// dropped with probability `drop_p`, survivors delayed by `U[0, jitter)`.
-fn arrivals(seed: u64, beats: usize, drop_p: f64, jitter: f64) -> Vec<f64> {
-    let mut rng = Stream(seed);
+fn arrivals(rng: &mut Rng, beats: usize, drop_p: f64, jitter: f64) -> Vec<f64> {
     let mut out: Vec<f64> = (1..=beats)
         .filter_map(|k| {
-            let dropped = rng.next_f64() < drop_p;
-            let delay = rng.next_f64() * jitter;
+            let dropped = rng.bernoulli(drop_p);
+            let delay = rng.range_f64(0.0, jitter);
             (!dropped).then_some(k as f64 + delay)
         })
         .collect();
@@ -73,7 +54,7 @@ fn false_suspicion_rate_is_monotone_non_increasing_in_threshold() {
     // Generate each trial's history once so every threshold judges the
     // exact same lossy, jittery stream.
     let histories: Vec<Vec<f64>> = (0..trials)
-        .map(|i| arrivals(0xBEA7 + i, 140, 0.15, 0.6))
+        .map(|seed| arrivals(&mut Rng::seed_from_u64(seed), 140, 0.15, 0.6))
         .collect();
     let rates: Vec<usize> = thresholds
         .iter()
@@ -99,29 +80,28 @@ fn false_suspicion_rate_is_monotone_non_increasing_in_threshold() {
 fn every_trial_is_monotone_not_just_the_aggregate() {
     // Stronger than the rate check: on each individual history, a tighter
     // threshold suspecting nobody implies the looser one does not either.
-    for i in 0..100 {
-        let history = arrivals(0xCAFE + i, 100, 0.2, 0.8);
+    forall(100, &[], |rng| {
+        let history = arrivals(rng, 100, 0.2, 0.8);
         let mut prior = true;
         for th in [1.0, 3.0, 6.0, 9.0, 12.0] {
             let now = falsely_suspects(th, &history, 90.0);
             assert!(
                 prior || !now,
-                "history {i}: threshold {th} suspects where a tighter one did not"
+                "threshold {th} suspects where a tighter one did not"
             );
             prior = now;
         }
-    }
+    });
 }
 
 #[test]
 fn a_real_crash_is_always_detected() {
-    for i in 0..200 {
-        let mut rng = Stream(0xDEAD + i);
-        let drop_p = rng.next_f64() * 0.4;
-        let jitter = rng.next_f64() * 1.5;
-        let crash_at = 20.0 + rng.next_f64() * 40.0;
-        let beats = crash_at.floor() as usize;
-        let history = arrivals(0xF00D + i, beats, drop_p, jitter);
+    forall(200, &[], |rng| {
+        let drop_p = rng.range_f64(0.0, 0.4);
+        let jitter = rng.range_f64(0.0, 1.5);
+        let crash_at = rng.range_f64(20.0, 60.0);
+        let history = arrivals(rng, crash_at.floor() as usize, drop_p, jitter);
+        let trial = format!("drop {drop_p:.2}, jitter {jitter:.2}");
 
         let task = TaskId(9);
         let mut det = PhiAccrualDetector::new(PhiConfig::with_threshold(8.0));
@@ -132,22 +112,19 @@ fn a_real_crash_is_always_detected() {
         let deadline = det
             .deadline(task)
             .expect("a watched task always has a deadline");
-        assert!(
-            deadline.is_finite(),
-            "trial {i} (drop {drop_p:.2}, jitter {jitter:.2}): infinite deadline"
-        );
-        assert_eq!(det.expired(deadline - 1e-9), vec![], "trial {i}: too early");
-        assert_eq!(det.expired(deadline), vec![task], "trial {i}");
-        assert!(!det.is_live(task), "trial {i}: still live after expiry");
+        assert!(deadline.is_finite(), "{trial}: infinite deadline");
+        assert_eq!(det.expired(deadline - 1e-9), vec![], "{trial}: too early");
+        assert_eq!(det.expired(deadline), vec![task], "{trial}");
+        assert!(!det.is_live(task), "{trial}: still live after expiry");
         // Presumption is sticky: a wandering zombie beat is Late, and the
         // task is never reported expired twice.
         assert_eq!(
             det.beat(task, 10_000, deadline + 1.0),
             BeatOutcome::Late,
-            "trial {i}"
+            "{trial}"
         );
-        assert_eq!(det.expired(deadline + 2.0), vec![], "trial {i}");
-    }
+        assert_eq!(det.expired(deadline + 2.0), vec![], "{trial}");
+    });
 }
 
 #[test]

@@ -196,7 +196,6 @@ fn build_engine(
         (None, None) => return err("run requires a workflow file (or --resume)"),
     };
     let mut config = spec.engine_config();
-    config.checkpoint_path = opts.checkpoint.clone();
     if let Some(threshold) = opts.breaker {
         if threshold == 0 {
             return err("--breaker threshold must be >= 1");
@@ -206,7 +205,11 @@ fn build_engine(
             ..grid_wfs::BreakerConfig::default()
         });
     }
-    Ok(engine.with_config(config))
+    let engine = engine.with_config(config);
+    Ok(match &opts.checkpoint {
+        Some(path) => engine.with_checkpointing(path),
+        None => engine,
+    })
 }
 
 /// Renders a [`Report`] as machine-readable JSON (schema 1): outcome,
