@@ -205,46 +205,27 @@ fn note_fenced(shared: &Shared, fed: &Federation, job: u64, epoch: u64) {
     }
 }
 
-/// Job id of a state record name (`job-<id>.<kind>`), if it is one.
-fn record_job(name: &str) -> Option<u64> {
-    let rest = name.strip_prefix("job-")?;
-    rest.split('.').next()?.parse().ok()
-}
-
 /// The federated replacement for the scheduler's plain group commit:
 /// every staged write is grouped by job and prefixed with a `Check` on
 /// the job's lease, so the whole window commits if and only if this
 /// replica still owns everything it is writing.  On a fence conflict the
 /// batch is split per job and retried, so one lost lease never vetoes
 /// the other jobs' progress.
-pub(crate) fn flush_fenced(
-    shared: &Shared,
-    fed: &Federation,
-    writes: Vec<(String, Option<Vec<u8>>)>,
-) {
+pub(crate) fn flush_fenced(shared: &Shared, fed: &Federation, ops: Vec<Op>) {
     let Some(st) = &shared.storage else {
         return;
     };
     let _commit = relock(&fed.commit);
     // Group by job, preserving staging order inside each group.
     let mut jobs: Vec<(u64, Vec<Op>)> = Vec::new();
-    let mut stray: Vec<Op> = Vec::new();
-    for (name, data) in writes {
-        let op = match data {
-            Some(data) => Op::Put(name.clone(), data),
-            None => Op::Del(name.clone()),
-        };
-        match record_job(&name) {
-            Some(job) => match jobs.iter_mut().find(|(j, _)| *j == job) {
-                Some((_, ops)) => ops.push(op),
-                None => jobs.push((job, vec![op])),
-            },
-            None => stray.push(op),
-        }
-    }
-    if !stray.is_empty() {
-        for (name, e) in st.apply(stray) {
-            eprintln!("gridwfs-serve: batched state write failed for {name}: {e}");
+    for (job, ops) in recover::group_by_job(ops) {
+        match job {
+            Some(job) => jobs.push((job, ops)),
+            None => {
+                for (name, e) in st.apply(ops) {
+                    eprintln!("gridwfs-serve: batched state write failed for {name}: {e}");
+                }
+            }
         }
     }
     // Fast path: one guarded batch for the whole window.
@@ -320,7 +301,7 @@ pub(crate) fn flush_fenced(
 }
 
 /// A fenced direct terminal write (cancel-while-queued and friends):
-/// result marker and lease removal in one guarded commit.
+/// result marker, purge and lease removal in one guarded commit.
 pub(crate) fn write_result_fenced(
     shared: &Shared,
     fed: &Federation,
@@ -335,14 +316,10 @@ pub(crate) fn write_result_fenced(
     let Some(epoch) = relock(&fed.owned).get(&id.0).copied() else {
         return;
     };
-    let errors = st.apply(vec![
-        Op::Check(recover::lease_name(id), fed.fence(epoch)),
-        Op::Put(
-            recover::result_name(id),
-            recover::result_payload(state, detail),
-        ),
-        Op::Del(recover::lease_name(id)),
-    ]);
+    let mut ops = vec![Op::Check(recover::lease_name(id), fed.fence(epoch))];
+    ops.extend(recover::terminal_ops(id, state, detail));
+    ops.push(Op::Del(recover::lease_name(id)));
+    let errors = st.apply(ops);
     if errors.iter().any(|(_, e)| is_fence_conflict(e)) {
         note_fenced(shared, fed, id.0, epoch);
         return;
@@ -517,7 +494,7 @@ fn scan_for_takeovers(shared: &Arc<Shared>, fed: &Federation) {
     let mut metas: Vec<u64> = Vec::new();
     let mut results: HashSet<u64> = HashSet::new();
     for name in &names {
-        if let Some(job) = record_job(name) {
+        if let Some(job) = recover::record_job(name) {
             if name.ends_with(".meta") {
                 metas.push(job);
             } else if name.ends_with(".result") {

@@ -16,16 +16,15 @@
 //! workflow from scratch — the paper's §7 engine fault tolerance, lifted
 //! to the service level.
 //!
-//! Two more records keep restarts honest:
+//! Two more per-job records:
 //!
 //! * `job-<id>.elapsed` — executor-clock seconds the job has already
 //!   consumed in earlier incarnations, so a resumed job's deadline is the
 //!   *remaining* budget, not a fresh one.  It is updated whenever an
 //!   aborted engine is requeued; time spent in an incarnation that died
 //!   without a clean abort (kill -9) is forfeited from the ledger.
-//! * id allocation scans **every** `job-<id>.*` record ([`max_job_id`]),
-//!   terminal or not, so a restarted service never reuses the id — and
-//!   thereby the checkpoint or result marker — of a finished job.
+//! * `job-<id>.dlq` — the `foreach` items the job's last run parked
+//!   ([`dlq_name`]).
 //!
 //! Where the records live is the backend's business: frames in a
 //! group-committed log under [`gridwfs_storage::WalStorage`], plain map
@@ -44,6 +43,28 @@
 //! renewed on the owner's heartbeat, CAS-claimed with a bumped epoch by a
 //! takeover scanner once expired, and deleted in the same group commit as
 //! the terminal result.  See `crate::federate`.
+//!
+//! ## Record lifecycle
+//!
+//! Admission writes `wf.xml` and `meta` in one batch that also deletes
+//! whatever an earlier job left at the id.  While the job runs, its
+//! checkpoint is rewritten, and an aborted incarnation banks `elapsed`.
+//! The batch that writes the result marker also deletes the records in
+//! [`purge_names`]: `wf.xml`, `ckpt.xml` and `elapsed`.  A terminal job
+//! has nothing left to restart, so it keeps only `meta` and `result`, and
+//! the marker and the purge land together or not at all.  Two kinds of
+//! terminal job keep all three records:
+//!
+//! * a run that parked dead-lettered items keeps them for
+//!   `gridwfs dlq retry`, which resets that checkpoint; the re-admitted
+//!   job then reads `wf.xml` again;
+//! * a job that settled without an engine report (its engine could not
+//!   be built, or it panicked) keeps them as post-mortem evidence.
+//!
+//! Ids still never repeat.  `meta` and `result` survive the purge, and id
+//! allocation scans **every** `job-<id>.*` record ([`max_job_id`]),
+//! terminal or not, so a restarted service never hands out the id of a
+//! finished job.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -91,6 +112,41 @@ pub fn dlq_name(id: JobId) -> String {
 /// Record name of the job's ownership lease (federated fleets only).
 pub fn lease_name(id: JobId) -> String {
     format!("{id}.lease")
+}
+
+/// The records a settled job no longer needs — its workflow, checkpoint
+/// and elapsed ledger — deleted by the batch that writes its result
+/// marker (module docs, "Record lifecycle").
+pub fn purge_names(id: JobId) -> [String; 3] {
+    [workflow_name(id), checkpoint_name(id), elapsed_name(id)]
+}
+
+/// The terminal write of a job with nothing left to restart: the result
+/// marker plus the deletes of [`purge_names`], as one batch.
+pub fn terminal_ops(id: JobId, state: &str, detail: &str) -> Vec<Op> {
+    let mut ops: Vec<Op> = purge_names(id).into_iter().map(Op::Del).collect();
+    ops.push(Op::Put(result_name(id), result_payload(state, detail)));
+    ops
+}
+
+/// Job id of a state record name (`job-<id>.<kind>`), if it is one.
+pub(crate) fn record_job(name: &str) -> Option<u64> {
+    let rest = name.strip_prefix("job-")?;
+    rest.split('.').next()?.parse().ok()
+}
+
+/// Splits a batch into one batch per job ([`record_job`] of each op's
+/// name; `None` collects the rest), keeping the op order inside each.
+pub(crate) fn group_by_job(ops: Vec<Op>) -> Vec<(Option<u64>, Vec<Op>)> {
+    let mut groups: Vec<(Option<u64>, Vec<Op>)> = Vec::new();
+    for op in ops {
+        let job = record_job(op.reported_name());
+        match groups.iter_mut().find(|(j, _)| *j == job) {
+            Some((_, group)) => group.push(op),
+            None => groups.push((job, vec![op])),
+        }
+    }
+    groups
 }
 
 /// Path of the per-job flight-recorder journal (under the service's

@@ -45,19 +45,25 @@
 //! `COMMIT_WINDOW` plus one slice of its staging.  A job's record turns
 //! terminal in the table (and `wait_all_terminal` sees it) when its run
 //! settles, *before* its marker is durable; the marker, its dead-letter
-//! record and its last checkpoint commit together, at most a window
-//! later.  A crash inside the window therefore loses markers that were
-//! staged but not committed: those jobs still have their admission
-//! records, so the next incarnation re-admits them and re-runs each from
-//! its last *committed* checkpoint (from scratch for a job that started
-//! and finished inside the lost window).  Every job still ends with
-//! exactly one result record.
+//! record and the purge of its workflow, checkpoint and elapsed ledger
+//! commit together, at most a window later (a run that parked
+//! dead-lettered items commits its last checkpoint instead of the purge;
+//! see `crate::recover`).  The purge replaces the run's final checkpoint
+//! in the batch, so a virtual job that finishes inside one slice never
+//! writes a checkpoint at all.  A crash inside the window therefore loses
+//! markers that were staged but not committed, and their purges with
+//! them: those jobs still have their admission records, so the next
+//! incarnation re-admits them and re-runs each from its last *committed*
+//! checkpoint (from scratch for a job that started and finished inside
+//! the lost window).  Every job still ends with exactly one result
+//! record.
 //!
 //! A run's staged checkpoint never sits in one worker's batch while the
 //! run is where another worker can steal it: [`requeue`] moves it out of
 //! the batch and onto the [`Run`], and whoever slices the run next stages
 //! it again before anything newer.  So the checkpoints of one job are
-//! committed in the order they were written, whichever workers ran it.
+//! committed in the order they were written, whichever workers ran it,
+//! and none lands after the purge that deletes it.
 //!
 //! Concurrency is opt-in: [`crate::ServiceConfig::max_in_flight`]
 //! defaults to 1, which reproduces the old one-job-per-worker admission
@@ -231,6 +237,15 @@ impl StateBatch {
     /// Group commit: every staged record lands crash-atomically with one
     /// durability point for the whole batch ([`Storage::apply`]).
     ///
+    /// A batch lands whole or not at all, so one job's failed write would
+    /// cost every job of the window its writes.  A failed batch is
+    /// therefore retried once per job: the other jobs commit, and a job
+    /// whose own write fails again keeps its previous records (a restart
+    /// re-runs it from its last committed checkpoint).  A batch that
+    /// landed but reported a side error (a failed WAL compaction) is
+    /// written again unchanged: nothing else writes these records while
+    /// their runs cannot be stolen.
+    ///
     /// [`Storage::apply`]: gridwfs_storage::Storage::apply
     fn flush(&mut self, shared: &Shared) {
         let Some(since) = self.since.take() else {
@@ -241,22 +256,24 @@ impl StateBatch {
             return;
         };
         let records = self.writes.len() as u64;
+        let ops: Vec<Op> = self
+            .writes
+            .drain(..)
+            .map(|(name, data)| match data {
+                Some(data) => Op::Put(name, data),
+                None => Op::Del(name),
+            })
+            .collect();
         if let Some(fed) = &shared.federate {
             // Federated: every job's writes are fenced on its lease
             // epoch; a batch from a replica that lost a lease is
             // rejected at the storage layer, never double-settling.
-            crate::federate::flush_fenced(shared, fed, std::mem::take(&mut self.writes));
-        } else {
-            let ops = self
-                .writes
-                .drain(..)
-                .map(|(name, data)| match data {
-                    Some(data) => Op::Put(name, data),
-                    None => Op::Del(name),
-                })
-                .collect();
-            for (name, e) in st.apply(ops) {
-                eprintln!("gridwfs-serve: batched state write failed for {name}: {e}");
+            crate::federate::flush_fenced(shared, fed, ops);
+        } else if !st.apply(ops.clone()).is_empty() {
+            for (_, ops) in crate::recover::group_by_job(ops) {
+                for (name, e) in st.apply(ops) {
+                    eprintln!("gridwfs-serve: batched state write failed for {name}: {e}");
+                }
             }
         }
         shared
@@ -403,26 +420,29 @@ fn step_slice(shared: &Shared, run: &mut Run) -> Slice {
 /// right here).
 fn pickup(shared: &Arc<Shared>, id: JobId, batch: &mut StateBatch) -> Option<Run> {
     let stop = Arc::new(AtomicBool::new(false));
-    let sub = {
+    let (sub, recovered) = {
         let mut shard = shared.table.shard(id.0);
-        let sub = shard.subs.get(&id.0).cloned()?;
+        // The table holds a submission only while its job is queued:
+        // nothing reads it once a worker has it.
+        let sub = shard.subs.remove(&id.0)?;
         let rec = shard.jobs.get_mut(&id.0)?;
         if rec.state != JobState::Queued {
             return None; // cancelled while queued
         }
         rec.state = JobState::Running;
         rec.started_at = Some(shared.now());
+        let recovered = rec.recovered;
         // Register the stop flag in the same critical section as the
         // state change: any cancel() that observes `Running` is then
         // guaranteed to find the flag (it takes the same shard lock).
         shard.stops.insert(id.0, stop.clone());
-        sub
+        (sub, recovered)
     };
     shared.metrics.running.fetch_add(1, Ordering::Relaxed);
     let journal = worker::open_journal(shared, id, &sub);
     let started = Instant::now();
     let built = catch_unwind(AssertUnwindSafe(|| {
-        worker::build_engine(shared, id, &sub, stop, journal.clone())
+        worker::build_engine(shared, id, &sub, recovered, stop, journal.clone())
     }));
     let failure = match built {
         Ok(Ok((engine, checkpoint))) => {
@@ -668,10 +688,11 @@ mod tests {
     }
 
     /// Worker 0 slices a job once and yields it with a checkpoint staged;
-    /// worker 1 steals the run, finishes it and commits first; worker 0
-    /// commits last.  The job's committed checkpoints must never go
-    /// backwards: a crash resumes from the last one, and `dlq retry`
-    /// resets from it.
+    /// worker 1 steals the run, commits after every slice, finishes it and
+    /// commits first; worker 0 commits last.  The job's committed
+    /// checkpoints must never go backwards (a crash resumes from the last
+    /// one), and none may land after the settle's purge: a stale put from
+    /// worker 0 would resurrect a finished job's checkpoint.
     #[test]
     fn a_stolen_runs_checkpoints_commit_in_the_order_they_were_written() {
         let log = Arc::new(CheckpointLog {
@@ -690,7 +711,7 @@ mod tests {
         let sched = &shared.sched;
         let id = JobId(1);
         {
-            let sub = long_chain(120);
+            let sub = long_chain(300);
             let mut shard = shared.table.shard(id.0);
             shard
                 .jobs
@@ -711,27 +732,24 @@ mod tests {
         );
 
         sched.steal_into(1);
-        let mut slices = 0;
         while let Some(run) = sched.pop_runnable(1) {
             run_slice(&shared, 1, run, &mut batch1, &mut sleepers, &mut seq);
-            slices += 1;
+            batch1.flush(&shared);
         }
-        assert!(
-            slices >= 1,
-            "the first slice yielded and worker 1 stole the run"
-        );
         assert!(sleepers.is_empty(), "virtual jobs never sleep");
         assert_eq!(
             shared.table.shard(id.0).jobs[&id.0].state,
             JobState::Done,
             "worker 1 finished the job"
         );
-        batch1.flush(&shared);
         batch0.flush(&shared);
 
         let progress = |doc: &str| doc.matches("status='done'").count();
         let committed = log.committed.lock().unwrap();
-        assert!(!committed.is_empty());
+        assert!(
+            !committed.is_empty(),
+            "worker 1 committed the checkpoints of its unfinished slices"
+        );
         let mut last = 0;
         for (name, doc) in committed.iter() {
             assert_eq!(*name, crate::recover::checkpoint_name(id));
@@ -742,7 +760,11 @@ mod tests {
             );
             last = progress(doc);
         }
-        assert_eq!(last, 120, "the last committed checkpoint is the final one");
+        assert!(last < 300, "the final checkpoint is purged, never written");
+        for name in crate::recover::purge_names(id) {
+            assert!(!log.exists(&name), "{name} outlived the settle");
+        }
+        assert!(log.exists(&crate::recover::result_name(id)));
     }
 
     #[test]

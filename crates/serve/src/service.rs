@@ -365,12 +365,8 @@ impl Service {
                     .fetch_add(self.shared.id_stride, Ordering::Relaxed),
             ),
         };
-        let record = JobRecord::new(id, sub.name.clone(), self.shared.now(), false);
-        {
-            let mut shard = self.shared.table.shard(id.0);
-            shard.jobs.insert(id.0, record);
-            shard.subs.insert(id.0, sub.clone());
-        }
+        let label = sub.name.clone();
+        let record = JobRecord::new(id, label.clone(), self.shared.now(), false);
         if let Some(st) = &self.shared.storage {
             // Federated admission mints the job's lease (epoch 1) in the
             // same group commit as the submission records: the job is
@@ -399,14 +395,9 @@ impl Service {
                 // admission, live or settled).  The batch was rejected
                 // before any mutation, so there is nothing of ours in
                 // storage to roll back — and `remove_submission` would
-                // delete the *peer's* records.  Drop the in-memory entry
-                // and burn the id: recycling it would collide again.
-                {
-                    let mut shard = self.shared.table.shard(id.0);
-                    shard.jobs.remove(&id.0);
-                    shard.subs.remove(&id.0);
-                }
-                self.reject(&sub.name, "id-collision");
+                // delete the *peer's* records.  Burn the id: recycling it
+                // would collide again.
+                self.reject(&label, "id-collision");
                 return Err(SubmitError::Io(format!(
                     "{id}: id already in use in shared storage — fleet \
                      misconfigured? (every replica needs a distinct \
@@ -415,12 +406,19 @@ impl Service {
             }
             if let Some((name, e)) = errors.into_iter().next() {
                 self.rollback(id);
-                self.reject(&sub.name, "io");
+                self.reject(&label, "io");
                 return Err(SubmitError::Io(format!("{name}: {e}")));
             }
             if let Some(fed) = &self.shared.federate {
                 fed.adopt(id.0, 1);
             }
+        }
+        // The submission moves into the table, which holds it until a
+        // worker picks the job up.
+        {
+            let mut shard = self.shared.table.shard(id.0);
+            shard.jobs.insert(id.0, record);
+            shard.subs.insert(id.0, sub);
         }
         // Open the job's journal before it becomes poppable, so a worker's
         // `append` can never race the truncating `create`.  The admission
@@ -434,7 +432,7 @@ impl Service {
                         at: 0.0,
                         kind: TraceKind::JobAdmitted {
                             job: id.0,
-                            name: sub.name.clone(),
+                            name: label.clone(),
                         },
                     });
                     sink.flush();
@@ -442,7 +440,7 @@ impl Service {
                 });
             if let Err(e) = created {
                 self.rollback(id);
-                self.reject(&sub.name, "io");
+                self.reject(&label, "io");
                 return Err(SubmitError::Io(e));
             }
         }
@@ -451,7 +449,7 @@ impl Service {
                 Metrics::incr(&self.shared.metrics.counters.submitted);
                 self.shared.trace(TraceKind::JobAdmitted {
                     job: id.0,
-                    name: sub.name.clone(),
+                    name: label,
                 });
                 Ok(id)
             }
@@ -461,7 +459,7 @@ impl Service {
                     PushError::Full(_) => (SubmitError::QueueFull, "queue-full"),
                     PushError::Closed(_) => (SubmitError::ShuttingDown, "shutting-down"),
                 };
-                self.reject(&sub.name, reason);
+                self.reject(&label, reason);
                 Err(err)
             }
         }
@@ -529,11 +527,14 @@ impl Service {
                 rec.state = JobState::Cancelled;
                 rec.finished_at = Some(self.shared.now());
                 rec.detail = Some("cancelled while queued".into());
+                shard.subs.remove(&id.0);
                 drop(shard);
                 Metrics::incr(&self.shared.metrics.counters.cancelled);
+                // The same terminal write a settled run commits: the
+                // marker plus the purge of the records it no longer needs.
                 if let Some(st) = &self.shared.storage {
                     match &self.shared.federate {
-                        // Fenced: the terminal marker and the lease
+                        // Fenced: the terminal write and the lease
                         // removal commit together, gated on ownership.
                         Some(fed) => crate::federate::write_result_fenced(
                             &self.shared,
@@ -543,12 +544,11 @@ impl Service {
                             "cancelled while queued",
                         ),
                         None => {
-                            let _ = recover::write_result(
-                                st.as_ref(),
+                            let _ = st.apply(recover::terminal_ops(
                                 id,
                                 "cancelled",
                                 "cancelled while queued",
-                            );
+                            ));
                         }
                     }
                 }

@@ -33,7 +33,8 @@ pub(crate) const SHARDS: usize = 16;
 pub(crate) struct Shard {
     /// Job records (the public status surface).
     pub(crate) jobs: HashMap<u64, JobRecord>,
-    /// Submissions (what a worker needs to run the job).
+    /// Submissions of queued jobs (what a worker needs to run the job):
+    /// pickup and cancel-while-queued take them out.
     pub(crate) subs: HashMap<u64, Submission>,
     /// Stop flags of currently-running engines.
     pub(crate) stops: HashMap<u64, Arc<AtomicBool>>,

@@ -13,8 +13,9 @@
 //! * [`open_journal`] — the per-job journal with its incarnation header;
 //! * [`settle`] — apply a finished run's outcome to the job record, the
 //!   metrics registry, and the storage backend.  The record turns
-//!   terminal in the table here; its marker (with the dead-letter record
-//!   and the lease release) is only *staged* on the scheduler's
+//!   terminal in the table here; its marker (with the dead-letter record,
+//!   the lease release and the purge of the records a finished job no
+//!   longer needs) is only *staged* on the scheduler's
 //!   [`StateBatch`] and becomes durable when the commit window closes
 //!   (see [`crate::sched`]), at most a window plus one slice later.  A
 //!   crash in between re-runs the job from its last committed checkpoint;
@@ -141,10 +142,16 @@ pub(crate) fn open_journal(shared: &Shared, id: JobId, sub: &Submission) -> Opti
 /// buggy workflow closure would raise.  Both chaos decisions are keyed by
 /// the submission seed, so they replay identically whatever worker picks
 /// the job up.
+///
+/// Only a `recovered` job (re-admitted from storage, or taken over from a
+/// peer) can have a checkpoint or an elapsed ledger: a job this process
+/// admitted had both deleted by its admission batch, so it skips both
+/// reads (the checkpoint probe waits on the WAL's append lock).
 pub(crate) fn build_engine(
     shared: &Shared,
     id: JobId,
     sub: &Submission,
+    recovered: bool,
     stop: Arc<AtomicBool>,
     journal: Option<Arc<JsonlSink>>,
 ) -> Result<(AnyEngine, Option<(String, CheckpointCell)>), String> {
@@ -157,7 +164,8 @@ pub(crate) fn build_engine(
         }
     }
     let ckpt_name = recover::checkpoint_name(id);
-    let instance = match shared.storage.as_deref() {
+    let stored = shared.storage.as_deref().filter(|_| recovered);
+    let instance = match stored {
         Some(st) if st.exists(&ckpt_name) => {
             let xml = st.read_to_string(&ckpt_name).map_err(|e| e.to_string())?;
             checkpoint::from_xml(&xml).map_err(|e| e.to_string())?
@@ -180,11 +188,7 @@ pub(crate) fn build_engine(
     // An exhausted budget still runs with deadline 0 — the engine aborts
     // on its first step and the job settles as a deadline failure.
     let deadline = sub.deadline.or(shared.cfg.default_deadline).map(|total| {
-        let consumed = shared
-            .storage
-            .as_deref()
-            .map(|st| recover::read_elapsed(st, id))
-            .unwrap_or(0.0);
+        let consumed = stored.map_or(0.0, |st| recover::read_elapsed(st, id));
         (total - consumed).max(0.0)
     });
     // With a storage backend, checkpoints are staged into a mailbox the
@@ -253,6 +257,13 @@ pub(crate) fn build_engine(
 /// on the scheduler's [`StateBatch`] (group-committed per commit window)
 /// instead of paying one durability point each: the record is terminal
 /// when this returns, the marker durable up to a window later.
+///
+/// A terminal run with a report stages the purge of its workflow,
+/// checkpoint and elapsed ledger ([`recover::purge_names`]) on the same
+/// batch as its result marker, so storage keeps only `meta` and `result`
+/// of a finished job.  A run that parked dead-lettered items keeps all
+/// three for `dlq retry`; a run without a report (engine build failure,
+/// panic) keeps them for post-mortem.
 pub(crate) fn settle(
     shared: &Shared,
     id: JobId,
@@ -378,6 +389,11 @@ pub(crate) fn settle(
         if let Some(report) = &report {
             if report.dlq.is_empty() {
                 batch.stage_del(recover::dlq_name(id));
+                // Nothing left to restart: the purge replaces the final
+                // checkpoint this slice staged, so it is never written.
+                for name in recover::purge_names(id) {
+                    batch.stage_del(name);
+                }
             } else {
                 batch.stage(recover::dlq_name(id), recover::dlq_payload(&report.dlq));
             }

@@ -23,14 +23,16 @@
 //! The sweep is parameterized over the *workflow shape* as well: plain
 //! chains and `<Foreach>` fan-outs with per-item retry and a dead-letter
 //! queue.  For fan-outs a fourth invariant applies — **per-item
-//! accounting**: in the final checkpoint of a done job every instantiated
-//! item holds exactly one terminal state (settled + dead-lettered ==
-//! instantiated; nothing lost, nothing double-settled) and the persisted
-//! `.dlq` record names exactly the checkpoint's dead-lettered items.  The
-//! accounting is asserted strictly when the plan injects no storage
-//! faults, and is compared for equality across runs *and across backends*
-//! always (the record-level fault stream is backend-agnostic, so even
-//! what chaos leaves behind must match).
+//! accounting**: the journal of a done job settles every instantiated
+//! item exactly once (settled + dead-lettered == instantiated; nothing
+//! lost, nothing double-settled) and the persisted `.dlq` record names
+//! exactly the journal's dead-lettered items.  A done job that parked
+//! nothing keeps no workflow, checkpoint or elapsed record; a parked one
+//! keeps a checkpoint that agrees with the journal.  The accounting is
+//! asserted strictly when the plan injects no storage faults, and is
+//! compared for equality across runs *and across backends* always (the
+//! record-level fault stream is backend-agnostic, so even what chaos
+//! leaves behind must match).
 
 mod common;
 
@@ -144,20 +146,40 @@ struct Outcome {
     admitted: Vec<u64>,
     /// Per-job journal bytes after BOTH phases, keyed by job id.
     journals: BTreeMap<u64, Vec<u8>>,
-    /// Per-job item accounting lines derived from the final checkpoint
-    /// and `.dlq` record (empty vec for jobs without a fan-out).
+    /// Per-job accounting lines derived from the journal's item events,
+    /// the `.dlq` record and which purgeable records the job kept.
     accounting: BTreeMap<u64, Vec<String>>,
 }
 
-/// Derives the per-item accounting of one job from what storage holds
-/// after phase 2.  With `strict` (no storage faults were injected) the
-/// strong invariants are asserted outright: the job is done, its final
-/// checkpoint parses, every item is terminal — settled + dead-lettered
-/// == instantiated, one state each — and the `.dlq` record lists exactly
-/// the checkpoint's dead-lettered indices.  Without `strict`, whatever
-/// chaos left behind is rendered to lines so runs and backends can be
-/// compared for equality.
-fn item_accounting(st: &dyn Storage, id: JobId, strict: bool, ctx: &str) -> Vec<String> {
+/// One field of a journal line (`"key":value`), unquoted.  The sweep's
+/// activity names and outcomes carry no escapes.
+fn journal_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let at = line.find(&format!("\"{key}\":"))? + key.len() + 3;
+    let rest = &line[at..];
+    match rest.strip_prefix('"') {
+        Some(quoted) => quoted.split('"').next(),
+        None => rest.split([',', '}']).next(),
+    }
+}
+
+/// Derives the per-item accounting of one job after phase 2.  A done job
+/// keeps its checkpoint only if it parked items, so the item states come
+/// from its journal: the last `item_settle` / `item_dlq` event of every
+/// item `foreach_start` instantiated.  With `strict` (no storage faults
+/// were injected) the strong invariants are asserted outright: every item
+/// settled exactly once — settled + dead-lettered == instantiated — and
+/// the `.dlq` record lists exactly the journal's dead-lettered items.  A
+/// job with nothing parked kept none of its workflow, checkpoint and
+/// elapsed records; a parked job kept its checkpoint, which agrees with
+/// the journal.  Without `strict`, whatever chaos left behind is rendered
+/// to lines so runs and backends can be compared for equality.
+fn item_accounting(
+    st: &dyn Storage,
+    journal: &str,
+    id: JobId,
+    strict: bool,
+    ctx: &str,
+) -> Vec<String> {
     let mut out = Vec::new();
     let done = st
         .read_to_string(&recover::result_name(id))
@@ -170,56 +192,97 @@ fn item_accounting(st: &dyn Storage, id: JobId, strict: bool, ctx: &str) -> Vec<
         out.push("not-done".into());
         return out;
     }
-    let ckpt = match st.read_to_string(&recover::checkpoint_name(id)) {
-        Ok(text) => text,
-        Err(e) => {
-            assert!(!strict, "{ctx}: {id}: done job without a checkpoint: {e}");
-            out.push("no-ckpt".into());
-            return out;
+    let mut fanouts: BTreeMap<String, usize> = BTreeMap::new();
+    let mut events: BTreeMap<(String, usize), Vec<String>> = BTreeMap::new();
+    for line in journal.lines() {
+        let kind = journal_field(line, "kind");
+        let activity = journal_field(line, "activity")
+            .unwrap_or_default()
+            .to_string();
+        let number = |key| journal_field(line, key).and_then(|n| n.parse().ok());
+        match kind {
+            Some("foreach_start") => {
+                fanouts.insert(activity, number("items").expect("fan-out size"));
+            }
+            Some("item_settle" | "item_dlq") => {
+                let outcome = match kind {
+                    Some("item_dlq") => "dlq",
+                    _ => journal_field(line, "outcome").unwrap_or("?"),
+                };
+                let attempts = journal_field(line, "attempts").unwrap_or("?");
+                events
+                    .entry((activity, number("item").expect("item index")))
+                    .or_default()
+                    .push(format!("{outcome} attempts={attempts}"));
+            }
+            _ => {}
         }
-    };
-    let instance = match grid_wfs::checkpoint::from_xml(&ckpt) {
-        Ok(instance) => instance,
-        Err(e) => {
-            // A torn final group commit can land the done marker next to
-            // an unreadable checkpoint on a per-record backend; the torn
-            // bytes are still deterministic, which is what non-strict
-            // sweeps compare.
-            assert!(!strict, "{ctx}: {id}: done job with torn checkpoint: {e}");
-            out.push("torn-ckpt".into());
-            return out;
-        }
-    };
-    let mut ckpt_dlq = Vec::new();
-    for (name, items) in instance.items_iter() {
-        for (idx, p) in items.iter().enumerate() {
+    }
+    let mut parked = Vec::new();
+    for (activity, &items) in &fanouts {
+        for idx in 0..items {
+            let settled = events
+                .get(&(activity.clone(), idx))
+                .map(Vec::as_slice)
+                .unwrap_or_default();
             if strict {
-                assert!(
-                    p.state.is_terminal(),
-                    "{ctx}: {id}: item {name}[{idx}] left {:?} in a done job",
-                    p.state
+                assert_eq!(
+                    settled.len(),
+                    1,
+                    "{ctx}: {id}: item {activity}[{idx}] settled {settled:?} in a done job"
                 );
             }
-            if p.state == ItemState::DeadLettered {
-                ckpt_dlq.push(idx);
+            let last = settled.last().map_or("unsettled", String::as_str);
+            if last.starts_with("dlq ") {
+                parked.push(idx);
             }
-            out.push(format!(
-                "{name}[{idx}] {} attempts={}",
-                p.state.wire_str(),
-                p.attempts
-            ));
+            out.push(format!("{activity}[{idx}] {last}"));
         }
     }
     let dlq_record: Vec<usize> = recover::read_dlq(st, id)
         .map(|entries| entries.iter().map(|e| e.index).collect())
         .unwrap_or_default();
+    let kept: Vec<String> = recover::purge_names(id)
+        .into_iter()
+        .filter(|name| st.exists(name))
+        .collect();
     if strict {
         assert_eq!(
-            dlq_record, ckpt_dlq,
-            "{ctx}: {id}: .dlq record disagrees with the checkpoint"
+            dlq_record, parked,
+            "{ctx}: {id}: .dlq record disagrees with the journal"
         );
+        if parked.is_empty() {
+            assert!(
+                kept.is_empty(),
+                "{ctx}: {id}: a done job with nothing parked kept {kept:?}"
+            );
+        } else {
+            let ckpt = st
+                .read_to_string(&recover::checkpoint_name(id))
+                .unwrap_or_else(|e| panic!("{ctx}: {id}: parked job without a checkpoint: {e}"));
+            let instance = grid_wfs::checkpoint::from_xml(&ckpt)
+                .unwrap_or_else(|e| panic!("{ctx}: {id}: parked job with a torn checkpoint: {e}"));
+            let mut ckpt_dlq = Vec::new();
+            for (name, items) in instance.items_iter() {
+                for (idx, p) in items.iter().enumerate() {
+                    assert!(
+                        p.state.is_terminal(),
+                        "{ctx}: {id}: item {name}[{idx}] left {:?} in a done job",
+                        p.state
+                    );
+                    if p.state == ItemState::DeadLettered {
+                        ckpt_dlq.push(idx);
+                    }
+                }
+            }
+            assert_eq!(
+                ckpt_dlq, parked,
+                "{ctx}: {id}: the kept checkpoint disagrees with the journal"
+            );
+        }
     }
     out.push(format!("dlq-record {dlq_record:?}"));
+    out.push(format!("kept {kept:?}"));
     out
 }
 
@@ -314,9 +377,11 @@ fn run_combo(base: &Path, spec: &str, backend: Backend, submit: fn(u64) -> Submi
     let mut accounting = BTreeMap::new();
     for &id in &admitted {
         let bytes = std::fs::read(recover::trace_path(&trace, JobId(id))).unwrap_or_default();
-        journals.insert(id, bytes);
         let ctx = format!("({spec}, {backend:?})");
-        accounting.insert(id, item_accounting(st.as_ref(), JobId(id), strict, &ctx));
+        let journal = String::from_utf8_lossy(&bytes);
+        let items = item_accounting(st.as_ref(), &journal, JobId(id), strict, &ctx);
+        accounting.insert(id, items);
+        journals.insert(id, bytes);
     }
     Outcome {
         admitted,
@@ -528,12 +593,10 @@ fn foreach_accounting_is_worker_count_invariant() {
         let mut journals = BTreeMap::new();
         let mut accounting = BTreeMap::new();
         for &id in &admitted {
-            journals.insert(
-                id,
-                std::fs::read(recover::trace_path(&trace, JobId(id))).unwrap(),
-            );
+            let journal = std::fs::read_to_string(recover::trace_path(&trace, JobId(id))).unwrap();
             let ctx = format!("(workers={workers})");
-            accounting.insert(id, item_accounting(&st, JobId(id), true, &ctx));
+            accounting.insert(id, item_accounting(&st, &journal, JobId(id), true, &ctx));
+            journals.insert(id, journal.into_bytes());
         }
         match &baseline {
             None => baseline = Some((journals, accounting)),

@@ -1,12 +1,15 @@
 //! End-to-end service tests: admission control, backpressure, deadlines,
 //! cancellation, and per-job fault isolation.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 use grid_wfs::Engine;
 use gridwfs_serve::{
-    GridSpec, JobState, LinkSpec, Service, ServiceConfig, Submission, SubmitError,
+    recover, Backend, GridSpec, JobId, JobState, LinkSpec, MemStorage, Service, ServiceConfig,
+    Storage, Submission, SubmitError, WalStorage,
 };
 use gridwfs_wpdl::builder::WorkflowBuilder;
 
@@ -261,6 +264,84 @@ fn rejects_after_drain_and_reports_unknown_jobs() {
     );
     drop(service);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A settled job leaves the hot set: after `drain`, storage holds exactly
+/// `meta` + `result` per job, except that a fan-out that parked items
+/// also keeps the workflow, checkpoint and dead-letter record `dlq retry`
+/// needs.  The WAL replays the same set from disk, and a restart
+/// re-admits nothing and mints an id above every existing one.
+#[test]
+fn terminal_jobs_keep_only_meta_and_result() {
+    let (flaky, _) = GridSpec::from_json(include_str!("../../../workflows/grid.flaky.json"))
+        .expect("shipped grid parses");
+    let mapreduce = include_str!("../../../workflows/mapreduce.xml");
+    for backend in [Backend::Wal, Backend::Memory] {
+        let dir = tmpdir(&format!("footprint-{}", backend.as_str()));
+        let mem = Arc::new(MemStorage::new());
+        let open = || -> Arc<dyn Storage> {
+            match backend {
+                Backend::Wal => Arc::new(WalStorage::open(&dir).unwrap()),
+                Backend::Memory => mem.clone(),
+            }
+        };
+        let config = |storage| ServiceConfig {
+            workers: 2,
+            max_in_flight: 4,
+            queue_capacity: 64,
+            storage: Some(storage),
+            ..ServiceConfig::default()
+        };
+        let st = open();
+        let service = Service::start(config(st.clone())).unwrap();
+        let grid = GridSpec::virtual_grid().with_host("h1", 1.0);
+        let mut chains = Vec::new();
+        for i in 0..6 {
+            let sub = submission("chain", grid.clone(), i, chain_xml("c", 3, 1.0, "h1"));
+            chains.push(service.submit(sub).unwrap());
+        }
+        let mut fanouts = Vec::new();
+        for seed in 1..=4 {
+            let sub = submission("mapreduce", flaky.clone(), seed, mapreduce.into());
+            fanouts.push(service.submit(sub).unwrap());
+        }
+        assert!(service.wait_all_terminal(Duration::from_secs(30)));
+        for rec in service.drain() {
+            assert_eq!(rec.state, JobState::Done, "{:?}", rec.detail);
+        }
+
+        let mut expected = BTreeSet::new();
+        for &id in chains.iter().chain(&fanouts) {
+            expected.insert(recover::meta_name(id));
+            expected.insert(recover::result_name(id));
+        }
+        let mut parked = 0;
+        for &id in &fanouts {
+            if !recover::read_dlq(st.as_ref(), id).unwrap().is_empty() {
+                parked += 1;
+                expected.insert(recover::workflow_name(id));
+                expected.insert(recover::checkpoint_name(id));
+                expected.insert(recover::dlq_name(id));
+            }
+        }
+        assert!(parked > 0, "({backend}) no mapreduce seed parked an item");
+        let held: BTreeSet<String> = st.list().unwrap().into_iter().collect();
+        assert_eq!(held, expected, "({backend}) records after drain");
+        drop(st);
+
+        let st = open();
+        let replayed: BTreeSet<String> = st.list().unwrap().into_iter().collect();
+        assert_eq!(replayed, expected, "({backend}) records after reopen");
+        let service = Service::start(config(st)).unwrap();
+        assert!(service.jobs().is_empty(), "({backend}) re-admitted a job");
+        let newest = fanouts.iter().chain(&chains).map(|id| id.0).max().unwrap();
+        let fresh: JobId = service
+            .submit(submission("fresh", grid, 9, chain_xml("c", 1, 1.0, "h1")))
+            .unwrap();
+        assert!(fresh.0 > newest, "({backend}) id {fresh} reused");
+        drop(service.drain());
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

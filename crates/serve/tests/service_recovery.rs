@@ -120,6 +120,77 @@ fn checkpoint_kill_restart_resumes_from_checkpoint() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A settle batch whose result write fails is rejected whole, purge
+/// included: the job keeps its workflow and checkpoint, and a clean
+/// restart re-runs it to exactly one result.
+#[test]
+fn a_failed_settle_batch_keeps_the_job_restartable() {
+    use grid_wfs::{checkpoint, Instance};
+    use gridwfs_serve::{FaultPlan, MemStorage};
+    use gridwfs_wpdl::{parse, validate::validate};
+
+    let dir = tmpdir("failed-settle");
+    let mem = Arc::new(MemStorage::new());
+    for wal in [true, false] {
+        let open = || -> Arc<dyn Storage> {
+            if wal {
+                Arc::new(WalStorage::open(&dir).unwrap())
+            } else {
+                mem.clone()
+            }
+        };
+        let config = |storage, chaos| ServiceConfig {
+            workers: 1,
+            storage: Some(storage),
+            chaos,
+            ..ServiceConfig::default()
+        };
+        // An earlier incarnation admitted the job and checkpointed it.
+        let id = JobId(1);
+        let sub = Submission {
+            name: "unsettled".into(),
+            workflow_xml: chain3_xml(),
+            grid: GridSpec::virtual_grid().with_host("local", 1.0),
+            seed: 5,
+            deadline: None,
+        };
+        let st = open();
+        recover::write_submission(st.as_ref(), id, &sub).unwrap();
+        let workflow = validate(parse::from_str(&sub.workflow_xml).unwrap()).unwrap();
+        let ckpt = checkpoint::to_xml(&Instance::new(workflow));
+        st.put(&recover::checkpoint_name(id), ckpt.as_bytes())
+            .unwrap();
+
+        // Every put faults, so the settle batch cannot land.
+        let chaos = FaultPlan::parse("seed=1,write=1.0").unwrap();
+        let service = Service::start(config(st.clone(), Some(chaos))).unwrap();
+        assert!(service.wait_all_terminal(Duration::from_secs(30)));
+        assert_eq!(service.status(id).unwrap().state, JobState::Done);
+        drop(service.drain());
+        for name in [
+            recover::meta_name(id),
+            recover::workflow_name(id),
+            recover::checkpoint_name(id),
+        ] {
+            assert!(st.exists(&name), "(wal={wal}) rejected settle lost {name}");
+        }
+        assert!(!st.exists(&recover::result_name(id)));
+        drop(st);
+
+        let st = open();
+        let service = Service::start(config(st.clone(), None)).unwrap();
+        assert!(service.wait_all_terminal(Duration::from_secs(30)));
+        let rec = service.status(id).unwrap();
+        assert!(rec.recovered, "(wal={wal}) the job was re-admitted");
+        assert_eq!(rec.state, JobState::Done, "{:?}", rec.detail);
+        drop(service.drain());
+        let mut names = st.list().unwrap();
+        names.sort();
+        assert_eq!(names, [recover::meta_name(id), recover::result_name(id)]);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn restart_never_reuses_terminal_job_ids() {
     let dir = tmpdir("idreuse");
@@ -137,9 +208,9 @@ fn restart_never_reuses_terminal_job_ids() {
     assert_eq!(service.status(first).unwrap().state, JobState::Done);
     service.drain();
 
-    // The terminal job left a result marker (and checkpoint) behind; a
-    // fresh submission in the next incarnation must get a fresh id, or it
-    // would resume the finished workflow and inherit its result.
+    // The terminal job left its meta and result marker behind; a fresh
+    // submission in the next incarnation must get a fresh id, or it would
+    // inherit the finished job's result.
     let (service, _) = start(&dir);
     assert!(service.jobs().is_empty(), "terminal job not re-admitted");
     let second = service

@@ -27,7 +27,8 @@
 //! seed-replayability there.  It also means the WAL's own file I/O sits
 //! *below* the fault plane — a "torn write" tears one record's payload
 //! (surfacing at parse time) rather than corrupting the log suffix for
-//! every job after it.
+//! every job after it.  An injected write or rename failure rejects its
+//! whole batch, exactly as a failed WAL append does.
 //!
 //! Ordering contract: [`Storage::apply`] executes deletes and renames in
 //! op order, and commits all puts of the batch together at the end.
@@ -324,10 +325,9 @@ impl ChaosStorage {
         &self.plan
     }
 
-    /// Take the next sequence number for `(name, op)` and decide whether
-    /// this op faults.  The counter only advances for kinds the plan can
-    /// actually fire.
-    fn fault(&self, name: &str, kind: FsFaultKind) -> bool {
+    /// Can the plan fire `kind` on `name` at all?  Sequence counters only
+    /// advance for kinds it can.
+    fn armed(&self, name: &str, kind: FsFaultKind) -> bool {
         // Lease records are exempt from record-level injection: lease
         // traffic is wall-clock-paced (heartbeat renewals, takeover
         // scans), so faulting it would make the per-(name, op) sequence —
@@ -343,7 +343,13 @@ impl ChaosStorage {
             FsFaultKind::Rename => self.plan.rename_p,
             FsFaultKind::Read => self.plan.read_p,
         };
-        if p <= 0.0 {
+        p > 0.0
+    }
+
+    /// Take the next sequence number for `(name, op)` and decide whether
+    /// this op faults.
+    fn fault(&self, name: &str, kind: FsFaultKind) -> bool {
+        if !self.armed(name, kind) {
             return false;
         }
         let n = {
@@ -377,15 +383,38 @@ impl Storage for ChaosStorage {
         self.inner.list()
     }
 
+    /// Every op's fault decision is drawn before anything is applied, so
+    /// the decisions stay a pure function of (name, op, seq) wherever in
+    /// the batch a fault fires.  A failed write or rename rejects the
+    /// whole batch, as the [`Storage::apply`] contract promises: nothing
+    /// lands and every op reports the failure.  A rejected batch never ran,
+    /// so only the draws that fired are spent; a retry of the other ops
+    /// draws the same decisions again.  Torn puts claim success, so they
+    /// commit with the batch.
     fn apply(&self, ops: Vec<Op>) -> Vec<(String, io::Error)> {
-        let mut errors = Vec::new();
+        let mut seq = relock(&self.seq);
+        // (counter key, fired) per draw, in op order.
+        let mut draws: Vec<((String, &'static str), bool)> = Vec::new();
+        let mut draw = |name: &str, kind: FsFaultKind| {
+            if !self.armed(name, kind) {
+                return false;
+            }
+            let key = (name.to_string(), kind.op_name());
+            let earlier = draws.iter().filter(|(k, _)| *k == key).count() as u64;
+            let n = seq.get(&key).copied().unwrap_or(0) + earlier;
+            let fired = self.plan.op_faults(kind, name, n);
+            draws.push((key, fired));
+            fired
+        };
+        let mut failure: Option<String> = None;
         let mut kept = Vec::with_capacity(ops.len());
         for op in ops {
             match op {
                 Op::Put(name, data) => {
-                    if self.fault(&name, FsFaultKind::Write) {
-                        errors.push((name.clone(), Self::injected("write", &name)));
-                    } else if self.fault(&name, FsFaultKind::Torn) && !data.is_empty() {
+                    if draw(&name, FsFaultKind::Write) {
+                        failure.get_or_insert_with(|| Self::injected("write", &name).to_string());
+                        kept.push(Op::Put(name, data));
+                    } else if draw(&name, FsFaultKind::Torn) && !data.is_empty() {
                         // Short write that *claims* success — the torn
                         // record surfaces later, at parse time.
                         let half = data.len() / 2;
@@ -394,21 +423,34 @@ impl Storage for ChaosStorage {
                         kept.push(Op::Put(name, data));
                     }
                 }
-                Op::Del(name) => kept.push(Op::Del(name)),
-                // Preconditions pass through unfaulted: they are evaluated
-                // by the inner backend, atomically with the commit.
-                op @ (Op::Check(..) | Op::CheckAbsent(..)) => kept.push(op),
                 Op::Rename(from, to) => {
-                    if self.fault(&to, FsFaultKind::Rename) {
-                        errors.push((to.clone(), Self::injected("rename", &to)));
-                    } else {
-                        kept.push(Op::Rename(from, to));
+                    if draw(&to, FsFaultKind::Rename) {
+                        failure.get_or_insert_with(|| Self::injected("rename", &to).to_string());
                     }
+                    kept.push(Op::Rename(from, to));
                 }
+                // Deletes and preconditions pass through unfaulted; the
+                // inner backend evaluates preconditions atomically with
+                // the commit.
+                op => kept.push(op),
             }
         }
-        errors.extend(self.inner.apply(kept));
-        errors
+        for (key, fired) in draws {
+            if fired || failure.is_none() {
+                *seq.entry(key).or_insert(0) += 1;
+            }
+        }
+        drop(seq);
+        match failure {
+            None => self.inner.apply(kept),
+            Some(why) => strip_checks(kept)
+                .iter()
+                .map(|op| {
+                    let name = op.reported_name().to_string();
+                    (name, io::Error::other(format!("batch rejected: {why}")))
+                })
+                .collect(),
+        }
     }
 
     fn counters(&self) -> CountersSnapshot {
@@ -545,6 +587,45 @@ mod tests {
         let st = ChaosStorage::new(Arc::new(MemStorage::new()), plan);
         st.put("job-1.meta", b"0123456789").unwrap();
         assert_eq!(st.read("job-1.meta").unwrap(), b"01234");
+    }
+
+    #[test]
+    fn chaos_write_fault_rejects_the_whole_batch() {
+        // write=1.0 faults every put: the delete riding the same batch
+        // must not land either, and every op reports the rejection.
+        let plan = FaultPlan::parse("seed=3,write=1.0").unwrap();
+        let inner = Arc::new(MemStorage::new());
+        inner.put("job-1.wf.xml", b"<Workflow/>").unwrap();
+        let st = ChaosStorage::new(inner.clone(), plan);
+        let errors = st.apply(vec![
+            Op::Del("job-1.wf.xml".into()),
+            Op::Put("job-1.result".into(), b"state done\n".to_vec()),
+        ]);
+        let names: Vec<&str> = errors.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["job-1.wf.xml", "job-1.result"], "{errors:?}");
+        assert!(inner.exists("job-1.wf.xml"), "a rejected batch deleted");
+        assert!(!inner.exists("job-1.result"));
+    }
+
+    #[test]
+    fn a_rejected_batch_spends_only_the_draws_that_fired() {
+        let plan = FaultPlan::parse("seed=9,write=0.5").unwrap();
+        let first_draw = |i: u32| plan.op_faults(FsFaultKind::Write, &format!("job-{i}.result"), 0);
+        let faulty = (0..64).find(|&i| first_draw(i)).expect("p=0.5 fires");
+        let clean = (0..64).find(|&i| !first_draw(i)).expect("p=0.5 spares");
+        let (faulty, clean) = (
+            format!("job-{faulty}.result"),
+            format!("job-{clean}.result"),
+        );
+        let st = ChaosStorage::new(Arc::new(MemStorage::new()), plan.clone());
+        let put = |name: &str| Op::Put(name.to_string(), b"state done\n".to_vec());
+        assert_eq!(st.apply(vec![put(&clean), put(&faulty)]).len(), 2);
+        // The clean put never ran: on its own it draws the same decision.
+        assert!(st.apply(vec![put(&clean)]).is_empty());
+        assert!(st.exists(&clean));
+        // The faulted put spent its draw: a retry draws the next one.
+        let retried = st.apply(vec![put(&faulty)]).is_empty();
+        assert_eq!(retried, !plan.op_faults(FsFaultKind::Write, &faulty, 1));
     }
 
     #[test]

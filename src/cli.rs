@@ -690,10 +690,17 @@ pub fn cmd_dlq_list(st: &dyn Storage) -> Result<(i32, String), CliError> {
 /// its engine reprocesses exactly those items — everything already settled
 /// stays settled, and the elapsed ledger is left alone so the resumed
 /// incarnation inherits the remaining deadline budget, not a fresh one.
+///
+/// The dead-letter record is read first: a job whose last run parked
+/// nothing had its checkpoint purged when it settled, and answers "no
+/// dead-lettered items" (exit 1) rather than a missing-checkpoint error.
 pub fn cmd_dlq_retry(st: &dyn Storage, job: &str) -> Result<(i32, String), CliError> {
     let id = parse_job_id(job)?;
     if !st.exists(&recover::meta_name(id)) {
         return err(format!("{id}: no such job in this state dir"));
+    }
+    if recover::read_dlq(st, id).map_err(CliError)?.is_empty() {
+        return Ok((1, format!("{id}: no dead-lettered items to retry\n")));
     }
     let ckpt_name = recover::checkpoint_name(id);
     let xml = st
