@@ -8,19 +8,30 @@
 //!
 //! The saved document embeds the workflow definition (so the checkpoint is
 //! self-contained even if the original file changed) plus the runtime
-//! annotations: per-node status and completion counts, and workflow
-//! variables.  Attempts that were *in flight* at save time are recorded as
-//! `pending` — on restart they are simply resubmitted, which is safe because
-//! task-level recovery is idempotent from the workflow's point of view.
+//! annotations: per-node status and completion counts, `<Foreach>` item
+//! progress, workflow variables, and the state of every transition.
+//! Attempts that were *in flight* at save time are recorded as `pending` —
+//! on restart they are simply resubmitted, which is safe because task-level
+//! recovery is idempotent from the workflow's point of view.
+//!
+//! Edge states travel as `<Runtime edges='…'>`, one character per
+//! `<Transition>` in document order: `p` pending, `f` fired, `d` dead.  A
+//! guard is evaluated once, when its source settles, against the state of
+//! that moment; restoring the recorded verdict is what lets a restarted
+//! engine begin "from where it left off" even when a variable or another
+//! node's status has moved on since.  A document without the attribute was
+//! written before edge states were recorded (an in-flight service job may
+//! hold one); it decodes by resolving every edge of a settled source
+//! against the restored state, as those engines did.
 
 use std::path::Path;
 
 use gridwfs_wpdl::expr::Value;
 use gridwfs_wpdl::parse as wpdl_parse;
 use gridwfs_wpdl::validate::validate;
-use gridwfs_wpdl::xml;
+use gridwfs_wpdl::xml::{self, Element};
 
-use crate::instance::{Instance, ItemProgress, ItemState, NodeStatus};
+use crate::instance::{EdgeState, Instance, ItemProgress, ItemState, NodeStatus};
 
 /// Errors from saving/loading engine checkpoints.
 #[derive(Debug)]
@@ -55,13 +66,56 @@ fn parse_status(s: &str) -> Result<NodeStatus, CheckpointError> {
         "skipped" => NodeStatus::Skipped,
         _ => match s.strip_prefix("exception:") {
             Some(name) if !name.is_empty() => NodeStatus::Exception(name.to_string()),
-            _ => {
-                return Err(CheckpointError::Format(format!(
-                    "unknown node status '{s}'"
-                )))
-            }
+            _ => return Err(bad(format!("unknown node status '{s}'"))),
         },
     })
+}
+
+/// An edge state's character in the `edges` attribute.
+fn edge_char(state: EdgeState) -> char {
+    match state {
+        EdgeState::Pending => 'p',
+        EdgeState::Fired => 'f',
+        EdgeState::Dead => 'd',
+    }
+}
+
+/// Restores every edge from the `edges` attribute, which must hold one
+/// known character per transition and resolve no edge whose source is
+/// unsettled.
+fn restore_edges(instance: &mut Instance, edges: &str) -> Result<(), CheckpointError> {
+    let n = instance.workflow().transitions.len();
+    if edges.chars().count() != n {
+        let got = edges.chars().count();
+        return Err(bad(format!("edges has {got} states for {n} transitions")));
+    }
+    for (i, c) in edges.chars().enumerate() {
+        let state = [EdgeState::Pending, EdgeState::Fired, EdgeState::Dead]
+            .into_iter()
+            .find(|&e| edge_char(e) == c)
+            .ok_or_else(|| bad(format!("unknown edge state '{c}'")))?;
+        let from = &instance.workflow().transitions[i].from;
+        if state != EdgeState::Pending && !instance.status(from).is_settled() {
+            return Err(bad(format!(
+                "edge {i} is resolved but its source '{from}' has not settled"
+            )));
+        }
+        instance.force_edge(i, state);
+    }
+    Ok(())
+}
+
+/// Resolves the edges of every settled source against the restored state:
+/// the decoding of a document written before edge states were recorded.
+fn resolve_legacy_edges(instance: &mut Instance) {
+    for i in 0..instance.workflow().transitions.len() {
+        let outcome = instance
+            .status(&instance.workflow().transitions[i].from)
+            .clone();
+        if outcome.is_settled() {
+            instance.resolve_edge(i, &outcome);
+        }
+    }
 }
 
 /// Appends ` name='value'` for a value that cannot need escaping (numbers
@@ -137,12 +191,15 @@ fn write_runtime_lines(out: &mut String, instance: &Instance) {
 pub fn to_xml(instance: &Instance) -> String {
     // A validated workflow has at least one activity, so `<Runtime>` always
     // has children and never self-closes.
-    let mut runtime = String::with_capacity(64 * instance.topological_order().len());
+    let n_edges = instance.workflow().transitions.len();
+    let mut runtime = String::with_capacity(64 * instance.topological_order().len() + n_edges);
+    runtime.push_str("  <Runtime edges='");
+    runtime.extend((0..n_edges).map(|i| edge_char(instance.edge_state(i))));
+    runtime.push_str("'>\n");
     write_runtime_lines(&mut runtime, instance);
     [
         "<?xml version='1.0'?>\n<EngineCheckpoint>\n",
         instance.workflow_xml(),
-        "  <Runtime>\n",
         &runtime,
         "  </Runtime>\n</EngineCheckpoint>\n",
     ]
@@ -163,159 +220,131 @@ pub fn save(instance: &Instance, path: &Path) -> Result<(), CheckpointError> {
     Ok(())
 }
 
+/// A format error.
+fn bad(message: impl Into<String>) -> CheckpointError {
+    CheckpointError::Format(message.into())
+}
+
+/// `el`'s attribute `name`, which must be present.
+fn required<'a>(el: &'a Element, name: &str) -> Result<&'a str, CheckpointError> {
+    el.get_attr(name)
+        .ok_or_else(|| bad(format!("<{}> missing {name}", el.name)))
+}
+
+/// `el`'s counter attribute `name`, zero when absent.
+fn counter<T: std::str::FromStr + Default>(el: &Element, name: &str) -> Result<T, CheckpointError> {
+    el.get_attr(name).map_or(Ok(T::default()), |raw| {
+        raw.parse()
+            .map_err(|_| bad(format!("bad {name} '{raw}' on <{}>", el.name)))
+    })
+}
+
 /// Reconstructs an instance from checkpoint text.
 pub fn from_xml(text: &str) -> Result<Instance, CheckpointError> {
-    let root = xml::parse(text).map_err(|e| CheckpointError::Format(e.to_string()))?;
+    let root = xml::parse(text).map_err(|e| bad(e.to_string()))?;
     if root.name != "EngineCheckpoint" {
-        return Err(CheckpointError::Format(format!(
+        return Err(bad(format!(
             "expected <EngineCheckpoint>, found <{}>",
             root.name
         )));
     }
     let wf_el = root
         .first_child("Workflow")
-        .ok_or_else(|| CheckpointError::Format("missing <Workflow>".into()))?;
-    let workflow =
-        wpdl_parse::from_element(wf_el).map_err(|e| CheckpointError::Format(e.to_string()))?;
+        .ok_or_else(|| bad("missing <Workflow>"))?;
+    let workflow = wpdl_parse::from_element(wf_el).map_err(|e| bad(e.to_string()))?;
     let validated = validate(workflow).map_err(|issues| {
-        CheckpointError::Format(format!(
-            "embedded workflow invalid: {}",
-            issues
-                .iter()
-                .map(|i| i.to_string())
-                .collect::<Vec<_>>()
-                .join("; ")
-        ))
+        let issues: Vec<String> = issues.iter().map(|i| i.to_string()).collect();
+        bad(format!("embedded workflow invalid: {}", issues.join("; ")))
     })?;
     let mut instance = Instance::new(validated);
     let runtime = root
         .first_child("Runtime")
-        .ok_or_else(|| CheckpointError::Format("missing <Runtime>".into()))?;
-    // Restore variables first: edge guards may read them.
+        .ok_or_else(|| bad("missing <Runtime>"))?;
     for var in runtime.children_named("Var") {
-        let name = var
-            .get_attr("name")
-            .ok_or_else(|| CheckpointError::Format("<Var> missing name".into()))?;
-        let raw = var
-            .get_attr("value")
-            .ok_or_else(|| CheckpointError::Format("<Var> missing value".into()))?;
+        let (name, raw) = (required(var, "name")?, required(var, "value")?);
         let value = match var.get_attr("type") {
-            Some("num") => Value::Num(raw.parse().map_err(|_| {
-                CheckpointError::Format(format!("bad num value '{raw}' for ${name}"))
-            })?),
+            Some("num") => Value::Num(
+                raw.parse()
+                    .map_err(|_| bad(format!("bad num value '{raw}' for ${name}")))?,
+            ),
             Some("bool") => Value::Bool(raw == "true"),
             _ => Value::Str(raw.to_string()),
         };
         instance.set_var(name, value);
     }
     for node in runtime.children_named("Node") {
-        let name = node
-            .get_attr("name")
-            .ok_or_else(|| CheckpointError::Format("<Node> missing name".into()))?;
+        let name = required(node, "name")?;
         if instance.workflow().activity(name).is_none() {
-            return Err(CheckpointError::Format(format!(
-                "runtime mentions unknown activity '{name}'"
-            )));
+            return Err(bad(format!("runtime mentions unknown activity '{name}'")));
         }
-        let status = parse_status(
-            node.get_attr("status")
-                .ok_or_else(|| CheckpointError::Format("<Node> missing status".into()))?,
-        )?;
-        let runs: u32 = node
-            .get_attr("runs")
-            .unwrap_or("0")
-            .parse()
-            .map_err(|_| CheckpointError::Format(format!("bad runs count on '{name}'")))?;
-        instance.force_runs(name, runs);
+        let status = parse_status(required(node, "status")?)?;
+        instance.force_runs(name, counter(node, "runs")?);
         if status != NodeStatus::Pending {
             instance.force_status(name, status);
         }
     }
     for item in runtime.children_named("Item") {
-        let activity = item
-            .get_attr("activity")
-            .ok_or_else(|| CheckpointError::Format("<Item> missing activity".into()))?;
-        let idx: usize = item
-            .get_attr("index")
-            .ok_or_else(|| CheckpointError::Format("<Item> missing index".into()))?
+        let activity = required(item, "activity")?;
+        let idx: usize = required(item, "index")?
             .parse()
-            .map_err(|_| CheckpointError::Format(format!("bad item index on '{activity}'")))?;
-        match instance.items(activity) {
-            Some(items) if idx < items.len() => {}
-            _ => {
-                return Err(CheckpointError::Format(format!(
-                    "runtime mentions unknown foreach item {idx} of '{activity}'"
-                )))
-            }
+            .map_err(|_| bad(format!("bad item index on '{activity}'")))?;
+        if instance
+            .items(activity)
+            .is_none_or(|items| idx >= items.len())
+        {
+            return Err(bad(format!(
+                "runtime mentions unknown foreach item {idx} of '{activity}'"
+            )));
         }
         let state = item
             .get_attr("state")
             .and_then(ItemState::parse_wire)
-            .ok_or_else(|| {
-                CheckpointError::Format(format!("bad item state on '{activity}'[{idx}]"))
-            })?;
-        let attempts: u32 = item
-            .get_attr("attempts")
-            .unwrap_or("0")
-            .parse()
-            .map_err(|_| {
-                CheckpointError::Format(format!("bad item attempts on '{activity}'[{idx}]"))
-            })?;
-        instance.force_item(
-            activity,
-            idx,
-            ItemProgress {
-                state,
-                attempts,
-                failover: item.get_attr("failover") == Some("true"),
-                reprocess: item.get_attr("reprocess") == Some("true"),
-                reason: item.get_attr("reason").unwrap_or("").to_string(),
-            },
-        );
+            .ok_or_else(|| bad(format!("bad item state on '{activity}'[{idx}]")))?;
+        let progress = ItemProgress {
+            state,
+            attempts: counter(item, "attempts")?,
+            failover: item.get_attr("failover") == Some("true"),
+            reprocess: item.get_attr("reprocess") == Some("true"),
+            reason: item.get_attr("reason").unwrap_or("").to_string(),
+        };
+        instance.force_item(activity, idx, progress);
     }
-    instance.recompute_edges();
+    match runtime.get_attr("edges") {
+        Some(edges) => restore_edges(&mut instance, edges)?,
+        None => resolve_legacy_edges(&mut instance),
+    }
     Ok(instance)
 }
 
 /// Rewrites a checkpoint so every dead-lettered `foreach` item becomes
 /// pending again with a fresh attempt budget and the `reprocess` marker
-/// set, and its owning activity reverts to `pending` so the engine re-runs
-/// it.  Settled items, other activities, variables, and run counters are
-/// untouched — the resume machinery re-runs *only* the failed items.
-/// Returns the rewritten document and the number of items reset.
+/// set, and its owning activity reverts to `pending`, with its outgoing
+/// edges, so the engine re-runs it.  Settled items, other activities and
+/// their edges, variables, and run counters are untouched — the resume
+/// machinery re-runs *only* the failed items.  Returns the rewritten
+/// document and the number of items reset.
 pub fn reset_dead_letters(text: &str) -> Result<(String, usize), CheckpointError> {
     let mut instance = from_xml(text)?;
     let targets: Vec<(String, usize)> = instance
         .items_iter()
         .flat_map(|(name, items)| {
-            items
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.state == ItemState::DeadLettered)
-                .map(|(i, _)| (name.to_string(), i))
-                .collect::<Vec<_>>()
+            let dead = items.iter().enumerate();
+            dead.filter(|(_, p)| p.state == ItemState::DeadLettered)
+                .map(move |(i, _)| (name.to_string(), i))
         })
         .collect();
-    let mut reverted: Vec<String> = Vec::new();
+    let reset = ItemProgress {
+        reprocess: true,
+        ..ItemProgress::default()
+    };
     for (name, idx) in &targets {
-        instance.force_item(
-            name,
-            *idx,
-            ItemProgress {
-                state: ItemState::Pending,
-                attempts: 0,
-                failover: false,
-                reprocess: true,
-                reason: String::new(),
-            },
-        );
-        if !reverted.contains(name) {
-            instance.force_status(name, NodeStatus::Pending);
-            reverted.push(name.clone());
+        instance.force_item(name, *idx, reset.clone());
+        instance.force_status(name, NodeStatus::Pending);
+        for i in 0..instance.workflow().transitions.len() {
+            if instance.workflow().transitions[i].from == *name {
+                instance.force_edge(i, EdgeState::Pending);
+            }
         }
-    }
-    if !targets.is_empty() {
-        instance.recompute_edges();
     }
     Ok((to_xml(&instance), targets.len()))
 }
@@ -343,7 +372,10 @@ mod tests {
     /// the streaming one must match byte for byte: one `Element` tree for
     /// the whole document, pretty-printed by `xml::write`.
     fn reference_to_xml(instance: &Instance) -> String {
-        let mut runtime = Element::new("Runtime");
+        let edges: String = (0..instance.workflow().transitions.len())
+            .map(|i| edge_char(instance.edge_state(i)))
+            .collect();
+        let mut runtime = Element::new("Runtime").attr("edges", edges);
         for (name, status) in instance.statuses() {
             let status = match status {
                 NodeStatus::Exception(e) => format!("exception:{e}"),
@@ -638,7 +670,7 @@ mod tests {
     </Program>
     <Transition from='map' to='reduce'/>
   </Workflow>
-  <Runtime>
+  <Runtime edges='d'>
     <Node name='map' status='exception:disk_full' runs='0'/>
     <Node name='reduce' status='skipped' runs='0'/>
     <Item activity='map' index='0' state='pending' attempts='0'/>
@@ -698,7 +730,7 @@ reason='it&apos;s &lt;gone&gt; &amp; &quot;lost&quot;'/>
             );
         }
         expected.force_status("map", NodeStatus::Pending);
-        expected.recompute_edges();
+        expected.force_edge(0, EdgeState::Pending);
 
         let (reset_doc, reset) = reset_dead_letters(&before).unwrap();
         assert_eq!(reset, 2);
@@ -742,6 +774,92 @@ reason='it&apos;s &lt;gone&gt; &amp; &quot;lost&quot;'/>
             vec!["slow_task"],
             "edges recomputed: alternative still ready"
         );
+    }
+
+    #[test]
+    fn a_restored_checkpoint_keeps_the_edges_the_run_resolved() {
+        // `a -> c` is guarded on `b`, which has not settled when `a` does:
+        // the edge dies then, and must stay dead after a restore even
+        // though the guard would now hold.
+        let mut b = WorkflowBuilder::new("guarded").program("p", 1.0, &["h"]);
+        for n in ["a", "b", "d"] {
+            b.activity(n, "p");
+        }
+        b.activity("c", "p").or_join();
+        let w = b
+            .edge_if("a", "c", "status('b') == 'done'")
+            .edge("b", "d")
+            .edge("d", "c")
+            .build_unchecked();
+        let mut inst = Instance::new(validate(w).unwrap());
+        inst.settle("a", NodeStatus::Done);
+        inst.settle("b", NodeStatus::Done);
+        let edges = |i: &Instance| (0..3).map(|e| i.edge_state(e)).collect::<Vec<_>>();
+        use EdgeState::{Dead, Fired, Pending};
+        assert_eq!(edges(&inst), [Dead, Fired, Pending]);
+        assert_eq!(inst.ready_nodes(), ["d"]);
+        let back = from_xml(&to_xml(&inst)).unwrap();
+        assert_eq!(edges(&back), edges(&inst));
+        assert_eq!(back.ready_nodes(), ["d"], "the OR-join waits for d");
+    }
+
+    #[test]
+    fn a_document_without_edge_states_still_decodes() {
+        // Written before `<Runtime>` carried `edges`: the settled source's
+        // edges are resolved against the restored state.
+        let legacy = "\
+<?xml version='1.0'?>
+<EngineCheckpoint>
+  <Workflow name='alt'>
+    <Activity name='fast'>
+      <Implement>p</Implement>
+    </Activity>
+    <Activity name='slow'>
+      <Implement>p</Implement>
+    </Activity>
+    <Activity name='report'>
+      <Implement>p</Implement>
+    </Activity>
+    <Program name='p' duration='10'>
+      <Option hostname='h1'/>
+    </Program>
+    <Transition from='fast' to='slow' on='failed' condition='$retry'/>
+    <Transition from='fast' to='report'/>
+  </Workflow>
+  <Runtime>
+    <Node name='fast' status='failed' runs='0'/>
+    <Node name='slow' status='pending' runs='0'/>
+    <Node name='report' status='skipped' runs='0'/>
+    <Var name='retry' type='bool' value='true'/>
+  </Runtime>
+</EngineCheckpoint>
+";
+        let inst = from_xml(legacy).unwrap();
+        assert_eq!(inst.edge_state(0), EdgeState::Fired);
+        assert_eq!(inst.edge_state(1), EdgeState::Dead);
+        assert_eq!(inst.ready_nodes(), ["slow"]);
+        // Re-encoded, it carries the states it was decoded with.
+        let doc = to_xml(&inst);
+        assert!(doc.contains("<Runtime edges='fd'>"), "{doc}");
+        assert_eq!(to_xml(&from_xml(&doc).unwrap()), doc);
+    }
+
+    #[test]
+    fn malformed_edge_states_rejected() {
+        let mut inst = fresh();
+        inst.settle("fast_task", NodeStatus::Failed);
+        let doc = to_xml(&inst);
+        assert!(doc.contains("edges='dfp'"), "{doc}");
+        for (edges, why) in [
+            ("df", "has 2 states for 3 transitions"),
+            ("dfpp", "has 4 states for 3 transitions"),
+            ("dxp", "unknown edge state 'x'"),
+            ("dff", "source 'slow_task' has not settled"),
+        ] {
+            let evil = doc.replace("edges='dfp'", &format!("edges='{edges}'"));
+            let err = from_xml(&evil).unwrap_err().to_string();
+            assert!(err.contains(why), "{edges}: {err}");
+        }
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!   all options with first-success-wins and cancellation of the losers,
 //!   and checkpoint-flag round-tripping so retries resume rather than
 //!   restart;
-//! * **workflow level** (non-masking, §5) — what the [`Instance`] edge
-//!   semantics do once a failure the task level could not mask settles the
-//!   node: alternative-task edges, OR-join redundancy, user-defined
-//!   exception handlers.
+//! * **workflow level** (non-masking, §5) — once the task level has spoken,
+//!   one pure decision, `settle_decision`, says what the node does, and the
+//!   [`Instance`] edge table says where the settlement leads:
+//!   alternative-task edges, OR-join redundancy, user-defined exception
+//!   handlers.
 //!
 //! Task-level recovery is one mechanism, whatever it recovers: a plain
 //! activity's try, one replica, and one `<Foreach>` item are all *slots*
@@ -23,9 +24,28 @@
 //! to the slot's counter and one pure decision, `recovery`, picks retry
 //! after a delay, failover (items only) or exhaustion; one
 //! `schedule_retry` arms the timer, tagged with the node's loop iteration
-//! so it cannot fire into a later one.  The kinds differ only in where the
-//! counter lives (an item's is durable, in the instance) and in what
-//! success or exhaustion settles: the node, or the item.
+//! so it cannot fire into a later one.
+//!
+//! A slot's attempt ends `Done` or `Spent` (nothing left to try).  The end
+//! is recorded where the slot keeps state — an item settles and is
+//! checkpointed — and then `settle_decision` maps the node's slots or items
+//! to one verdict:
+//!
+//! | lanes | after | verdict |
+//! |---|---|---|
+//! | slots | success | settle `done` |
+//! | slots | fatal exception (§5.3) | settle `exception:<n>` at once |
+//! | slots | a replica spent, siblings racing | wait |
+//! | slots | the last slot spent | settle `failed` / `exception:<n>` |
+//! | items | a `stop` item | settle `failed` |
+//! | items | `max_failures` / `failure_threshold` breached | settle `failed` |
+//! | items | every item terminal (dead letters do not block) | settle `done` |
+//! | items | otherwise | launch more items |
+//!
+//! Only the lookups that know where a slot's counter lives (`spent`,
+//! `charge`, `record_end`) and pre-emptive re-replication (plain slots
+//! only) tell a fan-out from a plain node; every settlement goes through
+//! `settle_node`, a do-while's loop-limit failure included.
 //!
 //! The engine itself is fault tolerant: after every task termination it can
 //! hand the annotated parse tree as XML ([`crate::checkpoint`]) to a
@@ -49,7 +69,9 @@ use gridwfs_wpdl::ast::{Activity, ForeachSpec, ItemAction, Policy, Program, Trig
 use gridwfs_wpdl::validate::Validated;
 
 use crate::executor::{Executor, Polled, SubmitRequest};
-use crate::instance::{CompleteResult, EdgeState, Instance, ItemState, NodeStatus, Outcome};
+use crate::instance::{
+    CompleteResult, EdgeState, Instance, ItemProgress, ItemState, NodeStatus, Outcome,
+};
 use crate::sched_score::Placement;
 use crate::timeline::{Span, SpanOutcome};
 
@@ -327,7 +349,7 @@ struct RunState {
 /// replica, or one `<Foreach>` item.  Every kind goes through the same
 /// lifecycle — submit, settle, and on failure retry or exhaust — and differs
 /// only in where its attempt counter lives (see [`Engine::spent`]).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Slot {
     /// Failed tries of a plain slot or replica.  Items count attempts in
     /// their durable [`crate::instance::ItemProgress`] instead.
@@ -339,18 +361,6 @@ struct Slot {
     /// also keeps holding its `max_parallel` token, so the fan-out never
     /// runs more than the bound when the timer fires.
     waiting: bool,
-}
-
-impl Slot {
-    fn idle() -> Self {
-        Slot {
-            tries_used: 0,
-            live: None,
-            exhausted: false,
-            ckpt_flag: None,
-            waiting: false,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -420,6 +430,81 @@ fn recovery(act: &Activity, attempts: u32, maskable: bool, failed_over: bool) ->
     }
 }
 
+/// How a slot's attempt ended, as its node sees it.
+#[derive(Debug, Clone, PartialEq)]
+enum End {
+    /// The attempt completed.
+    Done,
+    /// Task-level recovery has nothing left for the slot: `fatal` after a
+    /// fatal exception; `settle_as` is what a plain node settles as
+    /// (`failed`, or `exception:<name>` so a handler edge still catches
+    /// it).
+    Spent { fatal: bool, settle_as: NodeStatus },
+}
+
+/// A running node's attempt lanes, as [`settle_decision`] reads them.
+#[derive(Debug)]
+enum Lanes<'a> {
+    /// A plain activity's slot or its replicas, after one slot's attempt
+    /// ended.
+    Slots(&'a [Slot], &'a End),
+    /// A `<Foreach>` fan-out's items, with its failure caps.
+    Items(&'a ForeachSpec, &'a [ItemProgress]),
+}
+
+/// What a node does once one of its slots or items ended: the workflow
+/// level's node table.
+#[derive(Debug, Clone, PartialEq)]
+enum Verdict {
+    /// Settle the node now with this status.
+    Settle(NodeStatus),
+    /// Every replica is spent: journal `recovery_exhausted`, then settle.
+    Exhausted(NodeStatus),
+    /// The fan-out's failure budget is breached: fail the node.
+    Breached { failures: usize, total: usize },
+    /// Other replicas are still racing.
+    Wait,
+    /// Launch the next pending items.
+    Pump,
+}
+
+/// The node verdict: the workflow-level table in the module docs, one row
+/// per arm.  Dead-lettered items count as failures for the caps but do not
+/// block completion; they are reported for offline reprocessing.
+fn settle_decision(lanes: Lanes<'_>) -> Verdict {
+    match lanes {
+        Lanes::Slots(_, End::Done) => Verdict::Settle(NodeStatus::Done),
+        Lanes::Slots(slots, End::Spent { fatal, settle_as }) => {
+            match (fatal, slots.iter().all(|s| s.exhausted)) {
+                (true, _) => Verdict::Settle(settle_as.clone()),
+                (false, true) => Verdict::Exhausted(settle_as.clone()),
+                (false, false) => Verdict::Wait,
+            }
+        }
+        Lanes::Items(spec, items) => {
+            use ItemState::{DeadLettered, Failed, Skipped};
+            let total = items.len();
+            let failures = items
+                .iter()
+                .filter(|p| matches!(p.state, DeadLettered | Skipped | Failed))
+                .count();
+            if items.iter().any(|p| p.state == Failed) {
+                Verdict::Settle(NodeStatus::Failed)
+            } else if spec.max_failures.is_some_and(|m| failures > m as usize)
+                || spec
+                    .failure_threshold
+                    .is_some_and(|t| failures as f64 / total as f64 > t)
+            {
+                Verdict::Breached { failures, total }
+            } else if items.iter().all(|p| p.state.is_terminal()) {
+                Verdict::Settle(NodeStatus::Done)
+            } else {
+                Verdict::Pump
+            }
+        }
+    }
+}
+
 /// Timer heap key: earliest time first, FIFO within a time.
 #[derive(Debug, PartialEq)]
 struct TimerKey(f64, u64);
@@ -440,7 +525,9 @@ impl Ord for TimerKey {
     }
 }
 
-#[derive(Debug)]
+/// A pending retry of `slot`.  Keys are unique, so the derived order is
+/// the key's.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Timer {
     key: TimerKey,
     activity: String,
@@ -448,23 +535,6 @@ struct Timer {
     /// The node's `loop_iterations` when the retry was scheduled: a timer
     /// left over from a finished do-while iteration is dropped.
     iteration: u32,
-}
-
-impl PartialEq for Timer {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for Timer {}
-impl PartialOrd for Timer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Timer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
 }
 
 /// The Grid-WFS workflow engine.
@@ -627,28 +697,14 @@ impl<X: Executor> Engine<X> {
             if ready.is_empty() {
                 return;
             }
-            let mut launched_real = false;
             for name in ready {
-                let act = self
-                    .instance
-                    .workflow()
-                    .activity(&name)
-                    .expect("ready node exists")
-                    .clone();
-                if act.is_dummy() {
+                let act = self.instance.workflow().activity(&name);
+                if act.expect("ready node exists").is_dummy() {
                     self.instance.mark_running(&name);
                     self.trace_launch(&name);
                     self.settle_node(&name, NodeStatus::Done);
                 } else {
                     self.start_activity(&name);
-                    launched_real = true;
-                }
-            }
-            if launched_real {
-                // Real launches do not change readiness synchronously; only
-                // dummy completion does, and that path re-enters the loop.
-                if self.instance.ready_nodes().is_empty() {
-                    return;
                 }
             }
         }
@@ -658,10 +714,10 @@ impl<X: Executor> Engine<X> {
     /// policy) or per `<Foreach>` item.  Items restored from a checkpoint
     /// keep their terminal state (their slots start exhausted); the rest
     /// launch in index order under the `max_parallel` bound.  Routing a
-    /// fan-out's launch through [`Self::foreach_after_item`] makes a fresh
-    /// start, a restart and a dead-letter reprocess the same code path —
-    /// including the case where the checkpoint already holds a settled
-    /// item set and the node must settle without submitting anything.
+    /// fan-out's launch through [`settle_decision`] makes a fresh start, a
+    /// restart and a dead-letter reprocess the same code path — including
+    /// the case where the checkpoint already holds a settled item set and
+    /// the node must settle without submitting anything.
     fn start_activity(&mut self, name: &str) {
         let act = self
             .instance
@@ -673,17 +729,17 @@ impl<X: Executor> Engine<X> {
                 .iter()
                 .map(|p| Slot {
                     exhausted: p.state.is_terminal(),
-                    ..Slot::idle()
+                    ..Slot::default()
                 })
                 .collect(),
-            (None, Policy::Simple) => vec![Slot::idle()],
+            (None, Policy::Simple) => vec![Slot::default()],
             (None, Policy::Replica) => {
                 let program = self
                     .instance
                     .workflow()
                     .program(act.implement.as_deref().expect("non-dummy"))
                     .expect("validated reference");
-                program.options.iter().map(|_| Slot::idle()).collect()
+                program.options.iter().map(|_| Slot::default()).collect()
             }
         };
         let n_slots = slots.len();
@@ -705,7 +761,9 @@ impl<X: Executor> Engine<X> {
                     items: n_slots,
                     pending,
                 });
-                self.foreach_after_item(name);
+                let items = self.instance.items(name).expect("foreach activity");
+                let verdict = settle_decision(Lanes::Items(self.foreach_spec(name), items));
+                self.apply(name, verdict);
             }
             None => {
                 for slot in 0..n_slots {
@@ -1028,47 +1086,6 @@ impl<X: Executor> Engine<X> {
         self.instance.items(name).is_some()
     }
 
-    /// The fan-out's settlement policy, re-evaluated after every item
-    /// transition: a `stop` item or a breached failure budget fails the
-    /// node (remaining items are cancelled by [`Self::settle_node`]), a
-    /// fully-terminal item set completes it — dead-lettered items do not
-    /// block completion, they are reported for offline reprocessing — and
-    /// otherwise the next pending items launch under `max_parallel`.
-    fn foreach_after_item(&mut self, name: &str) {
-        let spec = self.foreach_spec(name);
-        let (max_failures, failure_threshold) = (spec.max_failures, spec.failure_threshold);
-        let (failures, stop, terminal, total) = {
-            let items = self.instance.items(name).expect("foreach activity");
-            let failures = items
-                .iter()
-                .filter(|p| {
-                    matches!(
-                        p.state,
-                        ItemState::DeadLettered | ItemState::Skipped | ItemState::Failed
-                    )
-                })
-                .count();
-            let stop = items.iter().any(|p| p.state == ItemState::Failed);
-            let terminal = items.iter().filter(|p| p.state.is_terminal()).count();
-            (failures, stop, terminal, items.len())
-        };
-        let breached = max_failures.is_some_and(|m| failures > m as usize)
-            || failure_threshold.is_some_and(|t| failures as f64 / total as f64 > t);
-        if stop || breached {
-            if breached && !stop {
-                self.log(
-                    LogKind::Recovery,
-                    format!("{name} failure budget breached ({failures}/{total} items failed)"),
-                );
-            }
-            self.settle_node(name, NodeStatus::Failed);
-        } else if terminal == total {
-            self.settle_node(name, NodeStatus::Done);
-        } else {
-            self.pump_foreach(name);
-        }
-    }
-
     /// Launches unlaunched pending items in index order while the fan-out
     /// has `max_parallel` tokens free (0 = unbounded).  A slot waiting on
     /// a retry timer keeps holding its token, so firing timers never push
@@ -1106,38 +1123,6 @@ impl<X: Executor> Engine<X> {
             }
             self.submit(name, idx, None);
         }
-    }
-
-    /// Every recovery avenue for the item is spent: apply the fan-out's
-    /// exhaustion action and re-evaluate the node.
-    fn foreach_item_exhaust(&mut self, name: &str, idx: usize) {
-        self.settlements += 1;
-        let s = &mut self.nodes.get_mut(name).expect("runtime exists").slots[idx];
-        s.live = None;
-        s.exhausted = true;
-        match self.foreach_spec(name).on_exhausted {
-            ItemAction::DeadLetter => {
-                let p = self.instance.item_mut(name, idx);
-                p.state = ItemState::DeadLettered;
-                let (attempts, reason) = (p.attempts, p.reason.clone());
-                self.trace(TraceKind::ItemDeadLettered {
-                    activity: name.to_string(),
-                    item: idx,
-                    attempts,
-                    reason: reason.clone(),
-                });
-                self.log(
-                    LogKind::Recovery,
-                    format!(
-                        "{name} item={idx} dead-lettered after {attempts} attempt(s): {reason}"
-                    ),
-                );
-            }
-            ItemAction::Skip => self.settle_item(name, idx, ItemState::Skipped),
-            ItemAction::Stop => self.settle_item(name, idx, ItemState::Failed),
-        }
-        self.write_checkpoint();
-        self.foreach_after_item(name);
     }
 
     /// Settles item `idx` as `state` — done, skipped, failed (the `stop`
@@ -1204,37 +1189,29 @@ impl<X: Executor> Engine<X> {
         host
     }
 
-    /// Feeds a task success on `host` to the breaker registry (if enabled)
-    /// and the host scorer, and journals any breaker transition it caused.
-    fn breaker_success(&mut self, host: Option<&str>) {
-        let Some(host) = host else { return };
-        if let Some(sc) = self.scorer.as_mut() {
-            sc.record_success(host);
-        }
-        let ev = match self.breakers.as_mut() {
-            Some(br) => br.record_success(host),
-            None => return,
-        };
-        if let Some(ev) = ev {
-            self.trace_breaker(ev);
-        }
-    }
-
-    /// Feeds a task failure (crash / presumed-dead) on `host` to the
-    /// breaker registry and the host scorer, and journals any breaker
-    /// transition it caused.
-    fn breaker_failure(&mut self, host: Option<&str>) {
+    /// Feeds an attempt's outcome on `host` — success, or a crash or
+    /// presumed death — to the host scorer and the breaker registry (if
+    /// enabled), and journals any breaker transition it caused.
+    fn host_outcome(&mut self, host: Option<&str>, ok: bool) {
+        use crate::breaker::BreakerEvent;
         let Some(host) = host else { return };
         let now = self.executor.now();
-        if let Some(sc) = self.scorer.as_mut() {
-            sc.record_failure(host, now);
+        match self.scorer.as_mut() {
+            Some(sc) if ok => sc.record_success(host),
+            Some(sc) => sc.record_failure(host, now),
+            None => {}
         }
-        let ev = match self.breakers.as_mut() {
+        let event = match self.breakers.as_mut() {
+            Some(br) if ok => br.record_success(host),
             Some(br) => br.record_failure(host, now),
-            None => return,
+            None => None,
         };
-        if let Some(ev) = ev {
-            self.trace_breaker(ev);
+        match event {
+            Some(BreakerEvent::Opened { host, until }) => {
+                self.trace(TraceKind::BreakerOpen { host, until })
+            }
+            Some(BreakerEvent::Closed { host }) => self.trace(TraceKind::BreakerClosed { host }),
+            None => {}
         }
     }
 
@@ -1322,16 +1299,6 @@ impl<X: Executor> Engine<X> {
         }
     }
 
-    fn trace_breaker(&mut self, ev: crate::breaker::BreakerEvent) {
-        let kind = match ev {
-            crate::breaker::BreakerEvent::Opened { host, until } => {
-                TraceKind::BreakerOpen { host, until }
-            }
-            crate::breaker::BreakerEvent::Closed { host } => TraceKind::BreakerClosed { host },
-        };
-        self.trace(kind);
-    }
-
     fn cancel_live(&mut self, name: &str) {
         if let Some(rt) = self.nodes.get_mut(name) {
             let live: Vec<TaskId> = rt.slots.iter_mut().filter_map(|s| s.live.take()).collect();
@@ -1343,71 +1310,64 @@ impl<X: Executor> Engine<X> {
         }
     }
 
-    fn settle_node(&mut self, name: &str, status: NodeStatus) {
+    /// Settles `name` as `status`: cancels what still runs for it, lets the
+    /// instance resolve its edges, and journals the settlement and every
+    /// skip it cascaded.  A do-while that holds re-queues the node instead;
+    /// past `max_loop_iterations` the node fails, through the same tail.
+    fn settle_node(&mut self, name: &str, mut status: NodeStatus) {
         self.settlements += 1;
         self.cancel_foreach_items(name);
         self.cancel_live(name);
-        let status_str = status.as_expr_str().to_string();
-        let (state_full, exc_detail) = match &status {
+        let (result, mut skipped) = self.instance.settle(name, status.clone());
+        if result == CompleteResult::LoopAgain {
+            let rt = self.nodes.get_mut(name).expect("looped node ran");
+            rt.loop_iterations += 1;
+            let iterations = rt.loop_iterations;
+            if iterations < self.config.max_loop_iterations {
+                self.log(
+                    LogKind::Loop,
+                    format!("{name} loops (iteration {})", iterations + 1),
+                );
+                self.trace(TraceKind::LoopIteration {
+                    activity: name.to_string(),
+                    iteration: iterations + 1,
+                });
+                self.write_checkpoint();
+                return;
+            }
+            self.log(
+                LogKind::Stall,
+                format!("{name} exceeded max_loop_iterations; failing"),
+            );
+            self.trace(TraceKind::EngineStalled {
+                activity: name.to_string(),
+            });
+            // The node is Pending again; settle it as failed so the
+            // workflow terminates deterministically.
+            status = NodeStatus::Failed;
+            skipped = self.instance.settle(name, NodeStatus::Failed).1;
+        }
+        let (state, detail) = match &status {
             NodeStatus::Exception(n) => (format!("exception:{n}"), format!(" ({n})")),
             other => (other.as_expr_str().to_string(), String::new()),
         };
-        let (result, skipped) = self.instance.settle(name, status);
-        match result {
-            CompleteResult::LoopAgain => {
-                let rt = self.nodes.get_mut(name).expect("looped node ran");
-                rt.loop_iterations += 1;
-                let iterations = rt.loop_iterations;
-                if iterations >= self.config.max_loop_iterations {
-                    self.log(
-                        LogKind::Stall,
-                        format!("{name} exceeded max_loop_iterations; failing"),
-                    );
-                    self.trace(TraceKind::EngineStalled {
-                        activity: name.to_string(),
-                    });
-                    // The node is Pending again; settle it as failed so the
-                    // workflow terminates deterministically.
-                    let (_, skipped) = self.instance.settle(name, NodeStatus::Failed);
-                    self.trace(TraceKind::NodeState {
-                        activity: name.to_string(),
-                        state: "failed".to_string(),
-                    });
-                    for s in skipped {
-                        self.log(LogKind::Settle, format!("{s} skipped"));
-                        self.trace(TraceKind::NodeState {
-                            activity: s,
-                            state: "skipped".to_string(),
-                        });
-                    }
-                } else {
-                    self.log(
-                        LogKind::Loop,
-                        format!("{name} loops (iteration {})", iterations + 1),
-                    );
-                    self.trace(TraceKind::LoopIteration {
-                        activity: name.to_string(),
-                        iteration: iterations + 1,
-                    });
-                }
-            }
-            CompleteResult::Settled => {
-                self.log(LogKind::Settle, format!("{name} {status_str}{exc_detail}"));
-                self.trace(TraceKind::NodeState {
-                    activity: name.to_string(),
-                    state: state_full,
-                });
-                for s in skipped {
-                    self.log(LogKind::Settle, format!("{s} skipped"));
-                    self.trace(TraceKind::NodeState {
-                        activity: s,
-                        state: "skipped".to_string(),
-                    });
-                }
-                if self.config.cancel_redundant {
-                    self.prune_redundant_branches();
-                }
-            }
+        self.log(
+            LogKind::Settle,
+            format!("{name} {}{detail}", status.as_expr_str()),
+        );
+        self.trace(TraceKind::NodeState {
+            activity: name.to_string(),
+            state,
+        });
+        for s in skipped {
+            self.log(LogKind::Settle, format!("{s} skipped"));
+            self.trace(TraceKind::NodeState {
+                activity: s,
+                state: "skipped".to_string(),
+            });
+        }
+        if self.config.cancel_redundant {
+            self.prune_redundant_branches();
         }
         self.write_checkpoint();
     }
@@ -1474,36 +1434,11 @@ impl<X: Executor> Engine<X> {
 
     // ---------------------------------------------------------- recovery ---
 
-    /// An attempt of `idx` completed.  A plain slot or replica settles its
-    /// node `done`, cancelling the losing replicas.  A fan-out item settles
-    /// `done` and the fan-out is re-evaluated; the checkpoint written here
-    /// is what makes item settlement exactly-once across engine
-    /// incarnations — a crash after it can only re-run items that never
-    /// durably settled.
-    fn attempt_done(&mut self, name: &str, idx: usize) {
-        if !self.is_foreach(name) {
-            self.settle_node(name, NodeStatus::Done);
-            return;
-        }
-        // Item settlements count toward `max_settlements`, so the simulated
-        // engine crash can land in the middle of a fan-out.
-        self.settlements += 1;
-        let p = self.instance.item_mut(name, idx);
-        p.attempts += 1;
-        p.reason.clear();
-        self.nodes.get_mut(name).expect("runtime exists").slots[idx].exhausted = true;
-        self.settle_item(name, idx, ItemState::Done);
-        self.write_checkpoint();
-        self.foreach_after_item(name);
-    }
-
     /// Task-level recovery for a failed attempt of `slot` — a crash, or an
     /// exception that `maskable` says retrying may mask — the same for
     /// plain slots, replicas and fan-out items: charge the attempt, ask
-    /// [`recovery`] what is left, then retry, fail over or exhaust.
-    /// `settle_as` is what exhaustion settles a plain node as, so an
-    /// `on="exception:<name>"` handler still catches an exception retrying
-    /// could not mask.
+    /// [`recovery`] what is left, then retry, fail over or end the slot
+    /// as [`End::Spent`].
     fn attempt_failed(
         &mut self,
         name: &str,
@@ -1521,7 +1456,10 @@ impl<X: Executor> Engine<X> {
         match recovery(act, spent, maskable, failed_over) {
             Recovery::Retry { delay } => self.schedule_retry(name, slot, delay),
             Recovery::Failover => self.fail_over(name, slot),
-            Recovery::Exhausted => self.exhaust(name, slot, maskable, settle_as),
+            Recovery::Exhausted => {
+                let fatal = !maskable;
+                self.end_slot(name, slot, End::Spent { fatal, settle_as });
+            }
         }
     }
 
@@ -1537,6 +1475,102 @@ impl<X: Executor> Engine<X> {
             self.nodes.get_mut(name).expect("runtime exists").slots[slot].tries_used += 1;
         }
         self.spent(name, slot)
+    }
+
+    /// Records how `slot`'s attempt ended where its lane keeps state (see
+    /// [`Self::spent`]).  A plain slot or replica retires — except after a
+    /// fatal exception, whose attempt keeps holding the slot so that
+    /// settling the node cancels it along with any replica still racing.
+    /// A fan-out item settles `done` or takes its exhaustion action, and is
+    /// checkpointed: that is what makes item settlement exactly-once across
+    /// engine incarnations.  Item settlements count toward
+    /// `max_settlements`, so the simulated engine crash can land in the
+    /// middle of a fan-out.
+    fn record_end(&mut self, name: &str, slot: usize, end: &End) {
+        let is_item = self.instance.items(name).is_some();
+        let fatal = matches!(end, End::Spent { fatal: true, .. });
+        if is_item || !fatal {
+            let s = &mut self.nodes.get_mut(name).expect("runtime exists").slots[slot];
+            s.live = None;
+            s.exhausted = true;
+        }
+        if !is_item {
+            return;
+        }
+        self.settlements += 1;
+        match end {
+            End::Done => {
+                let p = self.instance.item_mut(name, slot);
+                p.attempts += 1;
+                p.reason.clear();
+                self.settle_item(name, slot, ItemState::Done);
+            }
+            End::Spent { .. } => match self.foreach_spec(name).on_exhausted {
+                ItemAction::DeadLetter => {
+                    let p = self.instance.item_mut(name, slot);
+                    p.state = ItemState::DeadLettered;
+                    let (attempts, reason) = (p.attempts, p.reason.clone());
+                    self.trace(TraceKind::ItemDeadLettered {
+                        activity: name.to_string(),
+                        item: slot,
+                        attempts,
+                        reason: reason.clone(),
+                    });
+                    self.log(
+                        LogKind::Recovery,
+                        format!(
+                            "{name} item={slot} dead-lettered after {attempts} attempt(s): {reason}"
+                        ),
+                    );
+                }
+                ItemAction::Skip => self.settle_item(name, slot, ItemState::Skipped),
+                ItemAction::Stop => self.settle_item(name, slot, ItemState::Failed),
+            },
+        }
+        self.write_checkpoint();
+    }
+
+    /// `slot`'s attempt ended as `end`: record it, then carry out the
+    /// node's [`settle_decision`].
+    fn end_slot(&mut self, name: &str, slot: usize, end: End) {
+        self.record_end(name, slot, &end);
+        let verdict = match self.instance.items(name) {
+            Some(items) => settle_decision(Lanes::Items(self.foreach_spec(name), items)),
+            None => settle_decision(Lanes::Slots(&self.nodes[name].slots, &end)),
+        };
+        match verdict {
+            Verdict::Wait => self.log(
+                LogKind::Recovery,
+                format!("{name} slot={slot} exhausted; other replicas still racing"),
+            ),
+            verdict => self.apply(name, verdict),
+        }
+    }
+
+    /// Carries out a node verdict (see [`settle_decision`]).
+    fn apply(&mut self, name: &str, verdict: Verdict) {
+        match verdict {
+            Verdict::Settle(status) => self.settle_node(name, status),
+            Verdict::Exhausted(status) => {
+                self.trace(TraceKind::RecoveryExhausted {
+                    activity: name.to_string(),
+                });
+                self.log(
+                    LogKind::Recovery,
+                    format!("{name} task-level recovery exhausted"),
+                );
+                self.settle_node(name, status);
+            }
+            Verdict::Breached { failures, total } => {
+                self.log(
+                    LogKind::Recovery,
+                    format!("{name} failure budget breached ({failures}/{total} items failed)"),
+                );
+                self.settle_node(name, NodeStatus::Failed);
+            }
+            Verdict::Wait => {}
+            Verdict::Pump => self.pump_foreach(name),
+        }
     }
 
     /// Arms `slot`'s retry timer.  The slot stops being live and waits (an
@@ -1598,39 +1632,13 @@ impl<X: Executor> Engine<X> {
         self.schedule_retry(name, idx, delay);
     }
 
-    /// Task-level recovery has nothing left for `slot`.  A fan-out item
-    /// takes its exhaustion action.  A plain slot or replica retires, and
-    /// its node settles as `settle_as` once every replica has — or at once
-    /// on a fatal exception, which no replica can mask either (§5.3); the
-    /// excepted attempt then still holds its slot, so settling cancels it
-    /// along with any replica still racing.
-    fn exhaust(&mut self, name: &str, slot: usize, maskable: bool, settle_as: NodeStatus) {
-        if self.is_foreach(name) {
-            self.foreach_item_exhaust(name, slot);
-            return;
-        }
-        if !maskable {
-            self.settle_node(name, settle_as);
-            return;
-        }
-        let rt = self.nodes.get_mut(name).expect("runtime exists");
-        rt.slots[slot].live = None;
-        rt.slots[slot].exhausted = true;
-        if rt.slots.iter().all(|s| s.exhausted) {
-            self.trace(TraceKind::RecoveryExhausted {
-                activity: name.to_string(),
-            });
-            self.log(
-                LogKind::Recovery,
-                format!("{name} task-level recovery exhausted"),
-            );
-            self.settle_node(name, settle_as);
-        } else {
-            self.log(
-                LogKind::Recovery,
-                format!("{name} slot={slot} exhausted; other replicas still racing"),
-            );
-        }
+    /// The activity a presumed-dead attempt belonged to, for journalling
+    /// its post-mortem evidence.
+    fn presumed_activity(&self, task: TaskId) -> String {
+        self.presumed
+            .get(&task)
+            .cloned()
+            .unwrap_or_else(|| "?".into())
     }
 
     fn handle(&mut self, detection: Detection) {
@@ -1642,11 +1650,7 @@ impl<X: Executor> Engine<X> {
         // allowed to re-settle a node or resurrect a cancelled replica.
         match &detection {
             Detection::Zombie { body, .. } => {
-                let activity = self
-                    .presumed
-                    .get(&task)
-                    .cloned()
-                    .unwrap_or_else(|| "?".to_string());
+                let activity = self.presumed_activity(task);
                 self.log(
                     LogKind::Detect,
                     format!("{activity} {task} zombie {body} discarded (presumed dead)"),
@@ -1659,11 +1663,7 @@ impl<X: Executor> Engine<X> {
                 return;
             }
             Detection::LateHeartbeat { seq, .. } => {
-                let activity = self
-                    .presumed
-                    .get(&task)
-                    .cloned()
-                    .unwrap_or_else(|| "?".to_string());
+                let activity = self.presumed_activity(task);
                 self.trace(TraceKind::LateHeartbeat {
                     activity,
                     task: task.0,
@@ -1680,12 +1680,11 @@ impl<X: Executor> Engine<X> {
         match detection {
             Detection::Completed { .. } => {
                 self.log(LogKind::Detect, format!("{name} {task} completed"));
-                // The winner is no longer live; cancel_live must only touch
-                // the losing replicas.
                 let host = self.close_attempt(&name, task, TaskOutcome::Completed, "task-end");
-                self.nodes.get_mut(&name).expect("runtime exists").slots[slot].live = None;
-                self.breaker_success(host.as_deref());
-                self.attempt_done(&name, slot);
+                self.host_outcome(host.as_deref(), true);
+                // The winner retires before its node settles, so settling
+                // cancels only the losing replicas.
+                self.end_slot(&name, slot, End::Done);
             }
             Detection::Crashed { reason, .. } => {
                 let (why, reason_str) = match reason {
@@ -1722,7 +1721,7 @@ impl<X: Executor> Engine<X> {
                         task: task.0,
                     });
                 }
-                self.breaker_failure(host.as_deref());
+                self.host_outcome(host.as_deref(), false);
                 self.attempt_failed(&name, slot, reason_str, true, NodeStatus::Failed);
             }
             Detection::ExceptionRaised {
@@ -1884,6 +1883,24 @@ impl<X: Executor> Engine<X> {
         self.executor.now()
     }
 
+    /// Why navigation ends before this step, if it must: the simulated
+    /// engine crash (`max_settlements`), a cooperative `stop`, or the
+    /// `deadline`.
+    fn abort_reason(&self, deadline_abs: Option<f64>) -> Option<(&'static str, String)> {
+        if let Some(limit) = self.config.max_settlements {
+            if self.settlements >= limit {
+                let message =
+                    format!("aborting after {limit} settlements (simulated engine crash)");
+                return Some(("max_settlements", message));
+            }
+        }
+        if let Some(true) = self.config.stop.as_ref().map(|f| f.load(Ordering::Relaxed)) {
+            return Some(("stop", "stop requested; aborting".to_string()));
+        }
+        let d = deadline_abs.filter(|&d| self.executor.now() >= d)?;
+        Some(("deadline", format!("deadline reached at {d}; aborting")))
+    }
+
     fn step_inner(&mut self, block: bool) -> StepOutcome {
         if self.run_state.is_none() {
             let started_at = self.executor.now();
@@ -1897,40 +1914,17 @@ impl<X: Executor> Engine<X> {
         let state = self.run_state.as_ref().expect("just initialised");
         assert!(!state.done, "Engine stepped after StepOutcome::Finished");
         let deadline_abs = state.deadline_abs;
-        if let Some(limit) = self.config.max_settlements {
-            if self.settlements >= limit {
-                self.log(
-                    LogKind::Stall,
-                    format!("aborting after {limit} settlements (simulated engine crash)"),
-                );
-                self.trace(TraceKind::EngineAborted {
-                    reason: "max_settlements".to_string(),
-                });
-                return self.finish(Some("max_settlements".to_string()));
-            }
-        }
-        if self
-            .config
-            .stop
-            .as_ref()
-            .is_some_and(|f| f.load(Ordering::Relaxed))
-        {
-            self.log(LogKind::Stall, "stop requested; aborting".to_string());
+        if let Some((reason, message)) = self.abort_reason(deadline_abs) {
+            self.log(LogKind::Stall, message);
             self.trace(TraceKind::EngineAborted {
-                reason: "stop".to_string(),
+                reason: reason.to_string(),
             });
-            self.abort_live();
-            return self.finish(Some("stop".to_string()));
-        }
-        if let Some(d) = deadline_abs {
-            if self.executor.now() >= d {
-                self.log(LogKind::Stall, format!("deadline reached at {d}; aborting"));
-                self.trace(TraceKind::EngineAborted {
-                    reason: "deadline".to_string(),
-                });
+            // A crashed engine abandons its attempts; a stopped one cancels
+            // them.
+            if reason != "max_settlements" {
                 self.abort_live();
-                return self.finish(Some("deadline".to_string()));
             }
+            return self.finish(Some(reason.to_string()));
         }
         self.launch_ready();
         if self.instance.is_finished() {
@@ -2159,6 +2153,129 @@ mod tests {
                 want,
                 "{case}"
             );
+        }
+    }
+
+    #[test]
+    fn node_verdict_table() {
+        use NodeStatus::{Done, Failed};
+        let slots = |exhausted: &[bool]| -> Vec<Slot> {
+            exhausted
+                .iter()
+                .map(|&exhausted| Slot {
+                    exhausted,
+                    ..Slot::default()
+                })
+                .collect()
+        };
+        let spent = |fatal, settle_as| End::Spent { fatal, settle_as };
+        let oom = || NodeStatus::Exception("oom".into());
+        // (case, slots exhausted after the end was recorded, end, verdict)
+        let slot_rows = [
+            ("success", slots(&[true]), End::Done, Verdict::Settle(Done)),
+            (
+                "replica wins the race",
+                slots(&[true, false]),
+                End::Done,
+                Verdict::Settle(Done),
+            ),
+            (
+                "fatal exception settles at once",
+                slots(&[false, false]),
+                spent(true, oom()),
+                Verdict::Settle(oom()),
+            ),
+            (
+                "replica spent while siblings race",
+                slots(&[true, false]),
+                spent(false, Failed),
+                Verdict::Wait,
+            ),
+            (
+                "last slot spent",
+                slots(&[true]),
+                spent(false, Failed),
+                Verdict::Exhausted(Failed),
+            ),
+            (
+                "last replica spent on an exception",
+                slots(&[true, true]),
+                spent(false, oom()),
+                Verdict::Exhausted(oom()),
+            ),
+        ];
+        for (case, slots, end, want) in slot_rows {
+            assert_eq!(settle_decision(Lanes::Slots(&slots, &end)), want, "{case}");
+        }
+
+        use ItemState::{Cancelled, DeadLettered as Dlq, Done as D, Pending as P, Skipped};
+        let caps = |max_failures, failure_threshold| ForeachSpec {
+            max_failures,
+            failure_threshold,
+            ..ForeachSpec::new(Vec::new())
+        };
+        let breached = |failures, total| Verdict::Breached { failures, total };
+        // (case, max_failures, failure_threshold, item states, verdict)
+        let item_rows: [(&str, ForeachSpec, &[ItemState], Verdict); 9] = [
+            (
+                "stop item",
+                caps(None, None),
+                &[ItemState::Failed, P],
+                Verdict::Settle(Failed),
+            ),
+            (
+                "stop item beats a breach",
+                caps(Some(0), None),
+                &[ItemState::Failed, Dlq],
+                Verdict::Settle(Failed),
+            ),
+            (
+                "max_failures breached",
+                caps(Some(1), None),
+                &[Dlq, Skipped, P],
+                breached(2, 3),
+            ),
+            (
+                "max_failures reached",
+                caps(Some(1), None),
+                &[Dlq, P],
+                Verdict::Pump,
+            ),
+            (
+                "failure_threshold breached",
+                caps(None, Some(0.5)),
+                &[Dlq, Dlq, D],
+                breached(2, 3),
+            ),
+            (
+                "failure_threshold reached",
+                caps(None, Some(0.5)),
+                &[Dlq, D],
+                Verdict::Settle(Done),
+            ),
+            (
+                "all terminal: dead letters do not block",
+                caps(None, None),
+                &[D, Dlq, Skipped, Cancelled],
+                Verdict::Settle(Done),
+            ),
+            ("items left", caps(None, None), &[D, P], Verdict::Pump),
+            (
+                "nothing settled yet",
+                caps(None, None),
+                &[P, P],
+                Verdict::Pump,
+            ),
+        ];
+        for (case, spec, states, want) in item_rows {
+            let items: Vec<ItemProgress> = states
+                .iter()
+                .map(|&state| ItemProgress {
+                    state,
+                    ..ItemProgress::default()
+                })
+                .collect();
+            assert_eq!(settle_decision(Lanes::Items(&spec, &items)), want, "{case}");
         }
     }
 

@@ -10,15 +10,21 @@
 //! ## Edge-firing semantics
 //!
 //! Every transition starts `Pending`.  When its source activity settles,
-//! the edge either **fires** (trigger matches the outcome and the guard
-//! condition, if any, evaluates true) or **dies**.  A skipped source kills
-//! all its outgoing edges.  An activity with incoming edges becomes:
+//! the edge is resolved once, by `resolve_edge`: it **fires** when its
+//! trigger matches the outcome (`fires`: `done`, `failed` for an
+//! alternative task, `exception:<name>` for a handler, `always`; a skipped
+//! source fires nothing) and the guard condition, if any, evaluates true
+//! against the state at that moment; otherwise it **dies**.  A
+//! [`crate::checkpoint`] carries the resolved states, so a restored
+//! instance never re-decides an edge.  An activity's join (`join`) is:
 //!
-//! * **ready** when its join is satisfied — AND: every incoming edge fired;
-//!   OR: at least one fired (Figure 5's OR relationship) — and it is still
-//!   `Pending`;
-//! * **skipped** when its join can no longer be satisfied — AND: any edge
-//!   died; OR: every edge died.  Skipping cascades.
+//! * **ready** when it is satisfied — AND: every incoming edge fired;
+//!   OR: at least one fired (Figure 5's OR relationship); the activity
+//!   runs if it is still `Pending`;
+//! * **impossible** when it can no longer be satisfied — AND: any edge
+//!   died; OR: every edge died.  A pending activity is then skipped, and
+//!   skipping cascades;
+//! * **waiting** otherwise.
 //!
 //! This is exactly the semantics the paper's figures rely on: in Figure 4
 //! the `on='failed'` edge to the alternative task dies when the fast task
@@ -118,15 +124,10 @@ impl ItemState {
 
     /// Parses the wire string back.
     pub fn parse_wire(s: &str) -> Option<ItemState> {
-        match s {
-            "pending" => Some(ItemState::Pending),
-            "done" => Some(ItemState::Done),
-            "skipped" => Some(ItemState::Skipped),
-            "dlq" => Some(ItemState::DeadLettered),
-            "cancelled" => Some(ItemState::Cancelled),
-            "failed" => Some(ItemState::Failed),
-            _ => None,
-        }
+        use ItemState::*;
+        [Pending, Done, Skipped, DeadLettered, Cancelled, Failed]
+            .into_iter()
+            .find(|state| state.wire_str() == s)
     }
 }
 
@@ -159,6 +160,56 @@ pub enum EdgeState {
     Fired,
     /// Trigger can never match (or guard was false).
     Dead,
+}
+
+/// Whether a transition with `trigger` fires when its source settles as
+/// `outcome` — the workflow level's trigger table.  `done` is the plain
+/// dependency, `failed` the alternative task (Figure 4),
+/// `exception:<name>` the handler (Figure 6) and `always` the cleanup
+/// edge; a skipped source fires nothing.
+fn fires(trigger: &Trigger, outcome: &NodeStatus) -> bool {
+    match (trigger, outcome) {
+        (_, NodeStatus::Skipped) => false,
+        (Trigger::Done, NodeStatus::Done) | (Trigger::Failed, NodeStatus::Failed) => true,
+        (Trigger::Exception(want), NodeStatus::Exception(got)) => want == got,
+        (Trigger::Always, _) => true,
+        _ => false,
+    }
+}
+
+/// Where an activity's join stands, from the states of its incoming edges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Join {
+    /// Satisfied: the activity may run.  Roots are always ready.
+    Ready,
+    /// Not decided until more sources settle.
+    Waiting,
+    /// Can never be satisfied: a pending activity is skipped.
+    Impossible,
+}
+
+impl Join {
+    /// The join table: AND needs every incoming edge fired and dies with
+    /// any; OR needs one fired and dies only with all.
+    fn of(mode: JoinMode, incoming: impl Iterator<Item = EdgeState>) -> Join {
+        let (mut n, mut fired, mut dead) = (0, 0, 0);
+        for e in incoming {
+            n += 1;
+            match e {
+                EdgeState::Fired => fired += 1,
+                EdgeState::Dead => dead += 1,
+                EdgeState::Pending => {}
+            }
+        }
+        match mode {
+            _ if n == 0 => Join::Ready,
+            JoinMode::And if fired == n => Join::Ready,
+            JoinMode::And if dead > 0 => Join::Impossible,
+            JoinMode::Or if fired > 0 => Join::Ready,
+            JoinMode::Or if dead == n => Join::Impossible,
+            _ => Join::Waiting,
+        }
+    }
 }
 
 /// How an activity's completion interacted with its loop.
@@ -304,61 +355,31 @@ impl Instance {
         self.edges[i]
     }
 
-    fn join_satisfied(&self, name: &str) -> bool {
-        let act = self.workflow.activity(name).expect("known activity");
-        let mut any_incoming = false;
-        let mut all_fired = true;
-        let mut any_fired = false;
-        for (i, t) in self.workflow.transitions.iter().enumerate() {
-            if t.to == name {
-                any_incoming = true;
-                match self.edges[i] {
-                    EdgeState::Fired => any_fired = true,
-                    _ => all_fired = false,
-                }
-            }
-        }
-        if !any_incoming {
-            return true; // roots are immediately ready
-        }
-        match act.join {
-            JoinMode::And => all_fired,
-            JoinMode::Or => any_fired,
-        }
+    /// Where `name`'s join stands (see [`Join::of`]).
+    fn join(&self, name: &str) -> Join {
+        let mode = self.workflow.activity(name).expect("known activity").join;
+        let incoming = self
+            .workflow
+            .transitions
+            .iter()
+            .zip(&self.edges)
+            .filter(|(t, _)| t.to == name)
+            .map(|(_, e)| *e);
+        Join::of(mode, incoming)
     }
 
-    fn join_impossible(&self, name: &str) -> bool {
-        let act = self.workflow.activity(name).expect("known activity");
-        let mut any_incoming = false;
-        let mut any_dead = false;
-        let mut all_dead = true;
-        for (i, t) in self.workflow.transitions.iter().enumerate() {
-            if t.to == name {
-                any_incoming = true;
-                match self.edges[i] {
-                    EdgeState::Dead => any_dead = true,
-                    _ => all_dead = false,
-                }
-            }
-        }
-        if !any_incoming {
-            return false;
-        }
-        match act.join {
-            JoinMode::And => any_dead,
-            JoinMode::Or => all_dead,
-        }
+    /// Pending activities whose join is `want`, in topological order.
+    fn pending_with(&self, want: Join) -> impl Iterator<Item = &String> {
+        self.topo
+            .iter()
+            .filter(move |n| self.status[n.as_str()] == NodeStatus::Pending && self.join(n) == want)
     }
 
     /// Activities that are `Pending` with a satisfied join, in topological
     /// order.  The engine submits these (or completes them instantly if
     /// they are dummies).
     pub fn ready_nodes(&self) -> Vec<String> {
-        self.topo
-            .iter()
-            .filter(|n| self.status[n.as_str()] == NodeStatus::Pending && self.join_satisfied(n))
-            .cloned()
-            .collect()
+        self.pending_with(Join::Ready).cloned().collect()
     }
 
     /// Marks an activity as submitted.
@@ -412,57 +433,17 @@ impl Instance {
                 }
             }
         }
-        // Resolve outgoing edges.
-        let outcome = status;
-        let mut to_eval: Vec<(usize, bool)> = Vec::new();
-        for (i, t) in self.workflow.transitions.iter().enumerate() {
-            if t.from != name {
-                continue;
+        for i in 0..self.edges.len() {
+            if self.workflow.transitions[i].from == name {
+                debug_assert_eq!(self.edges[i], EdgeState::Pending, "edge resolved twice");
+                self.resolve_edge(i, &status);
             }
-            debug_assert_eq!(self.edges[i], EdgeState::Pending, "edge resolved twice");
-            let trigger_matches = match (&t.trigger, &outcome) {
-                (_, NodeStatus::Skipped) => false,
-                (Trigger::Done, NodeStatus::Done) => true,
-                (Trigger::Failed, NodeStatus::Failed) => true,
-                (Trigger::Exception(want), NodeStatus::Exception(got)) => want == got,
-                (Trigger::Always, _) => true,
-                _ => false,
-            };
-            to_eval.push((i, trigger_matches));
-        }
-        for (i, trigger_matches) in to_eval {
-            let fired = if !trigger_matches {
-                false
-            } else if let Some(cond) = self.workflow.transitions[i].condition.clone() {
-                match cond.eval_bool(&EnvView { instance: self }) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        let t = &self.workflow.transitions[i];
-                        self.eval_errors.push(format!(
-                            "condition on transition {} -> {}: {e}",
-                            t.from, t.to
-                        ));
-                        false
-                    }
-                }
-            } else {
-                true
-            };
-            self.edges[i] = if fired {
-                EdgeState::Fired
-            } else {
-                EdgeState::Dead
-            };
         }
         // Cascade skips until a fixpoint (one pass per wave is enough
         // because we re-scan from the start after each settle).
         let mut skipped = Vec::new();
         loop {
-            let next: Option<String> = self
-                .topo
-                .iter()
-                .find(|n| self.status[n.as_str()] == NodeStatus::Pending && self.join_impossible(n))
-                .cloned();
+            let next = self.pending_with(Join::Impossible).next().cloned();
             match next {
                 Some(n) => {
                     let (_, mut more) = self.settle(&n, NodeStatus::Skipped);
@@ -475,15 +456,35 @@ impl Instance {
         (CompleteResult::Settled, skipped)
     }
 
+    /// Resolves edge `i` for its source's terminal `outcome`: `Fired` when
+    /// the trigger [`fires`] and the guard, if any, holds against the
+    /// current state; `Dead` otherwise.  A guard that fails to evaluate
+    /// kills the edge and is recorded in [`Instance::eval_errors`].
+    pub(crate) fn resolve_edge(&mut self, i: usize, outcome: &NodeStatus) {
+        let t = &self.workflow.transitions[i];
+        let guard = match &t.condition {
+            _ if !fires(&t.trigger, outcome) => Ok(false),
+            Some(cond) => cond.eval_bool(&EnvView { instance: self }),
+            None => Ok(true),
+        };
+        let fired = guard.unwrap_or_else(|e| {
+            self.eval_errors.push(format!(
+                "condition on transition {} -> {}: {e}",
+                t.from, t.to
+            ));
+            false
+        });
+        self.edges[i] = if fired {
+            EdgeState::Fired
+        } else {
+            EdgeState::Dead
+        };
+    }
+
     /// True when no activity is `Pending`-and-reachable or `Running` —
     /// i.e. navigation has nothing left to do.
     pub fn is_finished(&self) -> bool {
         self.status.values().all(|s| s.is_settled())
-    }
-
-    /// Whether anything is currently running.
-    pub fn has_running(&self) -> bool {
-        self.status.values().any(|s| *s == NodeStatus::Running)
     }
 
     /// Final outcome.  Meaningful once [`Instance::is_finished`] is true.
@@ -565,9 +566,14 @@ impl Instance {
 
     /// Restores a node's status directly (engine-checkpoint restart path).
     /// Unlike [`Instance::settle`] this does not touch edges — the caller
-    /// replays edge resolution by re-settling in topological order.
+    /// restores those with [`Instance::force_edge`].
     pub(crate) fn force_status(&mut self, name: &str, status: NodeStatus) {
         *self.status.get_mut(name).expect("known activity") = status;
+    }
+
+    /// Restores the state of edge `i` (engine-checkpoint restart path).
+    pub(crate) fn force_edge(&mut self, i: usize, state: EdgeState) {
+        self.edges[i] = state;
     }
 
     /// Restores a run counter (engine-checkpoint restart path).
@@ -581,52 +587,6 @@ impl Instance {
             self.vars.iter().map(|(k, v)| (k.as_str(), v)).collect();
         pairs.sort_by_key(|(k, _)| *k);
         pairs.into_iter()
-    }
-
-    /// Recomputes every edge state from the current node statuses — the
-    /// engine-checkpoint restart path, after statuses were force-restored.
-    /// Edges from unsettled sources stay `Pending`; edges from settled
-    /// sources fire or die exactly as [`Instance::settle`] would have
-    /// resolved them (guards are re-evaluated against the restored
-    /// variables and run counts).
-    pub(crate) fn recompute_edges(&mut self) {
-        for i in 0..self.workflow.transitions.len() {
-            let t = self.workflow.transitions[i].clone();
-            let source_status = self.status[&t.from].clone();
-            if !source_status.is_settled() {
-                self.edges[i] = EdgeState::Pending;
-                continue;
-            }
-            let trigger_matches = match (&t.trigger, &source_status) {
-                (_, NodeStatus::Skipped) => false,
-                (Trigger::Done, NodeStatus::Done) => true,
-                (Trigger::Failed, NodeStatus::Failed) => true,
-                (Trigger::Exception(want), NodeStatus::Exception(got)) => want == got,
-                (Trigger::Always, _) => true,
-                _ => false,
-            };
-            let fired = if !trigger_matches {
-                false
-            } else if let Some(cond) = &t.condition {
-                match cond.eval_bool(&EnvView { instance: self }) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        self.eval_errors.push(format!(
-                            "condition on transition {} -> {} (restore): {e}",
-                            t.from, t.to
-                        ));
-                        false
-                    }
-                }
-            } else {
-                true
-            };
-            self.edges[i] = if fired {
-                EdgeState::Fired
-            } else {
-                EdgeState::Dead
-            };
-        }
     }
 }
 
@@ -670,12 +630,6 @@ impl Env for EnvView<'_> {
     }
 }
 
-/// Evaluates an expression against an instance (used by the engine for
-/// loop conditions and by tests).
-pub fn eval_in(instance: &Instance, expr: &gridwfs_wpdl::expr::Expr) -> Result<Value, EvalError> {
-    expr.eval(&EnvView { instance })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,6 +642,78 @@ mod tests {
 
     fn fig4() -> Instance {
         instance(figure4(30.0, 150.0))
+    }
+
+    #[test]
+    fn trigger_table() {
+        use NodeStatus::{Done, Exception, Failed, Skipped};
+        let exc = |n: &str| Trigger::Exception(n.into());
+        let raised = |n: &str| Exception(n.into());
+        // (case, trigger, source outcome, fires)
+        let rows = [
+            ("dependency", Trigger::Done, Done, true),
+            ("dependency, source failed", Trigger::Done, Failed, false),
+            (
+                "dependency, source raised",
+                Trigger::Done,
+                raised("e"),
+                false,
+            ),
+            ("alternative task", Trigger::Failed, Failed, true),
+            ("alternative, primary done", Trigger::Failed, Done, false),
+            (
+                "alternative, primary raised",
+                Trigger::Failed,
+                raised("e"),
+                false,
+            ),
+            ("handler", exc("e"), raised("e"), true),
+            ("handler, other exception", exc("e"), raised("f"), false),
+            ("handler, plain failure", exc("e"), Failed, false),
+            ("cleanup after done", Trigger::Always, Done, true),
+            ("cleanup after failure", Trigger::Always, Failed, true),
+            (
+                "cleanup after exception",
+                Trigger::Always,
+                raised("e"),
+                true,
+            ),
+            ("skipped source: dependency", Trigger::Done, Skipped, false),
+            (
+                "skipped source: alternative",
+                Trigger::Failed,
+                Skipped,
+                false,
+            ),
+            ("skipped source: handler", exc("e"), Skipped, false),
+            ("skipped source: cleanup", Trigger::Always, Skipped, false),
+        ];
+        for (case, trigger, outcome, want) in rows {
+            assert_eq!(fires(&trigger, &outcome), want, "{case}");
+        }
+    }
+
+    #[test]
+    fn join_table() {
+        use EdgeState::{Dead as D, Fired as F, Pending as P};
+        use JoinMode::{And, Or};
+        // (case, mode, incoming edge states, join)
+        let rows: [(&str, JoinMode, &[EdgeState], Join); 11] = [
+            ("AND root", And, &[], Join::Ready),
+            ("OR root", Or, &[], Join::Ready),
+            ("AND all fired", And, &[F, F], Join::Ready),
+            ("AND one pending", And, &[F, P], Join::Waiting),
+            ("AND one dead", And, &[F, D], Join::Impossible),
+            ("AND dead before the rest", And, &[P, D], Join::Impossible),
+            ("OR nothing yet", Or, &[P, P], Join::Waiting),
+            ("OR one dead, one pending", Or, &[D, P], Join::Waiting),
+            ("OR first fired wins", Or, &[D, F, P], Join::Ready),
+            ("OR all dead", Or, &[D, D], Join::Impossible),
+            ("OR single fired", Or, &[F], Join::Ready),
+        ];
+        for (case, mode, incoming, want) in rows {
+            assert_eq!(Join::of(mode, incoming.iter().copied()), want, "{case}");
+        }
     }
 
     #[test]

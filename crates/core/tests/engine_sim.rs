@@ -470,6 +470,49 @@ fn runaway_loop_is_capped() {
 }
 
 #[test]
+fn a_loop_limit_failure_settles_like_any_other() {
+    // `x` readies the OR-join `j` at t=1; `r` is its slower second input.
+    // The runaway loop `l` fails at its third iteration, t=3: that is a
+    // settlement like any other — journalled, and followed by the
+    // redundant-branch pruning that cancels `r`.
+    let mut b = WorkflowBuilder::new("capped")
+        .program("px", 1.0, &["h"])
+        .program("pj", 100.0, &["h"])
+        .program("pr", 50.0, &["h"])
+        .program("pl", 1.0, &["h"]);
+    b.activity("x", "px");
+    b.activity("j", "pj").or_join();
+    b.activity("r", "pr");
+    b.activity("l", "pl");
+    let b = b.edge("x", "j").edge("r", "j").do_while("l", "true");
+    let mut grid = SimGrid::new(25);
+    grid.add_host(ResourceSpec::reliable("h"));
+    let config = EngineConfig {
+        cancel_redundant: true,
+        max_loop_iterations: 3,
+        ..EngineConfig::default()
+    };
+    let report = Engine::new(build(b), grid).with_config(config).run();
+    let at = |kind: LogKind, message: &str| {
+        report
+            .log
+            .iter()
+            .find(|e| e.kind == kind && e.message.starts_with(message))
+            .map(|e| e.at)
+    };
+    assert_eq!(
+        at(LogKind::Stall, "l exceeded max_loop_iterations"),
+        Some(3.0)
+    );
+    assert_eq!(at(LogKind::Settle, "l failed"), Some(3.0));
+    assert_eq!(at(LogKind::Cancel, "r redundant"), Some(3.0));
+    assert_eq!(report.status_of("l"), Some("failed"));
+    assert_eq!(report.status_of("r"), Some("skipped"));
+    assert_eq!(report.status_of("j"), Some("done"));
+    assert_eq!(report.cancellations(), 1, "only r's attempt");
+}
+
+#[test]
 fn conditional_transitions_route_on_runtime_state() {
     let mut b = WorkflowBuilder::new("route").program("p", 2.0, &["h"]);
     b.activity("probe", "p");
@@ -529,10 +572,12 @@ fn engine_checkpoint_restart_resumes_navigation() {
     // resume after an unrecoverable failure users fix the workflow. Here we
     // test the mid-run case instead: craft a checkpoint where b is pending.
     let mut mid = checkpoint::from_xml(&checkpoint::to_xml(&restored)).unwrap();
-    // Reset b/c to pending by rebuilding from a hand-edited document.
+    // Reset b/c to pending by rebuilding from a hand-edited document; b's
+    // outgoing edge goes back to pending with it.
     let text = checkpoint::to_xml(&mid)
         .replace("status='failed'", "status='pending'")
-        .replace("status='skipped'", "status='pending'");
+        .replace("status='skipped'", "status='pending'")
+        .replace("edges='fd'", "edges='fp'");
     mid = checkpoint::from_xml(&text).unwrap();
     let (_, grid2) = mk(false, 28);
     let report2 = Engine::from_instance(mid, grid2).run();

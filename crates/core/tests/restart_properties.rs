@@ -2,7 +2,8 @@
 //! an arbitrary number of settlements (the simulated engine-host crash),
 //! restore from its checkpoint file, and finish on a fresh Grid.  Work
 //! recorded as done is never redone; the resumed run always terminates
-//! coherently.
+//! coherently.  Workflows mix AND and OR joins with `done`, `failed` and
+//! `always` edges, some guarded on the run's state.
 
 use grid_wfs::checkpoint;
 use grid_wfs::engine::{Engine, EngineConfig};
@@ -11,7 +12,8 @@ use gridwfs_sim::check::{self, forall};
 use gridwfs_sim::dist::Dist;
 use gridwfs_sim::resource::ResourceSpec;
 use gridwfs_sim::rng::Rng;
-use gridwfs_wpdl::ast::{Activity, Policy, Program, Transition, Trigger, Workflow};
+use gridwfs_wpdl::ast::{Activity, JoinMode, Policy, Program, Transition, Trigger, Workflow};
+use gridwfs_wpdl::expr;
 use gridwfs_wpdl::validate::validate;
 
 fn workflow(rng: &mut Rng) -> Workflow {
@@ -32,20 +34,33 @@ fn workflow(rng: &mut Rng) -> Workflow {
                 a.policy = Policy::Replica;
             }
         }
+        if rng.index(3) == 0 {
+            a.join = JoinMode::Or;
+        }
         w.activities.push(a);
     }
     let mut seen = std::collections::HashSet::new();
     for _ in 0..n + rng.index(n) {
         let from = rng.index(n - 1);
         let to = from + 1 + rng.index(n - from - 1);
-        let trig = if rng.index(4) == 0 {
-            Trigger::Failed
-        } else {
-            Trigger::Done
+        let trig = match rng.index(6) {
+            0 => Trigger::Failed,
+            1 => Trigger::Always,
+            _ => Trigger::Done,
         };
         if seen.insert((from, to, trig.clone())) {
-            w.transitions
-                .push(Transition::new(format!("t{from}"), format!("t{to}")).on(trig));
+            let mut t = Transition::new(format!("t{from}"), format!("t{to}")).on(trig);
+            if rng.index(3) == 0 {
+                // Guards over the state of the run, which moves on between
+                // the edge's resolution and the restart.
+                let guard = match rng.index(3) {
+                    0 => format!("status('t{}') == 'done'", rng.index(n)),
+                    1 => format!("status('t{}') != 'failed'", rng.index(n)),
+                    _ => format!("runs('t{from}') >= 1"),
+                };
+                t = t.when(expr::parse(&guard).expect("guards parse"));
+            }
+            w.transitions.push(t);
         }
     }
     w

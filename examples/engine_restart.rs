@@ -57,12 +57,15 @@ fn main() {
 
     // ---- the operator repairs the workflow state -----------------------
     // transform settled as failed; flip it (and its downstream skip) back
-    // to pending in the checkpoint — the manual "fix and resume" workflow
-    // the XML file format makes possible.
+    // to pending in the checkpoint, with the edge its failure killed
+    // (`<Runtime edges='fd'>`: ingest -> transform fired, transform ->
+    // archive dead) — the manual "fix and resume" workflow the XML file
+    // format makes possible.
     let text = std::fs::read_to_string(&ckpt).expect("checkpoint readable");
     let repaired = text
         .replace("status='failed'", "status='pending'")
-        .replace("status='skipped'", "status='pending'");
+        .replace("status='skipped'", "status='pending'")
+        .replace("edges='fd'", "edges='fp'");
     std::fs::write(&ckpt, repaired).expect("checkpoint writable");
     println!("operator reset failed/skipped nodes to pending in the XML\n");
 

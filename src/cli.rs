@@ -1133,12 +1133,13 @@ mod tests {
         ]);
         assert_eq!(code, 1, "workflow failure exit code: {out}");
         assert!(state.exists(), "checkpoint written");
-        // Repair the state (operator resets failures) and resume on the
-        // healthy grid.
+        // Repair the state (operator resets failures, and the edge the
+        // failure killed) and resume on the healthy grid.
         let text = std::fs::read_to_string(&state)
             .unwrap()
             .replace("status='failed'", "status='pending'")
-            .replace("status='skipped'", "status='pending'");
+            .replace("status='skipped'", "status='pending'")
+            .replace("edges='d'", "edges='p'");
         std::fs::write(&state, text).unwrap();
         let (code, out) = cli(&[
             "run",
@@ -1331,7 +1332,8 @@ mod tests {
         let text = std::fs::read_to_string(&state)
             .unwrap()
             .replace("status='failed'", "status='pending'")
-            .replace("status='skipped'", "status='pending'");
+            .replace("status='skipped'", "status='pending'")
+            .replace("edges='d'", "edges='p'");
         std::fs::write(&state, text).unwrap();
         // The dedicated subcommand: positional checkpoint, no --resume flag.
         let (code, out) = cli(&[
