@@ -230,6 +230,16 @@ fn chain_xml(i: usize) -> String {
         .expect("load workflow serialises")
 }
 
+/// The storage `--state-dir` and `--backend` select; `None` without a
+/// state dir.
+fn open_storage(opts: &LoadOptions) -> Option<Arc<dyn Storage>> {
+    let dir = opts.state_dir.as_ref()?;
+    Some(match opts.backend {
+        Backend::Wal => Arc::new(WalStorage::open(dir).expect("wal state dir")),
+        Backend::Memory => Arc::new(MemStorage::new()),
+    })
+}
+
 /// `--replicas M`: a federated fleet of M in-process services over one
 /// shared storage backend.  The last `--kill` replicas are chaos-killed
 /// from the start (their admissions — and epoch-1 leases — land, but no
@@ -246,13 +256,7 @@ fn fleet_main(opts: &LoadOptions) {
         opts.replicas
     );
     assert!(opts.lease_ttl > 0.0, "--lease-ttl must be positive");
-    let st: Arc<dyn Storage> = match &opts.state_dir {
-        Some(dir) => match opts.backend {
-            Backend::Wal => Arc::new(WalStorage::open(dir).expect("wal state dir")),
-            Backend::Memory => Arc::new(MemStorage::new()),
-        },
-        None => Arc::new(MemStorage::new()),
-    };
+    let st = open_storage(opts).unwrap_or_else(|| Arc::new(MemStorage::new()));
     // A probability-1 replica-kill plan: the doomed members are chosen by
     // position (the tail of the fleet), not by coin flip, so two runs of
     // the same command line orphan the same jobs.
@@ -503,8 +507,7 @@ fn main() {
         max_in_flight: opts.inflight,
         queue_capacity: opts.queue,
         trace_dir: opts.trace_dir.clone(),
-        state_dir: opts.state_dir.clone(),
-        backend: opts.backend,
+        storage: open_storage(&opts),
         chaos: chaos.clone(),
         ..ServiceConfig::default()
     })

@@ -104,8 +104,8 @@ fn run_case(m: usize, backend: Backend, workers: usize, root: &Path) -> CaseResu
     let dir = root.join(format!("{}-{workers}", backend.as_str()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("state root");
-    // Built here (not via ServiceConfig::backend) so the bench keeps a
-    // handle to read the counters after the service is gone.
+    // The bench keeps a handle to read the counters after the service is
+    // gone.
     let storage: std::sync::Arc<dyn Storage> = match backend {
         Backend::Wal => std::sync::Arc::new(WalStorage::open(&dir).expect("wal opens")),
         Backend::Memory => std::sync::Arc::new(MemStorage::new()),
@@ -113,8 +113,6 @@ fn run_case(m: usize, backend: Backend, workers: usize, root: &Path) -> CaseResu
     let service = Service::start(ServiceConfig {
         workers,
         queue_capacity: 1024,
-        state_dir: Some(dir.clone()),
-        backend,
         storage: Some(storage.clone()),
         ..ServiceConfig::default()
     })

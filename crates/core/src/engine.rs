@@ -52,6 +52,11 @@
 //! [`CheckpointSink`] — [`Engine::with_checkpointing`] installs one that
 //! writes a file — and a restarted engine resumes navigation from where it
 //! left off.
+//!
+//! Every decision is recorded once, as a [`TraceEvent`] in the flight
+//! journal ([`Report::trace`]).  [`Report::spans`] and [`Report::log`] are
+//! views of it, derived when the run finishes: the log is the journal as
+//! readable lines, filed by [`LogKind::of`].
 
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
@@ -75,35 +80,94 @@ use crate::instance::{
 use crate::sched_score::Placement;
 use crate::timeline::{Span, SpanOutcome};
 
-/// What a log entry records.
+/// The category of a journal event, as [`Report::log`] files it (see
+/// [`LogKind::of`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogKind {
-    /// An attempt was submitted.
+    /// An attempt was submitted (`task_submit`, and nothing else).
     Submit,
-    /// A detection arrived from the failure detection service.
+    /// Failure evidence and what it says about hosts: an attempt's
+    /// classification, a suspicion, a zombie or late message, a breaker
+    /// transition, a host score or checkpoint interval; a lease event.
     Detect,
-    /// An activity settled (or looped).
+    /// Navigation moved: an activity started, settled or was skipped, an
+    /// alternative task or handler took over, a fan-out or item settled; a
+    /// job was admitted, started or settled.
     Settle,
-    /// A task-level recovery action was scheduled.
+    /// Task-level recovery acted: a retry, exhaustion, failover, dead
+    /// letter, reprocess or re-replication.
     Recovery,
-    /// Live attempts were cancelled (replica lost the race, node settled).
+    /// An attempt was cancelled or orphaned; a submission was refused or a
+    /// write fenced.
     Cancel,
-    /// A checkpoint flag was recorded.
+    /// A checkpoint flag was recorded or the engine checkpoint written.
     Checkpoint,
-    /// The engine declared a stall (nothing can ever make progress).
+    /// Navigation stalled or was aborted.
     Stall,
     /// A do-while loop re-queued its activity.
     Loop,
 }
 
-/// One entry in the engine's event log.
+impl LogKind {
+    /// The category of one journal event: a total table over
+    /// [`TraceKind`].
+    pub fn of(kind: &TraceKind) -> LogKind {
+        use TraceKind as K;
+        match kind {
+            K::TaskSubmitted { .. } => LogKind::Submit,
+            K::TaskSettled {
+                outcome: TaskOutcome::Cancelled,
+                ..
+            }
+            | K::OrphanCancelled { .. }
+            | K::JobRejected { .. }
+            | K::WriteFenced { .. } => LogKind::Cancel,
+            K::TaskSettled { .. }
+            | K::SuspicionRaised { .. }
+            | K::ZombieCompletion { .. }
+            | K::LateHeartbeat { .. }
+            | K::WatchReplaced { .. }
+            | K::BreakerOpen { .. }
+            | K::BreakerProbe { .. }
+            | K::BreakerClosed { .. }
+            | K::PlacementScored { .. }
+            | K::CkptIntervalAdapted { .. }
+            | K::LeaseRenewed { .. }
+            | K::LeaseExpired { .. }
+            | K::LeaseTakeover { .. } => LogKind::Detect,
+            K::NodeState { .. }
+            | K::AlternativeTask { .. }
+            | K::HandlerFired { .. }
+            | K::ForeachStarted { .. }
+            | K::ItemSettled { .. }
+            | K::JobAdmitted { .. }
+            | K::JobRecovered { .. }
+            | K::JobStarted { .. }
+            | K::JobSettled { .. } => LogKind::Settle,
+            K::RetryScheduled { .. }
+            | K::RecoveryExhausted { .. }
+            | K::ItemFailover { .. }
+            | K::ItemDeadLettered { .. }
+            | K::ItemReprocessed { .. }
+            | K::Rereplicate { .. } => LogKind::Recovery,
+            K::CheckpointFlag { .. } | K::EngineCheckpoint { .. } => LogKind::Checkpoint,
+            K::EngineStalled { .. }
+            | K::EngineAborted { .. }
+            | K::JobAborted { .. }
+            | K::JobPanicked { .. } => LogKind::Stall,
+            K::LoopIteration { .. } => LogKind::Loop,
+        }
+    }
+}
+
+/// One entry of [`Report::log`]: a journal event as a readable line.
 #[derive(Debug, Clone)]
 pub struct LogEntry {
     /// Executor time of the event.
     pub at: f64,
     /// Category.
     pub kind: LogKind,
-    /// Human-readable detail.
+    /// The event's readable line ([`TraceKind::line`]).
     pub message: String,
 }
 
@@ -141,7 +205,8 @@ pub struct Report {
     pub makespan: f64,
     /// Final status of every activity, in topological order.
     pub node_status: Vec<(String, String)>,
-    /// Full event log.
+    /// The journal as readable lines, one entry per `trace` event.
+    /// Derived from `trace`, like `spans`.
     pub log: Vec<LogEntry>,
     /// One span per task attempt (for timeline rendering and accounting).
     /// Derived from `trace` — the flight journal is the single source of
@@ -171,11 +236,11 @@ impl Report {
             .map(|(_, s)| s.as_str())
     }
 
-    /// Number of `Submit` log entries for an activity (attempt count).
+    /// Attempts submitted for an activity: its `task_submit` events.
     pub fn submissions_of(&self, name: &str) -> usize {
-        self.log
+        self.trace
             .iter()
-            .filter(|e| e.kind == LogKind::Submit && e.message.starts_with(&format!("{name} ")))
+            .filter(|e| matches!(&e.kind, TraceKind::TaskSubmitted { activity, .. } if activity == name))
             .count()
     }
 
@@ -215,7 +280,7 @@ impl Report {
 /// ([`Engine::with_checkpointing`]) or a host that owns durability.  The
 /// callback runs on the engine's thread at every checkpoint, so a host's
 /// must be cheap (the serve worker just replaces a staging cell); an error
-/// is logged and journalled as a failed `engine_checkpoint`.
+/// is journalled as a failed `engine_checkpoint`.
 #[derive(Clone)]
 pub struct CheckpointSink(Arc<dyn Fn(String) -> std::io::Result<()> + Send + Sync>);
 
@@ -460,8 +525,6 @@ enum Verdict {
     Settle(NodeStatus),
     /// Every replica is spent: journal `recovery_exhausted`, then settle.
     Exhausted(NodeStatus),
-    /// The fan-out's failure budget is breached: fail the node.
-    Breached { failures: usize, total: usize },
     /// Other replicas are still racing.
     Wait,
     /// Launch the next pending items.
@@ -488,14 +551,13 @@ fn settle_decision(lanes: Lanes<'_>) -> Verdict {
                 .iter()
                 .filter(|p| matches!(p.state, DeadLettered | Skipped | Failed))
                 .count();
-            if items.iter().any(|p| p.state == Failed) {
-                Verdict::Settle(NodeStatus::Failed)
-            } else if spec.max_failures.is_some_and(|m| failures > m as usize)
+            let stopped = items.iter().any(|p| p.state == Failed);
+            let breached = spec.max_failures.is_some_and(|m| failures > m as usize)
                 || spec
                     .failure_threshold
-                    .is_some_and(|t| failures as f64 / total as f64 > t)
-            {
-                Verdict::Breached { failures, total }
+                    .is_some_and(|t| failures as f64 / total as f64 > t);
+            if stopped || breached {
+                Verdict::Settle(NodeStatus::Failed)
             } else if items.iter().all(|p| p.state.is_terminal()) {
                 Verdict::Settle(NodeStatus::Done)
             } else {
@@ -564,7 +626,6 @@ pub struct Engine<X: Executor> {
     timers: BinaryHeap<Timer>,
     timer_seq: u64,
     next_task: u64,
-    log: Vec<LogEntry>,
     trace: Vec<TraceEvent>,
     sink: Option<Arc<dyn TraceSink>>,
     open_attempts: std::collections::HashSet<TaskId>,
@@ -607,7 +668,6 @@ impl<X: Executor> Engine<X> {
             timers: BinaryHeap::new(),
             timer_seq: 0,
             next_task: 1,
-            log: Vec::new(),
             trace: Vec::new(),
             sink: None,
             open_attempts: std::collections::HashSet::new(),
@@ -660,14 +720,6 @@ impl<X: Executor> Engine<X> {
     pub fn with_trace_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.sink = Some(sink);
         self
-    }
-
-    fn log(&mut self, kind: LogKind, message: String) {
-        self.log.push(LogEntry {
-            at: self.executor.now(),
-            kind,
-            message,
-        });
     }
 
     fn trace(&mut self, kind: TraceKind) {
@@ -1059,17 +1111,9 @@ impl<X: Executor> Engine<X> {
             slot,
             attempt,
             task: task.0,
-            host: host.clone(),
-            resume: flag.clone(),
+            host,
+            resume: flag,
         });
-        self.log(
-            LogKind::Submit,
-            format!(
-                "{name} slot={slot} try={attempt} task={task} host={host}{}{}",
-                if failed_over { " failover" } else { "" },
-                flag.map(|f| format!(" resume={f}")).unwrap_or_default()
-            ),
-        );
     }
 
     // ----------------------------------------------------------- foreach ---
@@ -1116,10 +1160,6 @@ impl<X: Executor> Engine<X> {
                     activity: name.to_string(),
                     item: idx,
                 });
-                self.log(
-                    LogKind::Submit,
-                    format!("{name} item={idx} reprocessing from the dead-letter queue"),
-                );
             }
             self.submit(name, idx, None);
         }
@@ -1137,12 +1177,6 @@ impl<X: Executor> Engine<X> {
             outcome: state.wire_str().to_string(),
             attempts,
         });
-        let what = match state {
-            ItemState::Failed => "failed; stopping the fan-out".to_string(),
-            ItemState::Cancelled => "cancelled (node settled)".to_string(),
-            _ => format!("{} after {attempts} attempt(s)", state.wire_str()),
-        };
-        self.log(LogKind::Settle, format!("{name} item={idx} {what}"));
     }
 
     /// Marks every non-terminal item of a settling fan-out `cancelled` —
@@ -1286,14 +1320,10 @@ impl<X: Executor> Engine<X> {
             self.trace(TraceKind::Rereplicate {
                 activity: name.clone(),
                 slot,
-                from: from.clone(),
-                to: to.clone(),
+                from,
+                to,
                 phi,
             });
-            self.log(
-                LogKind::Recovery,
-                format!("{name} slot={slot} phi={phi:.2} rereplicate {from} -> {to}"),
-            );
             *self.rereplications.entry(key).or_insert(0) += 1;
             self.submit(&name, slot, Some(placement.index));
         }
@@ -1305,7 +1335,6 @@ impl<X: Executor> Engine<X> {
             for task in live {
                 self.close_attempt(name, task, TaskOutcome::Cancelled, "node-settled");
                 self.executor.cancel(task);
-                self.log(LogKind::Cancel, format!("{name} cancelled {task}"));
             }
         }
     }
@@ -1324,10 +1353,6 @@ impl<X: Executor> Engine<X> {
             rt.loop_iterations += 1;
             let iterations = rt.loop_iterations;
             if iterations < self.config.max_loop_iterations {
-                self.log(
-                    LogKind::Loop,
-                    format!("{name} loops (iteration {})", iterations + 1),
-                );
                 self.trace(TraceKind::LoopIteration {
                     activity: name.to_string(),
                     iteration: iterations + 1,
@@ -1335,10 +1360,6 @@ impl<X: Executor> Engine<X> {
                 self.write_checkpoint();
                 return;
             }
-            self.log(
-                LogKind::Stall,
-                format!("{name} exceeded max_loop_iterations; failing"),
-            );
             self.trace(TraceKind::EngineStalled {
                 activity: name.to_string(),
             });
@@ -1347,20 +1368,15 @@ impl<X: Executor> Engine<X> {
             status = NodeStatus::Failed;
             skipped = self.instance.settle(name, NodeStatus::Failed).1;
         }
-        let (state, detail) = match &status {
-            NodeStatus::Exception(n) => (format!("exception:{n}"), format!(" ({n})")),
-            other => (other.as_expr_str().to_string(), String::new()),
+        let state = match &status {
+            NodeStatus::Exception(n) => format!("exception:{n}"),
+            other => other.as_expr_str().to_string(),
         };
-        self.log(
-            LogKind::Settle,
-            format!("{name} {}{detail}", status.as_expr_str()),
-        );
         self.trace(TraceKind::NodeState {
             activity: name.to_string(),
             state,
         });
         for s in skipped {
-            self.log(LogKind::Settle, format!("{s} skipped"));
             self.trace(TraceKind::NodeState {
                 activity: s,
                 state: "skipped".to_string(),
@@ -1401,13 +1417,7 @@ impl<X: Executor> Engine<X> {
                 })
                 .map(|a| a.name.clone());
             match victim {
-                Some(name) => {
-                    self.log(
-                        LogKind::Cancel,
-                        format!("{name} redundant (its OR-joins are satisfied); cancelling"),
-                    );
-                    self.settle_node(&name, NodeStatus::Skipped);
-                }
+                Some(name) => self.settle_node(&name, NodeStatus::Skipped),
                 None => return,
             }
         }
@@ -1417,18 +1427,7 @@ impl<X: Executor> Engine<X> {
         let Some(sink) = self.config.checkpoint_sink.clone() else {
             return;
         };
-        // The log message is a constant, never a path: hosts assert
-        // journals byte-identical across state-dir locations.
-        let ok = match sink.save(crate::checkpoint::to_xml(&self.instance)) {
-            Err(e) => {
-                self.log(LogKind::Checkpoint, format!("checkpoint failed: {e}"));
-                false
-            }
-            Ok(()) => {
-                self.log(LogKind::Checkpoint, "checkpoint saved".to_string());
-                true
-            }
-        };
+        let ok = sink.save(crate::checkpoint::to_xml(&self.instance)).is_ok();
         self.trace(TraceKind::EngineCheckpoint { ok });
     }
 
@@ -1514,14 +1513,8 @@ impl<X: Executor> Engine<X> {
                         activity: name.to_string(),
                         item: slot,
                         attempts,
-                        reason: reason.clone(),
+                        reason,
                     });
-                    self.log(
-                        LogKind::Recovery,
-                        format!(
-                            "{name} item={slot} dead-lettered after {attempts} attempt(s): {reason}"
-                        ),
-                    );
                 }
                 ItemAction::Skip => self.settle_item(name, slot, ItemState::Skipped),
                 ItemAction::Stop => self.settle_item(name, slot, ItemState::Failed),
@@ -1538,13 +1531,7 @@ impl<X: Executor> Engine<X> {
             Some(items) => settle_decision(Lanes::Items(self.foreach_spec(name), items)),
             None => settle_decision(Lanes::Slots(&self.nodes[name].slots, &end)),
         };
-        match verdict {
-            Verdict::Wait => self.log(
-                LogKind::Recovery,
-                format!("{name} slot={slot} exhausted; other replicas still racing"),
-            ),
-            verdict => self.apply(name, verdict),
-        }
+        self.apply(name, verdict);
     }
 
     /// Carries out a node verdict (see [`settle_decision`]).
@@ -1555,18 +1542,7 @@ impl<X: Executor> Engine<X> {
                 self.trace(TraceKind::RecoveryExhausted {
                     activity: name.to_string(),
                 });
-                self.log(
-                    LogKind::Recovery,
-                    format!("{name} task-level recovery exhausted"),
-                );
                 self.settle_node(name, status);
-            }
-            Verdict::Breached { failures, total } => {
-                self.log(
-                    LogKind::Recovery,
-                    format!("{name} failure budget breached ({failures}/{total} items failed)"),
-                );
-                self.settle_node(name, NodeStatus::Failed);
             }
             Verdict::Wait => {}
             Verdict::Pump => self.pump_foreach(name),
@@ -1597,16 +1573,6 @@ impl<X: Executor> Engine<X> {
             attempt,
             fire_at: at,
         });
-        let act = self
-            .instance
-            .workflow()
-            .activity(name)
-            .expect("known activity");
-        let what = match act.foreach {
-            None => format!("slot={slot} retry {attempt}/{}", act.max_tries),
-            Some(_) => format!("item={slot} retry (attempt {attempt})"),
-        };
-        self.log(LogKind::Recovery, format!("{name} {what} in {delay}"));
     }
 
     /// Switches a fan-out item to its failover program on a fresh
@@ -1623,12 +1589,8 @@ impl<X: Executor> Engine<X> {
         self.trace(TraceKind::ItemFailover {
             activity: name.to_string(),
             item: idx,
-            program: program.clone(),
+            program,
         });
-        self.log(
-            LogKind::Recovery,
-            format!("{name} item={idx} failing over to '{program}'"),
-        );
         self.schedule_retry(name, idx, delay);
     }
 
@@ -1651,10 +1613,6 @@ impl<X: Executor> Engine<X> {
         match &detection {
             Detection::Zombie { body, .. } => {
                 let activity = self.presumed_activity(task);
-                self.log(
-                    LogKind::Detect,
-                    format!("{activity} {task} zombie {body} discarded (presumed dead)"),
-                );
                 self.trace(TraceKind::ZombieCompletion {
                     activity,
                     task: task.0,
@@ -1679,7 +1637,6 @@ impl<X: Executor> Engine<X> {
         let name = name.clone();
         match detection {
             Detection::Completed { .. } => {
-                self.log(LogKind::Detect, format!("{name} {task} completed"));
                 let host = self.close_attempt(&name, task, TaskOutcome::Completed, "task-end");
                 self.host_outcome(host.as_deref(), true);
                 // The winner retires before its node settles, so settling
@@ -1687,15 +1644,10 @@ impl<X: Executor> Engine<X> {
                 self.end_slot(&name, slot, End::Done);
             }
             Detection::Crashed { reason, .. } => {
-                let (why, reason_str) = match reason {
-                    CrashReason::DoneWithoutTaskEnd => {
-                        ("crash (Done without Task End)", "done-without-task-end")
-                    }
-                    CrashReason::HeartbeatLoss => {
-                        ("presumed crash (heartbeat loss)", "heartbeat-loss")
-                    }
+                let reason_str = match reason {
+                    CrashReason::DoneWithoutTaskEnd => "done-without-task-end",
+                    CrashReason::HeartbeatLoss => "heartbeat-loss",
                 };
-                self.log(LogKind::Detect, format!("{name} {task} {why}"));
                 if reason == CrashReason::HeartbeatLoss {
                     // A presumption, not an observation: the attempt may be
                     // alive behind a flaky link.  Journal the evidence that
@@ -1724,16 +1676,7 @@ impl<X: Executor> Engine<X> {
                 self.host_outcome(host.as_deref(), false);
                 self.attempt_failed(&name, slot, reason_str, true, NodeStatus::Failed);
             }
-            Detection::ExceptionRaised {
-                name: exc, known, ..
-            } => {
-                self.log(
-                    LogKind::Detect,
-                    format!(
-                        "{name} {task} exception '{exc}'{}",
-                        if known { "" } else { " (undeclared)" }
-                    ),
-                );
+            Detection::ExceptionRaised { name: exc, .. } => {
                 // Exceptions are application-level outcomes, not host
                 // flakiness: they neither trip nor reset the host breaker.
                 self.close_attempt(&name, task, TaskOutcome::Exception, &exc);
@@ -1755,11 +1698,10 @@ impl<X: Executor> Engine<X> {
                     rt.slots[slot].ckpt_flag = Some(flag.clone());
                 }
                 self.trace(TraceKind::CheckpointFlag {
-                    activity: name.clone(),
+                    activity: name,
                     task: task.0,
-                    flag: flag.clone(),
+                    flag,
                 });
-                self.log(LogKind::Checkpoint, format!("{name} {task} flag={flag}"));
             }
             Detection::Zombie { .. } | Detection::LateHeartbeat { .. } => {
                 unreachable!("post-mortem evidence is handled before the attempts lookup")
@@ -1822,7 +1764,6 @@ impl<X: Executor> Engine<X> {
         for (task, name) in live {
             self.close_attempt(&name, task, TaskOutcome::Cancelled, "abort");
             self.executor.cancel(task);
-            self.log(LogKind::Cancel, format!("{name} cancelled {task} (abort)"));
         }
         self.write_checkpoint();
     }
@@ -1835,10 +1776,6 @@ impl<X: Executor> Engine<X> {
             .map(|(n, _)| n.to_string())
             .collect();
         for name in running {
-            self.log(
-                LogKind::Stall,
-                format!("{name} cannot make progress (no notifications, no timers); failing"),
-            );
             self.trace(TraceKind::EngineStalled {
                 activity: name.clone(),
             });
@@ -1886,19 +1823,20 @@ impl<X: Executor> Engine<X> {
     /// Why navigation ends before this step, if it must: the simulated
     /// engine crash (`max_settlements`), a cooperative `stop`, or the
     /// `deadline`.
-    fn abort_reason(&self, deadline_abs: Option<f64>) -> Option<(&'static str, String)> {
-        if let Some(limit) = self.config.max_settlements {
-            if self.settlements >= limit {
-                let message =
-                    format!("aborting after {limit} settlements (simulated engine crash)");
-                return Some(("max_settlements", message));
-            }
+    fn abort_reason(&self, deadline_abs: Option<f64>) -> Option<&'static str> {
+        if self
+            .config
+            .max_settlements
+            .is_some_and(|limit| self.settlements >= limit)
+        {
+            return Some("max_settlements");
         }
         if let Some(true) = self.config.stop.as_ref().map(|f| f.load(Ordering::Relaxed)) {
-            return Some(("stop", "stop requested; aborting".to_string()));
+            return Some("stop");
         }
-        let d = deadline_abs.filter(|&d| self.executor.now() >= d)?;
-        Some(("deadline", format!("deadline reached at {d}; aborting")))
+        deadline_abs
+            .filter(|&d| self.executor.now() >= d)
+            .map(|_| "deadline")
     }
 
     fn step_inner(&mut self, block: bool) -> StepOutcome {
@@ -1914,8 +1852,7 @@ impl<X: Executor> Engine<X> {
         let state = self.run_state.as_ref().expect("just initialised");
         assert!(!state.done, "Engine stepped after StepOutcome::Finished");
         let deadline_abs = state.deadline_abs;
-        if let Some((reason, message)) = self.abort_reason(deadline_abs) {
-            self.log(LogKind::Stall, message);
+        if let Some(reason) = self.abort_reason(deadline_abs) {
             self.trace(TraceKind::EngineAborted {
                 reason: reason.to_string(),
             });
@@ -1997,9 +1934,9 @@ impl<X: Executor> Engine<X> {
     }
 
     /// Seals the run and builds the final report (the tail of the old
-    /// monolithic `run`): flushes the sink, then moves the log and trace
-    /// out of the engine so `step` can return [`StepOutcome::Finished`]
-    /// without consuming `self`.
+    /// monolithic `run`): flushes the sink, then moves the trace out of the
+    /// engine — deriving `spans` and `log` from it — so `step` can return
+    /// [`StepOutcome::Finished`] without consuming `self`.
     fn finish(&mut self, aborted: Option<String>) -> StepOutcome {
         let state = self.run_state.as_mut().expect("stepping");
         state.done = true;
@@ -2048,7 +1985,14 @@ impl<X: Executor> Engine<X> {
                     (n.to_string(), s)
                 })
                 .collect(),
-            log: std::mem::take(&mut self.log),
+            log: trace
+                .iter()
+                .map(|e| LogEntry {
+                    at: e.at,
+                    kind: LogKind::of(&e.kind),
+                    message: e.kind.line(),
+                })
+                .collect(),
             trace,
             eval_errors: self.instance.eval_errors().to_vec(),
             dlq,
@@ -2214,7 +2158,6 @@ mod tests {
             failure_threshold,
             ..ForeachSpec::new(Vec::new())
         };
-        let breached = |failures, total| Verdict::Breached { failures, total };
         // (case, max_failures, failure_threshold, item states, verdict)
         let item_rows: [(&str, ForeachSpec, &[ItemState], Verdict); 9] = [
             (
@@ -2233,7 +2176,7 @@ mod tests {
                 "max_failures breached",
                 caps(Some(1), None),
                 &[Dlq, Skipped, P],
-                breached(2, 3),
+                Verdict::Settle(Failed),
             ),
             (
                 "max_failures reached",
@@ -2245,7 +2188,7 @@ mod tests {
                 "failure_threshold breached",
                 caps(None, Some(0.5)),
                 &[Dlq, Dlq, D],
-                breached(2, 3),
+                Verdict::Settle(Failed),
             ),
             (
                 "failure_threshold reached",
@@ -2280,6 +2223,81 @@ mod tests {
     }
 
     #[test]
+    fn log_kind_table() {
+        let settle = |outcome| TraceKind::TaskSettled {
+            activity: "a".into(),
+            task: 1,
+            outcome,
+            reason: "r".into(),
+        };
+        let a = || "a".to_string();
+        // (event, category): the rows whose choice is not obvious from the
+        // kind's name.
+        let rows = [
+            (
+                TraceKind::TaskSubmitted {
+                    activity: a(),
+                    slot: 0,
+                    attempt: 1,
+                    task: 1,
+                    host: "h".into(),
+                    resume: None,
+                },
+                LogKind::Submit,
+            ),
+            (
+                TraceKind::PlacementScored {
+                    activity: a(),
+                    slot: 0,
+                    attempt: 1,
+                    host: "h".into(),
+                    score: 0.5,
+                    steered: false,
+                },
+                LogKind::Detect,
+            ),
+            (settle(TaskOutcome::Completed), LogKind::Detect),
+            (settle(TaskOutcome::Crashed), LogKind::Detect),
+            (settle(TaskOutcome::Exception), LogKind::Detect),
+            (settle(TaskOutcome::Cancelled), LogKind::Cancel),
+            (
+                TraceKind::OrphanCancelled {
+                    activity: a(),
+                    task: 1,
+                },
+                LogKind::Cancel,
+            ),
+            (
+                TraceKind::ItemReprocessed {
+                    activity: a(),
+                    item: 0,
+                },
+                LogKind::Recovery,
+            ),
+            (
+                TraceKind::AlternativeTask {
+                    from: a(),
+                    to: "b".into(),
+                },
+                LogKind::Settle,
+            ),
+            (
+                TraceKind::EngineCheckpoint { ok: false },
+                LogKind::Checkpoint,
+            ),
+            (
+                TraceKind::EngineAborted {
+                    reason: "stop".into(),
+                },
+                LogKind::Stall,
+            ),
+        ];
+        for (kind, want) in rows {
+            assert_eq!(LogKind::of(&kind), want, "{}", kind.line());
+        }
+    }
+
+    #[test]
     fn config_defaults_match_paper_behaviour() {
         let c = EngineConfig::default();
         assert!(c.checkpoint_sink.is_none());
@@ -2307,18 +2325,7 @@ mod tests {
             finished_at: 10.0,
             makespan: 10.0,
             node_status: vec![("a".into(), "done".into())],
-            log: vec![
-                LogEntry {
-                    at: 0.0,
-                    kind: LogKind::Submit,
-                    message: "a slot=0".into(),
-                },
-                LogEntry {
-                    at: 1.0,
-                    kind: LogKind::Submit,
-                    message: "ab slot=0".into(),
-                },
-            ],
+            log: vec![],
             spans: vec![crate::timeline::Span {
                 activity: "a".into(),
                 task: 1,
@@ -2327,19 +2334,28 @@ mod tests {
                 end: 10.0,
                 outcome: crate::timeline::SpanOutcome::Completed,
             }],
-            trace: vec![],
+            trace: ["a", "ab", "a b"]
+                .map(|activity| TraceEvent {
+                    at: 0.0,
+                    kind: TraceKind::TaskSubmitted {
+                        activity: activity.into(),
+                        slot: 0,
+                        attempt: 1,
+                        task: 1,
+                        host: "h".into(),
+                        resume: None,
+                    },
+                })
+                .to_vec(),
             eval_errors: vec![],
             dlq: vec![],
         };
         assert!(report.is_success());
         assert_eq!(report.status_of("a"), Some("done"));
         assert_eq!(report.status_of("zz"), None);
-        assert_eq!(
-            report.submissions_of("a"),
-            1,
-            "prefix match must not catch 'ab'"
-        );
-        assert_eq!(report.submissions_of("ab"), 1);
+        for name in ["a", "ab", "a b"] {
+            assert_eq!(report.submissions_of(name), 1, "{name}: exact match only");
+        }
         assert_eq!(report.cancellations(), 0);
         assert_eq!(report.host_utilization(), vec![("h".to_string(), 10.0)]);
     }

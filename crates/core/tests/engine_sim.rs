@@ -1,8 +1,9 @@
 //! End-to-end engine tests on the simulated Grid: every failure-handling
 //! strategy the paper describes, driven through the real navigator.
 
-use grid_wfs::engine::{Engine, EngineConfig, LogKind};
+use grid_wfs::engine::{Engine, EngineConfig, Report};
 use grid_wfs::sim_executor::{SimGrid, TaskProfile};
+use grid_wfs::{TaskOutcome, TraceKind};
 use gridwfs_sim::dist::Dist;
 use gridwfs_sim::resource::ResourceSpec;
 use gridwfs_wpdl::builder::{figure4, figure5, figure6, WorkflowBuilder};
@@ -14,6 +15,59 @@ fn build(b: WorkflowBuilder) -> Validated {
 
 fn validate_wf(w: gridwfs_wpdl::ast::Workflow) -> Validated {
     validate(w).expect("test workflow validates")
+}
+
+/// One journalled `task_submit`.
+struct Submit<'a> {
+    at: f64,
+    activity: &'a str,
+    host: &'a str,
+    resume: Option<&'a str>,
+}
+
+/// Every `task_submit` in the journal, in order.
+fn submits(report: &Report) -> Vec<Submit<'_>> {
+    report
+        .trace
+        .iter()
+        .filter_map(|e| match &e.kind {
+            TraceKind::TaskSubmitted {
+                activity,
+                host,
+                resume,
+                ..
+            } => Some(Submit {
+                at: e.at,
+                activity,
+                host,
+                resume: resume.as_deref(),
+            }),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Times at which the journal settled an attempt as `outcome` for `reason`.
+fn settled(report: &Report, outcome: TaskOutcome, reason: &str) -> Vec<f64> {
+    report
+        .trace
+        .iter()
+        .filter(|e| {
+            matches!(&e.kind, TraceKind::TaskSettled { outcome: o, reason: r, .. }
+                if *o == outcome && r == reason)
+        })
+        .map(|e| e.at)
+        .collect()
+}
+
+/// Time of the first journal event of `tag` whose readable line contains
+/// `needle`.
+fn first_at(report: &Report, tag: &str, needle: &str) -> Option<f64> {
+    report
+        .trace
+        .iter()
+        .find(|e| e.kind.tag() == tag && e.kind.line().contains(needle))
+        .map(|e| e.at)
 }
 
 // ------------------------------------------------------------- basics ---
@@ -32,6 +86,20 @@ fn single_reliable_task_completes() {
 }
 
 #[test]
+fn submissions_count_exact_activity_names() {
+    // One activity's name is a prefix of the other's, up to a space.
+    let mut b = WorkflowBuilder::new("names").program("p", 1.0, &["h"]);
+    b.activity("a", "p");
+    b.activity("a b", "p");
+    let mut grid = SimGrid::new(1);
+    grid.add_host(ResourceSpec::reliable("h"));
+    let report = Engine::new(build(b), grid).run();
+    assert!(report.is_success());
+    assert_eq!(report.submissions_of("a"), 1);
+    assert_eq!(report.submissions_of("a b"), 1);
+}
+
+#[test]
 fn linear_chain_executes_in_order() {
     let mut b = WorkflowBuilder::new("chain").program("p", 5.0, &["h"]);
     b.activity("a", "p");
@@ -43,12 +111,7 @@ fn linear_chain_executes_in_order() {
     let report = Engine::new(build(b), grid).run();
     assert!(report.is_success());
     assert_eq!(report.makespan, 15.0, "three sequential 5-unit tasks");
-    let submit_order: Vec<&str> = report
-        .log
-        .iter()
-        .filter(|e| e.kind == LogKind::Submit)
-        .map(|e| e.message.split_whitespace().next().unwrap())
-        .collect();
+    let submit_order: Vec<&str> = submits(&report).iter().map(|s| s.activity).collect();
     assert_eq!(submit_order, vec!["a", "b", "c"]);
 }
 
@@ -112,12 +175,7 @@ fn retry_cycles_to_a_working_resource() {
     assert!(report.is_success());
     assert_eq!(report.submissions_of("a"), 2);
     assert_eq!(report.makespan, 11.0, "bounce at 0 + interval 1 + run 10");
-    let hosts: Vec<&str> = report
-        .log
-        .iter()
-        .filter(|e| e.kind == LogKind::Submit)
-        .map(|e| e.message.split("host=").nth(1).unwrap())
-        .collect();
+    let hosts: Vec<&str> = submits(&report).iter().map(|s| s.host).collect();
     assert_eq!(hosts, vec!["ghost.host", "good.host"]);
 }
 
@@ -146,12 +204,8 @@ fn replication_first_success_wins_and_cancels() {
     assert!(report.is_success());
     assert_eq!(report.makespan, 5.0, "fast replica finishes at 10/2");
     assert_eq!(report.submissions_of("a"), 3, "all replicas submitted");
-    let cancels = report
-        .log
-        .iter()
-        .filter(|e| e.kind == LogKind::Cancel)
-        .count();
-    assert_eq!(cancels, 2, "two losing replicas cancelled");
+    let cancels = settled(&report, TaskOutcome::Cancelled, "node-settled");
+    assert_eq!(cancels.len(), 2, "two losing replicas cancelled");
 }
 
 #[test]
@@ -212,12 +266,7 @@ fn checkpoint_resume_makes_progress_across_crashes() {
     assert!(report.is_success());
     assert_eq!(report.submissions_of("a"), 3);
     assert_eq!(report.makespan, 12.0, "5 + 5 + 2");
-    let resumes: Vec<&str> = report
-        .log
-        .iter()
-        .filter(|e| e.kind == LogKind::Submit && e.message.contains("resume="))
-        .map(|e| e.message.split("resume=").nth(1).unwrap())
-        .collect();
+    let resumes: Vec<&str> = submits(&report).iter().filter_map(|s| s.resume).collect();
     assert_eq!(resumes, vec!["ckpt:4", "ckpt:8"]);
 }
 
@@ -253,10 +302,7 @@ fn host_crash_detected_by_heartbeat_loss_and_retried_elsewhere() {
     grid.add_host(ResourceSpec::reliable("good.host"));
     let report = Engine::new(build(b), grid).run();
     assert!(report.is_success());
-    assert!(report
-        .log
-        .iter()
-        .any(|e| e.kind == LogKind::Detect && e.message.contains("heartbeat loss")));
+    assert!(!settled(&report, TaskOutcome::Crashed, "heartbeat-loss").is_empty());
     // Crash at ~0, presumed at ~3 (tolerance), then 10 units of work.
     assert!(
         (report.makespan - 13.0).abs() < 0.1,
@@ -275,7 +321,7 @@ fn stalled_workflow_terminates_with_failure() {
     grid.add_host(ResourceSpec::unreliable("dying.host", 0.001, 1000.0));
     let report = Engine::new(build(b), grid).run();
     assert!(!report.is_success());
-    assert!(report.log.iter().any(|e| e.kind == LogKind::Stall));
+    assert!(first_at(&report, "engine_stalled", "activity=\"a\"").is_some());
 }
 
 // ------------------------------------------- workflow-level: Figure 4/5/6 ---
@@ -334,12 +380,12 @@ fn figure5_fast_branch_wins_when_healthy() {
     assert_eq!(report.status_of("join_task"), Some("done"));
     assert_eq!(report.makespan, 150.0);
     // But the join itself completed at t=30.
-    let join_done = report
-        .log
-        .iter()
-        .find(|e| e.kind == LogKind::Settle && e.message.starts_with("join_task done"))
-        .expect("join settles");
-    assert_eq!(join_done.at, 30.0);
+    let join_done = first_at(
+        &report,
+        "node_state",
+        r#"activity="join_task" state="done""#,
+    );
+    assert_eq!(join_done, Some(30.0), "join settles");
 }
 
 #[test]
@@ -463,10 +509,7 @@ fn runaway_loop_is_capped() {
     };
     let report = Engine::new(build(b), grid).with_config(config).run();
     assert!(!report.is_success());
-    assert!(report
-        .log
-        .iter()
-        .any(|e| e.message.contains("max_loop_iterations")));
+    assert!(first_at(&report, "engine_stalled", "activity=\"a\"").is_some());
 }
 
 #[test]
@@ -493,19 +536,17 @@ fn a_loop_limit_failure_settles_like_any_other() {
         ..EngineConfig::default()
     };
     let report = Engine::new(build(b), grid).with_config(config).run();
-    let at = |kind: LogKind, message: &str| {
-        report
-            .log
-            .iter()
-            .find(|e| e.kind == kind && e.message.starts_with(message))
-            .map(|e| e.at)
-    };
+    let at = |tag: &str, fields: &str| first_at(&report, tag, fields);
+    assert_eq!(at("engine_stalled", r#"activity="l""#), Some(3.0));
     assert_eq!(
-        at(LogKind::Stall, "l exceeded max_loop_iterations"),
+        at("node_state", r#"activity="l" state="failed""#),
         Some(3.0)
     );
-    assert_eq!(at(LogKind::Settle, "l failed"), Some(3.0));
-    assert_eq!(at(LogKind::Cancel, "r redundant"), Some(3.0));
+    assert_eq!(
+        at("node_state", r#"activity="r" state="skipped""#),
+        Some(3.0)
+    );
+    assert_eq!(at("task_settle", r#"activity="r""#), Some(3.0));
     assert_eq!(report.status_of("l"), Some("failed"));
     assert_eq!(report.status_of("r"), Some("skipped"));
     assert_eq!(report.status_of("j"), Some("done"));
@@ -662,12 +703,7 @@ fn retry_backoff_spaces_attempts_exponentially() {
     let report = Engine::new(build(b), grid).run();
     assert!(!report.is_success());
     assert_eq!(report.submissions_of("a"), 4);
-    let submit_times: Vec<f64> = report
-        .log
-        .iter()
-        .filter(|e| e.kind == LogKind::Submit)
-        .map(|e| e.at)
-        .collect();
+    let submit_times: Vec<f64> = submits(&report).iter().map(|s| s.at).collect();
     assert_eq!(submit_times, vec![0.0, 2.0, 6.0, 14.0], "gaps 2, 4, 8");
 }
 
@@ -696,10 +732,7 @@ fn dropped_task_end_causes_spurious_retry_but_workflow_completes() {
         }
         if report.submissions_of("a") > 1 {
             found_spurious = true;
-            assert!(report
-                .log
-                .iter()
-                .any(|e| e.message.contains("Done without Task End")));
+            assert!(!settled(&report, TaskOutcome::Crashed, "done-without-task-end").is_empty());
             break;
         }
     }
@@ -720,10 +753,7 @@ fn fully_partitioned_link_fails_cleanly() {
     let report = Engine::new(build(b), grid).run();
     assert!(!report.is_success());
     // Nothing ever arrived, so detection came from heartbeat silence.
-    assert!(report
-        .log
-        .iter()
-        .any(|e| e.message.contains("heartbeat loss")));
+    assert!(!settled(&report, TaskOutcome::Crashed, "heartbeat-loss").is_empty());
 }
 
 // ------------------------------------ engine as the Figure 13 retry curve ---
@@ -795,11 +825,7 @@ fn reorder_buffer_prevents_spurious_crash_classification() {
         let mut grid = SimGrid::new(seed).with_link(jittery());
         grid.add_host(ResourceSpec::reliable("h"));
         let report = Engine::new(wf(), grid).run();
-        if report
-            .log
-            .iter()
-            .any(|e| e.message.contains("Done without Task End"))
-        {
+        if !settled(&report, TaskOutcome::Crashed, "done-without-task-end").is_empty() {
             reorder_seed = Some(seed);
             break;
         }
@@ -816,10 +842,7 @@ fn reorder_buffer_prevents_spurious_crash_classification() {
     let report = Engine::new(wf(), grid).with_config(config).run();
     assert!(report.is_success());
     assert_eq!(report.submissions_of("a"), 1, "no spurious retry");
-    assert!(!report
-        .log
-        .iter()
-        .any(|e| e.message.contains("Done without Task End")));
+    assert!(settled(&report, TaskOutcome::Crashed, "done-without-task-end").is_empty());
 }
 
 // --------------------------------------- cancel_redundant extension ---
@@ -976,11 +999,7 @@ fn replica_slots_keep_their_own_checkpoint_flags() {
         report.makespan, 11.0,
         "fast replica resumed from its own flag"
     );
-    let resumes: Vec<&str> = report
-        .log
-        .iter()
-        .filter_map(|e| e.message.split("resume=").nth(1))
-        .collect();
+    let resumes: Vec<&str> = submits(&report).iter().filter_map(|s| s.resume).collect();
     assert_eq!(
         resumes,
         vec!["ckpt:12"],
@@ -989,10 +1008,7 @@ fn replica_slots_keep_their_own_checkpoint_flags() {
     // The slow slot meanwhile recorded different (unused) flags of its own
     // — per-slot isolation, not a shared activity-level flag.
     assert!(
-        report
-            .log
-            .iter()
-            .any(|e| e.kind == LogKind::Checkpoint && e.message.contains("task#2 flag=ckpt:10")),
+        first_at(&report, "checkpoint_flag", r#"task=2 flag="ckpt:10""#).is_some(),
         "slow slot's own progression was tracked"
     );
 }
@@ -1026,11 +1042,10 @@ fn a_retry_timer_does_not_leak_into_the_next_loop_iteration() {
     grid.add_host(ResourceSpec::reliable("h"));
     let report = Engine::new(build(b), grid).run();
     assert!(report.is_success(), "{:?}", report.outcome);
-    let ghost_submits: Vec<f64> = report
-        .log
+    let ghost_submits: Vec<f64> = submits(&report)
         .iter()
-        .filter(|e| e.kind == LogKind::Submit && e.message.ends_with("host=ghost"))
-        .map(|e| e.at)
+        .filter(|s| s.host == "ghost")
+        .map(|s| s.at)
         .collect();
     // Iteration 1: t=0 and its retry at 3; iteration 2: t=4 and its retry
     // at 7 — nothing at 6.
@@ -1059,16 +1074,15 @@ fn a_deadline_abort_journals_its_cancellations_in_task_order() {
     };
     let first = run();
     assert_eq!(first.aborted.as_deref(), Some("deadline"));
-    let cancelled: Vec<&str> = first
-        .log
+    let cancelled: Vec<u64> = first
+        .trace
         .iter()
-        .filter(|e| e.kind == LogKind::Cancel)
-        .map(|e| e.message.as_str())
+        .filter_map(|e| match &e.kind {
+            TraceKind::TaskSettled { task, reason, .. } if reason == "abort" => Some(*task),
+            _ => None,
+        })
         .collect();
-    assert_eq!(
-        cancelled,
-        [1, 2, 3, 4].map(|t| format!("a cancelled task#{t} (abort)")),
-    );
+    assert_eq!(cancelled, [1, 2, 3, 4]);
     for _ in 0..8 {
         assert_eq!(run().trace_jsonl(), first.trace_jsonl());
     }

@@ -276,6 +276,11 @@ fn dead_letter_reprocess_banks_prior_attempts_and_settles_items_once() {
         "every retried item journals its reprocess"
     );
     assert_eq!(settled_with(&resumed, "done"), 3);
+    assert_eq!(
+        resumed.submissions_of("map"),
+        3,
+        "a reprocess is one attempt per item, not two"
+    );
     // The final checkpoint holds exactly one terminal state per item.
     let final_text = std::fs::read_to_string(&ckpt).unwrap();
     let final_instance = checkpoint::from_xml(&final_text).unwrap();

@@ -4,7 +4,7 @@
 //! journals the post-mortem evidence (`zombie_completion`, `late_heartbeat`)
 //! and discards it — fencing, not revival.
 
-use grid_wfs::engine::{Engine, EngineConfig, LogKind};
+use grid_wfs::engine::{Engine, EngineConfig};
 use grid_wfs::sim_executor::SimGrid;
 use grid_wfs::{DetectorPolicy, PhiConfig, TraceKind};
 use gridwfs_sim::net::LinkModel;
@@ -142,10 +142,8 @@ fn phi_policy_end_to_end_journals_suspicion_level() {
     };
     let report = Engine::new(build(b), grid).with_config(config).run();
     assert!(
-        report
-            .log
-            .iter()
-            .any(|e| e.kind == LogKind::Detect && e.message.contains("heartbeat loss")),
+        report.trace.iter().any(|e| matches!(&e.kind,
+            TraceKind::TaskSettled { reason, .. } if reason == "heartbeat-loss")),
         "the silent host crash was presumed"
     );
     let phi = report

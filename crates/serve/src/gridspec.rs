@@ -479,6 +479,34 @@ impl GridSpec {
 
     // ------------------------------------------------------- manifest ---
 
+    /// Refuses a name the manifest cannot carry.  Its fields are
+    /// whitespace-separated, so a host name, `host_links` key, profile
+    /// program or profile exception that is empty or contains whitespace
+    /// would not read back.
+    pub(crate) fn check_manifest_names(&self) -> Result<(), String> {
+        let hosts = self.hosts.iter().map(|h| ("host name", &h.hostname));
+        let links = self.host_links.iter().map(|(h, _)| ("host_links key", h));
+        let programs = self
+            .profiles
+            .iter()
+            .map(|p| ("profile program", &p.program));
+        let exceptions = self.profiles.iter().filter_map(|p| {
+            let (name, _, _) = p.exception.as_ref()?;
+            Some(("profile exception", name))
+        });
+        match hosts
+            .chain(links)
+            .chain(programs)
+            .chain(exceptions)
+            .find(|(_, name)| name.is_empty() || name.contains(char::is_whitespace))
+        {
+            Some((field, name)) => Err(format!(
+                "cannot store grid {field} {name:?}: empty or contains whitespace"
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Serialises the spec to the line-based manifest format.
     pub fn to_manifest(&self) -> String {
         let mut out = String::new();

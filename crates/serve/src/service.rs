@@ -11,11 +11,11 @@
 //!   and RNG stream; a failing workflow is just a `Failed` record;
 //! * **deadlines & cancellation** — the engine's cooperative stop flag and
 //!   executor-clock deadline (`EngineConfig::{stop, deadline}`);
-//! * **crash recovery** — with a state directory, admitted jobs persist
-//!   their submission and engine checkpoints through the one
-//!   [`Storage`] seam (the write-ahead log, or memory for tests); a
-//!   restarted service re-admits unfinished jobs and their engines resume
-//!   from checkpoint;
+//! * **crash recovery** — with [`ServiceConfig::storage`], admitted jobs
+//!   persist their submission and engine checkpoints through the one
+//!   [`Storage`] seam (a [`gridwfs_storage::WalStorage`] over a state
+//!   directory, or memory for tests); a restarted service re-admits
+//!   unfinished jobs and their engines resume from checkpoint;
 //! * **metrics** — a [`Metrics`] registry snapshot-able as JSON.
 
 use std::path::PathBuf;
@@ -24,9 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gridwfs_chaos::{relock, FaultPlan};
-use gridwfs_storage::{
-    is_fence_conflict, Backend, ChaosStorage, MemStorage, Op, Storage, WalStorage,
-};
+use gridwfs_storage::{is_fence_conflict, ChaosStorage, Op, Storage};
 use gridwfs_trace::{JsonlSink, RingSink, TraceEvent, TraceKind, TraceSink};
 
 use crate::job::{JobId, JobRecord, JobState, Submission};
@@ -47,16 +45,10 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Admission-queue capacity; submissions beyond it are rejected.
     pub queue_capacity: usize,
-    /// Persistence root for crash recovery; `None` = in-memory only.
-    pub state_dir: Option<PathBuf>,
-    /// Which storage engine backs the state dir: the group-committed
-    /// write-ahead log (the durable default) or a process-local in-memory
-    /// table.
-    pub backend: Backend,
-    /// Pre-built storage override: tests and benches inject a backend
-    /// directly (e.g. one shared `MemStorage` across restarts).  When
-    /// set, `state_dir`/`backend` only label the configuration — the
-    /// override is used as-is (chaos wrapping still applies).
+    /// Where jobs persist for crash recovery: a `WalStorage` over a state
+    /// directory, or a `MemStorage` shared across restarts in tests.
+    /// `None` = in-memory only, nothing survives the process.  A chaos
+    /// plan with state faults wraps it in [`ChaosStorage`].
     pub storage: Option<Arc<dyn Storage>>,
     /// Deadline applied to submissions that do not carry their own.
     pub default_deadline: Option<f64>,
@@ -98,8 +90,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 4,
             queue_capacity: 64,
-            state_dir: None,
-            backend: Backend::default(),
             storage: None,
             default_deadline: None,
             trace_dir: None,
@@ -118,8 +108,6 @@ impl std::fmt::Debug for ServiceConfig {
         f.debug_struct("ServiceConfig")
             .field("workers", &self.workers)
             .field("queue_capacity", &self.queue_capacity)
-            .field("state_dir", &self.state_dir)
-            .field("backend", &self.backend)
             .field("default_deadline", &self.default_deadline)
             .field("trace_dir", &self.trace_dir)
             .field("chaos", &self.chaos)
@@ -139,7 +127,8 @@ pub enum SubmitError {
     QueueFull,
     /// The service is draining or shut down.
     ShuttingDown,
-    /// The submission could not be persisted to the state directory.
+    /// The submission could not be persisted, or its grid names something
+    /// the job's stored manifest cannot carry.
     Io(String),
 }
 
@@ -157,9 +146,9 @@ impl std::error::Error for SubmitError {}
 /// State shared between the service handle and its workers.
 pub(crate) struct Shared {
     pub(crate) cfg: ServiceConfig,
-    /// The *effective* storage: the configured backend, wrapped in
+    /// The *effective* storage: the configured one, wrapped in
     /// [`ChaosStorage`] when the chaos plan injects state faults.
-    /// `None` = no persistence (no state dir, no override).
+    /// `None` = no persistence.
     pub(crate) storage: Option<Arc<dyn Storage>>,
     /// The chaos plan workers consult for panic/stall injection.
     pub(crate) chaos: Option<Arc<FaultPlan>>,
@@ -220,24 +209,12 @@ pub struct Service {
 }
 
 impl Service {
-    /// Starts the service: recovers unfinished jobs from the state
-    /// directory (if configured), then spawns the worker pool.
+    /// Starts the service: recovers unfinished jobs from its storage (if
+    /// configured), then spawns the worker pool.
     pub fn start(cfg: ServiceConfig) -> Result<Service, String> {
         assert!(cfg.workers > 0, "need at least one worker");
         let chaos = cfg.chaos.clone().map(Arc::new);
-        let base: Option<Arc<dyn Storage>> = if let Some(st) = cfg.storage.clone() {
-            Some(st)
-        } else if let Some(dir) = &cfg.state_dir {
-            Some(match cfg.backend {
-                Backend::Wal => {
-                    Arc::new(WalStorage::open(dir).map_err(|e| format!("{}: {e}", dir.display()))?)
-                }
-                Backend::Memory => Arc::new(MemStorage::new()),
-            })
-        } else {
-            None
-        };
-        let storage = base.map(|st| match &cfg.chaos {
+        let storage = cfg.storage.clone().map(|st| match &cfg.chaos {
             Some(plan) if plan.has_fs_faults() => {
                 Arc::new(ChaosStorage::new(st, plan.clone())) as Arc<dyn Storage>
             }
@@ -356,6 +333,12 @@ impl Service {
         if !self.shared.accepting.load(Ordering::Relaxed) {
             self.reject(&sub.name, "shutting-down");
             return Err(SubmitError::ShuttingDown);
+        }
+        // Refused before an id is drawn: a name the job's manifest cannot
+        // carry would admit a job that no restart could read back.
+        if let Err(e) = sub.grid.check_manifest_names() {
+            self.reject(&sub.name, "bad-grid");
+            return Err(SubmitError::Io(e));
         }
         let id = match relock(&self.shared.free_ids).pop() {
             Some(freed) => JobId(freed),

@@ -28,7 +28,7 @@
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 
-use grid_wfs::engine::{CheckpointSink, Engine, EngineConfig, LogKind, Report, StepOutcome};
+use grid_wfs::engine::{CheckpointSink, Engine, EngineConfig, Report, StepOutcome};
 use grid_wfs::{checkpoint, InjectedTaskFault, Instance, SimGrid, ThreadExecutor};
 use gridwfs_chaos::relock;
 use gridwfs_trace::{FanoutSink, JsonlSink, TraceEvent, TraceKind, TraceSink};
@@ -369,9 +369,9 @@ pub(crate) fn settle(
         if let Some(report) = &report {
             rec.makespan = Some(report.makespan);
             rec.task_submissions = report
-                .log
+                .trace
                 .iter()
-                .filter(|e| e.kind == LogKind::Submit)
+                .filter(|e| matches!(e.kind, TraceKind::TaskSubmitted { .. }))
                 .count() as u64;
         }
         rec.latency()

@@ -286,21 +286,13 @@ fn item_accounting(
     out
 }
 
-fn config(
-    state: &Path,
-    trace: &Path,
-    chaos: Option<FaultPlan>,
-    backend: Backend,
-    storage: Option<Arc<dyn Storage>>,
-) -> ServiceConfig {
+fn config(trace: &Path, chaos: Option<FaultPlan>, storage: Arc<dyn Storage>) -> ServiceConfig {
     ServiceConfig {
         workers: 2,
         queue_capacity: 64,
-        state_dir: Some(state.to_path_buf()),
         trace_dir: Some(trace.to_path_buf()),
         chaos,
-        backend,
-        storage,
+        storage: Some(storage),
         ..ServiceConfig::default()
     }
 }
@@ -312,21 +304,19 @@ fn run_combo(base: &Path, spec: &str, backend: Backend, submit: fn(u64) -> Submi
     let plan = FaultPlan::parse(spec).unwrap_or_else(|e| panic!("bad spec '{spec}': {e}"));
     let strict = !plan.has_fs_faults();
     // The memory backend has no disk to restart from: both phases (and
-    // the final inspection) share one table through the storage override,
-    // which is exactly how a caller embeds the service without a disk.
-    let mem: Option<Arc<MemStorage>> =
-        (backend == Backend::Memory).then(|| Arc::new(MemStorage::new()));
-    let override_storage = || mem.clone().map(|m| m as Arc<dyn Storage>);
+    // the final inspection) share one table, which is exactly how a caller
+    // embeds the service without a disk.  The WAL is reopened from disk.
+    let mem = Arc::new(MemStorage::new());
+    let storage = || -> Arc<dyn Storage> {
+        match backend {
+            Backend::Memory => mem.clone(),
+            Backend::Wal => Arc::new(WalStorage::open(&state).unwrap()),
+        }
+    };
 
     // Phase 1: chaos on.
-    let svc = Service::start(config(
-        &state,
-        &trace,
-        Some(plan),
-        backend,
-        override_storage(),
-    ))
-    .unwrap_or_else(|e| panic!("phase-1 start ({spec}, {backend:?}): {e}"));
+    let svc = Service::start(config(&trace, Some(plan), storage()))
+        .unwrap_or_else(|e| panic!("phase-1 start ({spec}, {backend:?}): {e}"));
     let mut admitted = Vec::new();
     for i in 0..JOBS {
         match svc.submit(submit(i)) {
@@ -347,7 +337,7 @@ fn run_combo(base: &Path, spec: &str, backend: Backend, submit: fn(u64) -> Submi
 
     // Phase 2: restart the same storage with chaos off; recovery must
     // re-admit every unfinished job and run it to a terminal state.
-    let svc = Service::start(config(&state, &trace, None, backend, override_storage()))
+    let svc = Service::start(config(&trace, None, storage()))
         .unwrap_or_else(|e| panic!("phase-2 start ({spec}, {backend:?}): {e}"));
     assert!(
         svc.wait_all_terminal(Duration::from_secs(60)),
@@ -358,10 +348,7 @@ fn run_combo(base: &Path, spec: &str, backend: Backend, submit: fn(u64) -> Submi
     // Invariant 2: every admitted job is accounted for.  Inspect through
     // the trait so the check is layout-agnostic (the WAL has no per-job
     // files to stat).
-    let st: Arc<dyn Storage> = match backend {
-        Backend::Memory => mem.clone().unwrap(),
-        Backend::Wal => Arc::new(WalStorage::open(&state).unwrap()),
-    };
+    let st = storage();
     for &id in &admitted {
         let jid = JobId(id);
         let terminal_in_storage = st.exists(&recover::result_name(jid));
@@ -577,9 +564,8 @@ fn foreach_accounting_is_worker_count_invariant() {
         let svc = Service::start(ServiceConfig {
             workers,
             queue_capacity: 64,
-            state_dir: Some(state.clone()),
+            storage: Some(Arc::new(WalStorage::open(&state).unwrap())),
             trace_dir: Some(trace.clone()),
-            backend: Backend::Wal,
             ..ServiceConfig::default()
         })
         .unwrap();

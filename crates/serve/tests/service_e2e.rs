@@ -6,10 +6,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use grid_wfs::Engine;
+use grid_wfs::{Engine, TraceKind};
 use gridwfs_serve::{
-    recover, Backend, GridSpec, JobId, JobState, LinkSpec, MemStorage, Service, ServiceConfig,
-    Storage, Submission, SubmitError, WalStorage,
+    recover, Backend, GridSpec, JobId, JobState, LinkSpec, MemStorage, ProfileSpec, Service,
+    ServiceConfig, Storage, Submission, SubmitError, WalStorage,
 };
 use gridwfs_wpdl::builder::WorkflowBuilder;
 
@@ -237,10 +237,11 @@ fn rejects_after_drain_and_reports_unknown_jobs() {
     // With a state directory, a completed job leaves a result marker and
     // submissions are journalled.
     let dir = tmpdir("drained");
+    let wal = || Some(Arc::new(WalStorage::open(&dir).unwrap()) as Arc<dyn Storage>);
     let service = Service::start(ServiceConfig {
         workers: 1,
         queue_capacity: 2,
-        state_dir: Some(dir.clone()),
+        storage: wal(),
         ..ServiceConfig::default()
     })
     .unwrap();
@@ -254,7 +255,7 @@ fn rejects_after_drain_and_reports_unknown_jobs() {
     let service = Service::start(ServiceConfig {
         workers: 1,
         queue_capacity: 2,
-        state_dir: Some(dir.clone()),
+        storage: wal(),
         ..ServiceConfig::default()
     })
     .unwrap();
@@ -352,8 +353,7 @@ fn metrics_snapshot_surfaces_storage_counters() {
     let config = || ServiceConfig {
         workers: 1,
         queue_capacity: 8,
-        state_dir: Some(dir.clone()),
-        backend: gridwfs_serve::Backend::Wal,
+        storage: Some(Arc::new(WalStorage::open(&dir).unwrap())),
         ..ServiceConfig::default()
     };
     let service = Service::start(config()).unwrap();
@@ -430,10 +430,10 @@ fn jittered_link_does_not_read_a_success_as_a_crash() {
     let seed = (0..200u64)
         .find(|&seed| {
             let report = Engine::new(workflow().build().unwrap(), grid.build_sim(seed)).run();
-            report
-                .log
-                .iter()
-                .any(|e| e.message.contains("Done without Task End"))
+            report.trace.iter().any(|e| {
+                matches!(&e.kind, TraceKind::TaskSettled { reason, .. }
+                    if reason == "done-without-task-end")
+            })
         })
         .expect("200 seeds at U[0,2) jitter must reorder at least once");
     let service = Service::start(ServiceConfig {
@@ -449,4 +449,58 @@ fn jittered_link_does_not_read_a_success_as_a_crash() {
     let rec = service.status(id).unwrap();
     assert_eq!(rec.state, JobState::Done, "{:?}", rec.detail);
     assert_eq!(rec.task_submissions, 1, "seed {seed}: a spurious retry");
+}
+
+#[test]
+fn grid_names_the_manifest_cannot_store_are_refused_before_storage() {
+    use std::sync::atomic::Ordering;
+    let storage = Arc::new(MemStorage::new());
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        storage: Some(storage.clone()),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let good = GridSpec::virtual_grid().with_host("h1", 1.0);
+    let profile = |program: &str, exception: &str| ProfileSpec {
+        program: program.into(),
+        checkpoint_period: None,
+        soft_crash_mttf: None,
+        exception: Some((exception.into(), 1, 0.5)),
+    };
+    let cases = [
+        ("host name", good.clone().with_host("h one", 1.0)),
+        ("host name", good.clone().with_host("", 1.0)),
+        (
+            "host_links key",
+            good.clone()
+                .with_host_link("h\tone", LinkSpec::constant(0.1, 0.0)),
+        ),
+        (
+            "profile program",
+            good.clone().with_profile(profile("p q", "oom")),
+        ),
+        (
+            "profile exception",
+            good.clone().with_profile(profile("p", "out of memory")),
+        ),
+    ];
+    for (field, grid) in cases {
+        let xml = chain_xml("bad", 1, 1.0, "h1");
+        match service.submit(submission("bad", grid, 1, xml)) {
+            Err(SubmitError::Io(e)) => assert!(e.contains(field), "{field}: {e}"),
+            other => panic!("{field}: {other:?}"),
+        }
+        assert!(
+            storage.list().unwrap().is_empty(),
+            "{field}: nothing stored"
+        );
+    }
+    let refused = service.metrics().counters.rejected.load(Ordering::Relaxed);
+    assert_eq!(refused, 5, "every refusal counted");
+    let id = service
+        .submit(submission("good", good, 1, chain_xml("good", 1, 1.0, "h1")))
+        .expect("a well-formed grid admits");
+    assert!(service.wait_all_terminal(Duration::from_secs(10)));
+    assert_eq!(service.status(id).unwrap().state, JobState::Done);
 }

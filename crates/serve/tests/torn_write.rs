@@ -17,8 +17,7 @@ use std::sync::Arc;
 
 use grid_wfs::{checkpoint, Instance};
 use gridwfs_serve::{
-    recover, Backend, GridSpec, JobId, MemStorage, Service, ServiceConfig, Storage, Submission,
-    WalStorage,
+    recover, GridSpec, JobId, MemStorage, Service, ServiceConfig, Storage, Submission, WalStorage,
 };
 use gridwfs_storage::{WAL_FILE, WAL_QUARANTINE};
 use gridwfs_wpdl::parse;
@@ -302,8 +301,7 @@ fn service_over_torn_wal_recovers_survivors_and_mints_fresh_ids() {
     let svc = Service::start(ServiceConfig {
         workers: 1,
         queue_capacity: 8,
-        state_dir: Some(dir.clone()),
-        backend: Backend::Wal,
+        storage: Some(Arc::new(WalStorage::open(&dir).unwrap())),
         ..ServiceConfig::default()
     })
     .unwrap();

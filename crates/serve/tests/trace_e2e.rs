@@ -101,21 +101,17 @@ fn journals_are_byte_identical_across_worker_counts() {
 fn recovered_incarnation_appends_to_the_journal() {
     let state = tmpdir("state");
     let traces = tmpdir("traces");
-    let config = || ServiceConfig {
+    let config = |st: Arc<WalStorage>| ServiceConfig {
         workers: 1,
         queue_capacity: 8,
-        state_dir: Some(state.clone()),
+        storage: Some(st),
         trace_dir: Some(traces.clone()),
         ..ServiceConfig::default()
     };
     // The first incarnation shares its WAL handle with the test, which
     // polls the checkpoint record to time its kill.
     let st = Arc::new(WalStorage::open(&state).unwrap());
-    let service = Service::start(ServiceConfig {
-        storage: Some(st.clone()),
-        ..config()
-    })
-    .unwrap();
+    let service = Service::start(config(st.clone())).unwrap();
     // Paced 0.25: three ~250ms stages, so the kill lands mid-workflow.
     let mut b = WorkflowBuilder::new("slow").program("p", 1.0, &["local"]);
     b.activity("a", "p");
@@ -155,7 +151,7 @@ fn recovered_incarnation_appends_to_the_journal() {
 
     // Second incarnation, from the log on disk: recovery re-admits, the
     // journal grows.
-    let service = Service::start(config()).unwrap();
+    let service = Service::start(config(Arc::new(WalStorage::open(&state).unwrap()))).unwrap();
     assert!(service.wait_all_terminal(Duration::from_secs(30)));
     assert!(service
         .trace_events()

@@ -10,6 +10,12 @@
 //! oracle — the simulator is deterministic, so identical seeds must yield
 //! **byte-identical** journals regardless of worker/thread count.
 //!
+//! Each kind's fields are listed once, in the `trace_kinds!` declaration
+//! of [`TraceKind`]: its wire tag and fields in wire order.  One walk over
+//! those `(name, value)` pairs renders both the JSON line
+//! ([`TraceEvent::to_json`]) and the readable line ([`TraceKind::line`])
+//! that the engine's report log shows.
+//!
 //! Determinism rules the encoders follow:
 //!
 //! * fields are written in a fixed order with no whitespace;
@@ -23,6 +29,7 @@
 //! `serve` in the crate DAG and must build in the offline stub workspace.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -60,420 +67,421 @@ impl TaskOutcome {
     }
 }
 
-/// One recovery-relevant decision.  Engine-level kinds carry executor-clock
-/// context in the enclosing [`TraceEvent::at`]; serve-level job events use
-/// deterministic anchors (0.0 at admission, the report's `finished_at` at
-/// settlement) so per-job journals are reproducible.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceKind {
-    /// An activity changed navigation state (`running`, `done`, `failed`,
-    /// `exception:<name>`, `skipped`).
-    NodeState {
-        /// Activity name.
-        activity: String,
-        /// New state string.
-        state: String,
-    },
-    /// A do-while loop re-queued its activity for another iteration.
-    LoopIteration {
-        /// Activity name.
-        activity: String,
-        /// 1-based iteration about to run.
-        iteration: u32,
-    },
-    /// A task attempt was handed to the executor.
-    TaskSubmitted {
-        /// Owning activity.
-        activity: String,
-        /// Replica slot (0 for simple policy).
-        slot: usize,
-        /// 1-based attempt number within the slot.
-        attempt: u32,
-        /// Engine task id.
-        task: u64,
-        /// Target host.
-        host: String,
-        /// Checkpoint flag handed back to the task, when resuming.
-        resume: Option<String>,
-    },
-    /// A task attempt reached a terminal classification.
-    TaskSettled {
-        /// Owning activity.
-        activity: String,
-        /// Engine task id.
-        task: u64,
-        /// Terminal classification.
-        outcome: TaskOutcome,
-        /// Why (`task-end`, `done-without-task-end`, `heartbeat-loss`,
-        /// exception name, `sibling-settled`, `abort`, ...).
-        reason: String,
-    },
-    /// Task-level recovery scheduled a retry timer.
-    RetryScheduled {
-        /// Activity being retried.
-        activity: String,
-        /// Replica slot.
-        slot: usize,
-        /// 1-based attempt number the timer will launch.
-        attempt: u32,
-        /// Absolute executor time the retry fires.
-        fire_at: f64,
-    },
-    /// Task-level recovery gave up (all slots exhausted); the failure
-    /// surfaces to the workflow level.
-    RecoveryExhausted {
-        /// Activity whose masking failed.
-        activity: String,
-    },
-    /// An alternative task is starting because its predecessor failed
-    /// (an `on="failed"` edge fired — paper Figure 4).
-    AlternativeTask {
-        /// Failed predecessor.
-        from: String,
-        /// Alternative now starting.
-        to: String,
-    },
-    /// An exception handler is starting (`on="exception:<name>"` edge
-    /// fired — paper Figure 6).
-    HandlerFired {
-        /// Activity that raised.
-        from: String,
-        /// Handler now starting.
-        to: String,
-        /// Exception name the edge matched.
-        exception: String,
-    },
-    /// A task recorded a checkpoint flag; the engine stores it and hands
-    /// it back on the slot's next attempt (§4.3 round-trip).
-    CheckpointFlag {
-        /// Owning activity.
-        activity: String,
-        /// Engine task id.
-        task: u64,
-        /// Opaque recovery cookie.
-        flag: String,
-    },
-    /// The engine persisted (or failed to persist) its navigation
-    /// checkpoint after a settlement.
-    EngineCheckpoint {
-        /// Whether the write succeeded.
-        ok: bool,
-    },
-    /// A heartbeat watch was re-registered for a task the monitor already
-    /// knew — recorded because silently reviving a presumed-dead attempt
-    /// is exactly the bug this journal exists to catch.
-    WatchReplaced {
-        /// Engine task id.
-        task: u64,
-        /// Prior liveness: `true` if the replaced watch had already
-        /// presumed the task dead.
-        was_presumed_dead: bool,
-    },
-    /// Navigation aborted before a natural terminal state
-    /// (`stop` / `deadline` / `max_settlements`).
-    EngineAborted {
-        /// Abort reason.
-        reason: String,
-    },
-    /// The engine declared an activity stalled (no notifications, no
-    /// timers, nothing can make progress).
-    EngineStalled {
-        /// Stalled activity.
-        activity: String,
-    },
-    /// serve: a submission was admitted.
-    JobAdmitted {
-        /// Job id.
-        job: u64,
-        /// Client label.
-        name: String,
-    },
-    /// serve: a submission was rejected at the door.
-    JobRejected {
-        /// Client label.
-        name: String,
-        /// `queue-full` or `shutting-down`.
-        reason: String,
-    },
-    /// serve: a recovered job was re-admitted by a later service
-    /// incarnation's state-dir scan.
-    JobRecovered {
-        /// Job id.
-        job: u64,
-    },
-    /// serve: a worker started (an incarnation of) a job.
-    JobStarted {
-        /// Job id.
-        job: u64,
-        /// 0-based incarnation: how many `JobStarted` events precede this
-        /// one in the job's journal.
-        incarnation: u32,
-        /// Simulation seed the engine ran with.
-        seed: u64,
-    },
-    /// serve: a job run was interrupted and went back to the queue (the
-    /// resume path: service shutdown, not a client cancel).
-    JobAborted {
-        /// Job id.
-        job: u64,
-        /// Abort reason.
-        reason: String,
-    },
-    /// serve: a job reached a terminal state.
-    JobSettled {
-        /// Job id.
-        job: u64,
-        /// Terminal state (`done` / `failed` / `cancelled`).
-        state: String,
-        /// Human detail (outcome, error, `deadline exceeded`, ...).
-        detail: String,
-    },
-    /// serve: the job's workflow closure panicked inside a worker; the
-    /// worker caught the unwind, failed the job, and survived.
-    JobPanicked {
-        /// Job id.
-        job: u64,
-        /// Panic payload (message), best-effort stringified.
-        detail: String,
-    },
-    /// serve (federated): the owning replica renewed the job's lease on a
-    /// heartbeat tick.
-    LeaseRenewed {
-        /// Job id.
-        job: u64,
-        /// Lease epoch at renewal (unchanged by a renewal).
-        epoch: u64,
-    },
-    /// serve (federated): a takeover scanner observed an expired lease on
-    /// a job it does not own.
-    LeaseExpired {
-        /// Job id.
-        job: u64,
-        /// The expired lease's epoch.
-        epoch: u64,
-    },
-    /// serve (federated): a replica claimed an expired (or absent) lease,
-    /// bumping the epoch, and re-admitted the job locally.
-    LeaseTakeover {
-        /// Job id.
-        job: u64,
-        /// The new lease epoch after the claim.
-        epoch: u64,
-    },
-    /// serve (federated): a batch of job-record writes was rejected by the
-    /// storage layer because the writer no longer holds the job's lease —
-    /// the zombie-fencing event.
-    WriteFenced {
-        /// Job id.
-        job: u64,
-        /// The stale epoch the writer held.
-        epoch: u64,
-    },
-    /// engine: the per-host circuit breaker opened after consecutive
-    /// failures; no new attempts target the host until `until`.
-    BreakerOpen {
-        /// Host whose breaker opened.
-        host: String,
-        /// Executor time at which the breaker allows a half-open probe.
-        until: f64,
-    },
-    /// engine: a submission to a host with an open breaker went ahead as a
-    /// half-open probe (backoff elapsed, or every candidate host was open).
-    BreakerProbe {
-        /// Host being probed.
-        host: String,
-    },
-    /// engine: a success on a probed host closed its breaker.
-    BreakerClosed {
-        /// Host whose breaker closed.
-        host: String,
-    },
-    /// engine: the failure detector presumed an attempt crashed from
-    /// heartbeat silence.  Distinct from the `task_settle` that follows:
-    /// this event records what the detector *knew* — the silence and (for
-    /// φ-accrual) the suspicion level — so false suspicions can be audited
-    /// against it.
-    SuspicionRaised {
-        /// Owning activity.
-        activity: String,
-        /// Engine task id.
-        task: u64,
-        /// Heartbeat silence at presumption time.
-        silence: f64,
-        /// Suspicion level φ (`null` under the fixed-timeout detector).
-        phi: Option<f64>,
-    },
-    /// engine: a terminal message (`done` / `exception`) arrived from an
-    /// attempt already presumed dead — the suspicion was false, the
-    /// message is discarded, and the node it belonged to is *not*
-    /// re-settled.  At most one per attempt.
-    ZombieCompletion {
-        /// Owning activity.
-        activity: String,
-        /// Engine task id of the zombie attempt.
-        task: u64,
-        /// What arrived: `done` or `exception`.
-        body: String,
-    },
-    /// engine: a best-effort cancel was sent to a superseded attempt
-    /// (presumed dead, or replaced by a retry).  Delivery is not
-    /// guaranteed — the link may drop or delay it like any other message.
-    OrphanCancelled {
-        /// Owning activity.
-        activity: String,
-        /// Engine task id the cancel targets.
-        task: u64,
-    },
-    /// engine: a heartbeat arrived from an attempt already presumed dead —
-    /// evidence the suspicion was false (the attempt stays dead).
-    LateHeartbeat {
-        /// Owning activity.
-        activity: String,
-        /// Engine task id.
-        task: u64,
-        /// Heartbeat sequence number.
-        seq: u64,
-    },
-    /// engine: a `foreach` activity started fanning out over its item set.
-    ForeachStarted {
-        /// Owning activity.
-        activity: String,
-        /// Total instantiated items.
-        items: usize,
-        /// Items still pending (smaller than `items` when resuming: done
-        /// and dead-lettered items are not re-run).
-        pending: usize,
-    },
-    /// engine: a `foreach` item reached a terminal state other than the
-    /// dead-letter queue.  Exactly one `item_settle` *or* `item_dlq` is
-    /// recorded per item per job completion — never both, never neither.
-    ItemSettled {
-        /// Owning activity.
-        activity: String,
-        /// 0-based item index (the slot of its task submissions).
-        item: usize,
-        /// `done`, `skipped`, `cancelled`, or `failed`.
-        outcome: String,
-        /// Attempts consumed, across primary and failover programs.
-        attempts: u32,
-    },
-    /// engine: a `foreach` item exhausted its recovery budget and was
-    /// recorded in the job's dead-letter queue.
-    ItemDeadLettered {
-        /// Owning activity.
-        activity: String,
-        /// 0-based item index.
-        item: usize,
-        /// Attempts consumed before giving up.
-        attempts: u32,
-        /// Last failure classification.
-        reason: String,
-    },
-    /// engine: an exhausted item switched to its failover program with a
-    /// fresh attempt budget.
-    ItemFailover {
-        /// Owning activity.
-        activity: String,
-        /// 0-based item index.
-        item: usize,
-        /// Failover program now implementing the item.
-        program: String,
-    },
-    /// engine: a previously dead-lettered item is being re-run after a
-    /// `dlq retry` reset its state in the checkpoint.
-    ItemReprocessed {
-        /// Owning activity.
-        activity: String,
-        /// 0-based item index.
-        item: usize,
-    },
-    /// engine: the resilience-aware scheduler scored the candidate hosts
-    /// and picked one.  `steered` is true when the choice differs from
-    /// the oblivious cycling base — the evidence changed the placement.
-    PlacementScored {
-        /// Owning activity.
-        activity: String,
-        /// Replica slot (or foreach item index).
-        slot: usize,
-        /// 1-based attempt number within the slot.
-        attempt: u32,
-        /// Chosen host.
-        host: String,
-        /// The chosen host's score (lower is healthier).
-        score: f64,
-        /// True when the scorer moved the attempt off the cycling base.
-        steered: bool,
-    },
-    /// engine: a live replica was pre-emptively moved off a host whose
-    /// suspicion level crossed the re-replication threshold.
-    Rereplicate {
-        /// Owning activity.
-        activity: String,
-        /// Replica slot being moved.
-        slot: usize,
-        /// Host the replica is leaving.
-        from: String,
-        /// Host the replacement attempt targets.
-        to: String,
-        /// φ level that triggered the move.
-        phi: f64,
-    },
-    /// engine: the per-host adaptive checkpoint interval changed —
-    /// Young's approximation √(2·C·MTTF) over the observed MTTF.
-    CkptIntervalAdapted {
-        /// Host the interval applies to.
-        host: String,
-        /// New checkpoint interval (nominal task seconds).
-        interval: f64,
-        /// Observed MTTF the interval was derived from.
-        mttf: f64,
-    },
+/// Declares [`TraceKind`] once: each kind's wire tag and its fields in
+/// wire order.  The enum, [`TraceKind::tag`] and the field walk that both
+/// renderings ([`TraceEvent::to_json`], [`TraceKind::line`]) are built on
+/// all come from that one list, so the two can never disagree.
+macro_rules! trace_kinds {
+    (
+        $(#[$doc:meta])*
+        pub enum TraceKind {
+            $(
+                $(#[$kind_doc:meta])*
+                $kind:ident = $tag:literal {
+                    $( $(#[$field_doc:meta])* $field:ident: $ty:ty, )*
+                },
+            )*
+        }
+    ) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum TraceKind {
+            $(
+                $(#[$kind_doc])*
+                $kind { $( $(#[$field_doc])* $field: $ty, )* },
+            )*
+        }
+
+        impl TraceKind {
+            /// Stable wire tag for the `kind` JSON field.
+            pub fn tag(&self) -> &'static str {
+                match self {
+                    $( TraceKind::$kind { .. } => $tag, )*
+                }
+            }
+
+            /// Visits the kind's fields as `(name, value)` pairs, in wire
+            /// order.
+            fn walk(&self, mut visit: impl FnMut(&'static str, &dyn Field)) {
+                match self {
+                    $( TraceKind::$kind { $($field),* } => {
+                        $( visit(stringify!($field), $field); )*
+                    } )*
+                }
+            }
+        }
+    };
 }
 
-impl TraceKind {
-    /// Stable wire tag for the `kind` JSON field.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            TraceKind::NodeState { .. } => "node_state",
-            TraceKind::LoopIteration { .. } => "loop_iteration",
-            TraceKind::TaskSubmitted { .. } => "task_submit",
-            TraceKind::TaskSettled { .. } => "task_settle",
-            TraceKind::RetryScheduled { .. } => "retry_scheduled",
-            TraceKind::RecoveryExhausted { .. } => "recovery_exhausted",
-            TraceKind::AlternativeTask { .. } => "alternative_task",
-            TraceKind::HandlerFired { .. } => "handler_fired",
-            TraceKind::CheckpointFlag { .. } => "checkpoint_flag",
-            TraceKind::EngineCheckpoint { .. } => "engine_checkpoint",
-            TraceKind::WatchReplaced { .. } => "watch_replaced",
-            TraceKind::EngineAborted { .. } => "engine_aborted",
-            TraceKind::EngineStalled { .. } => "engine_stalled",
-            TraceKind::JobAdmitted { .. } => "job_admit",
-            TraceKind::JobRejected { .. } => "job_reject",
-            TraceKind::JobRecovered { .. } => "job_recovered",
-            TraceKind::JobStarted { .. } => "job_start",
-            TraceKind::JobAborted { .. } => "job_abort",
-            TraceKind::JobSettled { .. } => "job_settle",
-            TraceKind::JobPanicked { .. } => "job_panicked",
-            TraceKind::LeaseRenewed { .. } => "lease_renew",
-            TraceKind::LeaseExpired { .. } => "lease_expire",
-            TraceKind::LeaseTakeover { .. } => "lease_takeover",
-            TraceKind::WriteFenced { .. } => "write_fenced",
-            TraceKind::BreakerOpen { .. } => "breaker_open",
-            TraceKind::BreakerProbe { .. } => "breaker_probe",
-            TraceKind::BreakerClosed { .. } => "breaker_closed",
-            TraceKind::SuspicionRaised { .. } => "suspicion_raised",
-            TraceKind::ZombieCompletion { .. } => "zombie_completion",
-            TraceKind::OrphanCancelled { .. } => "orphan_cancelled",
-            TraceKind::LateHeartbeat { .. } => "late_heartbeat",
-            TraceKind::ForeachStarted { .. } => "foreach_start",
-            TraceKind::ItemSettled { .. } => "item_settle",
-            TraceKind::ItemDeadLettered { .. } => "item_dlq",
-            TraceKind::ItemFailover { .. } => "item_failover",
-            TraceKind::ItemReprocessed { .. } => "item_reprocess",
-            TraceKind::PlacementScored { .. } => "placement_scored",
-            TraceKind::Rereplicate { .. } => "rereplicate",
-            TraceKind::CkptIntervalAdapted { .. } => "ckpt_interval_adapted",
-        }
+trace_kinds! {
+    /// One recovery-relevant decision.  Engine-level kinds carry executor-clock
+    /// context in the enclosing [`TraceEvent::at`]; serve-level job events use
+    /// deterministic anchors (0.0 at admission, the report's `finished_at` at
+    /// settlement) so per-job journals are reproducible.
+    pub enum TraceKind {
+        /// An activity changed navigation state (`running`, `done`, `failed`,
+        /// `exception:<name>`, `skipped`).
+        NodeState = "node_state" {
+            /// Activity name.
+            activity: String,
+            /// New state string.
+            state: String,
+        },
+        /// A do-while loop re-queued its activity for another iteration.
+        LoopIteration = "loop_iteration" {
+            /// Activity name.
+            activity: String,
+            /// 1-based iteration about to run.
+            iteration: u32,
+        },
+        /// A task attempt was handed to the executor.
+        TaskSubmitted = "task_submit" {
+            /// Owning activity.
+            activity: String,
+            /// Replica slot (0 for simple policy).
+            slot: usize,
+            /// 1-based attempt number within the slot.
+            attempt: u32,
+            /// Engine task id.
+            task: u64,
+            /// Target host.
+            host: String,
+            /// Checkpoint flag handed back to the task, when resuming.
+            resume: Option<String>,
+        },
+        /// A task attempt reached a terminal classification.
+        TaskSettled = "task_settle" {
+            /// Owning activity.
+            activity: String,
+            /// Engine task id.
+            task: u64,
+            /// Terminal classification.
+            outcome: TaskOutcome,
+            /// Why (`task-end`, `done-without-task-end`, `heartbeat-loss`,
+            /// exception name, `sibling-settled`, `abort`, ...).
+            reason: String,
+        },
+        /// Task-level recovery scheduled a retry timer.
+        RetryScheduled = "retry_scheduled" {
+            /// Activity being retried.
+            activity: String,
+            /// Replica slot.
+            slot: usize,
+            /// 1-based attempt number the timer will launch.
+            attempt: u32,
+            /// Absolute executor time the retry fires.
+            fire_at: f64,
+        },
+        /// Task-level recovery gave up (all slots exhausted); the failure
+        /// surfaces to the workflow level.
+        RecoveryExhausted = "recovery_exhausted" {
+            /// Activity whose masking failed.
+            activity: String,
+        },
+        /// An alternative task is starting because its predecessor failed
+        /// (an `on="failed"` edge fired — paper Figure 4).
+        AlternativeTask = "alternative_task" {
+            /// Failed predecessor.
+            from: String,
+            /// Alternative now starting.
+            to: String,
+        },
+        /// An exception handler is starting (`on="exception:<name>"` edge
+        /// fired — paper Figure 6).
+        HandlerFired = "handler_fired" {
+            /// Activity that raised.
+            from: String,
+            /// Handler now starting.
+            to: String,
+            /// Exception name the edge matched.
+            exception: String,
+        },
+        /// A task recorded a checkpoint flag; the engine stores it and hands
+        /// it back on the slot's next attempt (§4.3 round-trip).
+        CheckpointFlag = "checkpoint_flag" {
+            /// Owning activity.
+            activity: String,
+            /// Engine task id.
+            task: u64,
+            /// Opaque recovery cookie.
+            flag: String,
+        },
+        /// The engine persisted (or failed to persist) its navigation
+        /// checkpoint after a settlement.
+        EngineCheckpoint = "engine_checkpoint" {
+            /// Whether the write succeeded.
+            ok: bool,
+        },
+        /// A heartbeat watch was re-registered for a task the monitor already
+        /// knew — recorded because silently reviving a presumed-dead attempt
+        /// is exactly the bug this journal exists to catch.
+        WatchReplaced = "watch_replaced" {
+            /// Engine task id.
+            task: u64,
+            /// Prior liveness: `true` if the replaced watch had already
+            /// presumed the task dead.
+            was_presumed_dead: bool,
+        },
+        /// Navigation aborted before a natural terminal state
+        /// (`stop` / `deadline` / `max_settlements`).
+        EngineAborted = "engine_aborted" {
+            /// Abort reason.
+            reason: String,
+        },
+        /// The engine declared an activity stalled (no notifications, no
+        /// timers, nothing can make progress).
+        EngineStalled = "engine_stalled" {
+            /// Stalled activity.
+            activity: String,
+        },
+        /// serve: a submission was admitted.
+        JobAdmitted = "job_admit" {
+            /// Job id.
+            job: u64,
+            /// Client label.
+            name: String,
+        },
+        /// serve: a submission was rejected at the door.
+        JobRejected = "job_reject" {
+            /// Client label.
+            name: String,
+            /// `queue-full`, `shutting-down`, `io`, `id-collision` or
+            /// `bad-grid` (a name the job's manifest cannot store).
+            reason: String,
+        },
+        /// serve: a recovered job was re-admitted by a later service
+        /// incarnation's state-dir scan.
+        JobRecovered = "job_recovered" {
+            /// Job id.
+            job: u64,
+        },
+        /// serve: a worker started (an incarnation of) a job.
+        JobStarted = "job_start" {
+            /// Job id.
+            job: u64,
+            /// 0-based incarnation: how many `JobStarted` events precede this
+            /// one in the job's journal.
+            incarnation: u32,
+            /// Simulation seed the engine ran with.
+            seed: u64,
+        },
+        /// serve: a job run was interrupted and went back to the queue (the
+        /// resume path: service shutdown, not a client cancel).
+        JobAborted = "job_abort" {
+            /// Job id.
+            job: u64,
+            /// Abort reason.
+            reason: String,
+        },
+        /// serve: a job reached a terminal state.
+        JobSettled = "job_settle" {
+            /// Job id.
+            job: u64,
+            /// Terminal state (`done` / `failed` / `cancelled`).
+            state: String,
+            /// Human detail (outcome, error, `deadline exceeded`, ...).
+            detail: String,
+        },
+        /// serve: the job's workflow closure panicked inside a worker; the
+        /// worker caught the unwind, failed the job, and survived.
+        JobPanicked = "job_panicked" {
+            /// Job id.
+            job: u64,
+            /// Panic payload (message), best-effort stringified.
+            detail: String,
+        },
+        /// serve (federated): the owning replica renewed the job's lease on a
+        /// heartbeat tick.
+        LeaseRenewed = "lease_renew" {
+            /// Job id.
+            job: u64,
+            /// Lease epoch at renewal (unchanged by a renewal).
+            epoch: u64,
+        },
+        /// serve (federated): a takeover scanner observed an expired lease on
+        /// a job it does not own.
+        LeaseExpired = "lease_expire" {
+            /// Job id.
+            job: u64,
+            /// The expired lease's epoch.
+            epoch: u64,
+        },
+        /// serve (federated): a replica claimed an expired (or absent) lease,
+        /// bumping the epoch, and re-admitted the job locally.
+        LeaseTakeover = "lease_takeover" {
+            /// Job id.
+            job: u64,
+            /// The new lease epoch after the claim.
+            epoch: u64,
+        },
+        /// serve (federated): a batch of job-record writes was rejected by the
+        /// storage layer because the writer no longer holds the job's lease —
+        /// the zombie-fencing event.
+        WriteFenced = "write_fenced" {
+            /// Job id.
+            job: u64,
+            /// The stale epoch the writer held.
+            epoch: u64,
+        },
+        /// engine: the per-host circuit breaker opened after consecutive
+        /// failures; no new attempts target the host until `until`.
+        BreakerOpen = "breaker_open" {
+            /// Host whose breaker opened.
+            host: String,
+            /// Executor time at which the breaker allows a half-open probe.
+            until: f64,
+        },
+        /// engine: a submission to a host with an open breaker went ahead as a
+        /// half-open probe (backoff elapsed, or every candidate host was open).
+        BreakerProbe = "breaker_probe" {
+            /// Host being probed.
+            host: String,
+        },
+        /// engine: a success on a probed host closed its breaker.
+        BreakerClosed = "breaker_closed" {
+            /// Host whose breaker closed.
+            host: String,
+        },
+        /// engine: the failure detector presumed an attempt crashed from
+        /// heartbeat silence.  Distinct from the `task_settle` that follows:
+        /// this event records what the detector *knew* — the silence and (for
+        /// φ-accrual) the suspicion level — so false suspicions can be audited
+        /// against it.
+        SuspicionRaised = "suspicion_raised" {
+            /// Owning activity.
+            activity: String,
+            /// Engine task id.
+            task: u64,
+            /// Heartbeat silence at presumption time.
+            silence: f64,
+            /// Suspicion level φ (`null` under the fixed-timeout detector).
+            phi: Option<f64>,
+        },
+        /// engine: a terminal message (`done` / `exception`) arrived from an
+        /// attempt already presumed dead — the suspicion was false, the
+        /// message is discarded, and the node it belonged to is *not*
+        /// re-settled.  At most one per attempt.
+        ZombieCompletion = "zombie_completion" {
+            /// Owning activity.
+            activity: String,
+            /// Engine task id of the zombie attempt.
+            task: u64,
+            /// What arrived: `done` or `exception`.
+            body: String,
+        },
+        /// engine: a best-effort cancel was sent to a superseded attempt
+        /// (presumed dead, or replaced by a retry).  Delivery is not
+        /// guaranteed — the link may drop or delay it like any other message.
+        OrphanCancelled = "orphan_cancelled" {
+            /// Owning activity.
+            activity: String,
+            /// Engine task id the cancel targets.
+            task: u64,
+        },
+        /// engine: a heartbeat arrived from an attempt already presumed dead —
+        /// evidence the suspicion was false (the attempt stays dead).
+        LateHeartbeat = "late_heartbeat" {
+            /// Owning activity.
+            activity: String,
+            /// Engine task id.
+            task: u64,
+            /// Heartbeat sequence number.
+            seq: u64,
+        },
+        /// engine: a `foreach` activity started fanning out over its item set.
+        ForeachStarted = "foreach_start" {
+            /// Owning activity.
+            activity: String,
+            /// Total instantiated items.
+            items: usize,
+            /// Items still pending (smaller than `items` when resuming: done
+            /// and dead-lettered items are not re-run).
+            pending: usize,
+        },
+        /// engine: a `foreach` item reached a terminal state other than the
+        /// dead-letter queue.  Exactly one `item_settle` *or* `item_dlq` is
+        /// recorded per item per job completion — never both, never neither.
+        ItemSettled = "item_settle" {
+            /// Owning activity.
+            activity: String,
+            /// 0-based item index (the slot of its task submissions).
+            item: usize,
+            /// `done`, `skipped`, `cancelled`, or `failed`.
+            outcome: String,
+            /// Attempts consumed, across primary and failover programs.
+            attempts: u32,
+        },
+        /// engine: a `foreach` item exhausted its recovery budget and was
+        /// recorded in the job's dead-letter queue.
+        ItemDeadLettered = "item_dlq" {
+            /// Owning activity.
+            activity: String,
+            /// 0-based item index.
+            item: usize,
+            /// Attempts consumed before giving up.
+            attempts: u32,
+            /// Last failure classification.
+            reason: String,
+        },
+        /// engine: an exhausted item switched to its failover program with a
+        /// fresh attempt budget.
+        ItemFailover = "item_failover" {
+            /// Owning activity.
+            activity: String,
+            /// 0-based item index.
+            item: usize,
+            /// Failover program now implementing the item.
+            program: String,
+        },
+        /// engine: a previously dead-lettered item is being re-run after a
+        /// `dlq retry` reset its state in the checkpoint.
+        ItemReprocessed = "item_reprocess" {
+            /// Owning activity.
+            activity: String,
+            /// 0-based item index.
+            item: usize,
+        },
+        /// engine: the resilience-aware scheduler scored the candidate hosts
+        /// and picked one.  `steered` is true when the choice differs from
+        /// the oblivious cycling base — the evidence changed the placement.
+        PlacementScored = "placement_scored" {
+            /// Owning activity.
+            activity: String,
+            /// Replica slot (or foreach item index).
+            slot: usize,
+            /// 1-based attempt number within the slot.
+            attempt: u32,
+            /// Chosen host.
+            host: String,
+            /// The chosen host's score (lower is healthier).
+            score: f64,
+            /// True when the scorer moved the attempt off the cycling base.
+            steered: bool,
+        },
+        /// engine: a live replica was pre-emptively moved off a host whose
+        /// suspicion level crossed the re-replication threshold.
+        Rereplicate = "rereplicate" {
+            /// Owning activity.
+            activity: String,
+            /// Replica slot being moved.
+            slot: usize,
+            /// Host the replica is leaving.
+            from: String,
+            /// Host the replacement attempt targets.
+            to: String,
+            /// φ level that triggered the move.
+            phi: f64,
+        },
+        /// engine: the per-host adaptive checkpoint interval changed —
+        /// Young's approximation √(2·C·MTTF) over the observed MTTF.
+        CkptIntervalAdapted = "ckpt_interval_adapted" {
+            /// Host the interval applies to.
+            host: String,
+            /// New checkpoint interval (nominal task seconds).
+            interval: f64,
+            /// Observed MTTF the interval was derived from.
+            mttf: f64,
+        },
     }
 }
 
@@ -491,25 +499,85 @@ pub struct TraceEvent {
 /// control characters escaped) — the workspace's one JSON string writer.
 pub fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut rest = s;
+    // Every byte that needs escaping is ASCII, so the clean runs between
+    // them are copied whole and `i + 1` stays on a char boundary.
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
-fn push_f64(out: &mut String, v: f64) {
-    // Shortest round-trip `Display`; always containing a decimal point or
-    // exponent would be nice-to-have but plain `{}` is deterministic,
-    // which is the property the journal actually needs.
-    out.push_str(&format!("{v}"));
+/// A field value, written the same way by both renderings: strings as
+/// escaped JSON literals, numbers and booleans in Rust's `Display`
+/// (shortest round-trip for floats — deterministic, which is what the
+/// journal needs), `None` as `null`.
+trait Field {
+    fn write(&self, out: &mut String);
+}
+
+impl Field for String {
+    fn write(&self, out: &mut String) {
+        push_escaped(out, self);
+    }
+}
+
+impl Field for TaskOutcome {
+    fn write(&self, out: &mut String) {
+        push_escaped(out, self.as_str());
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+macro_rules! display_fields {
+    ($($ty:ty),*) => {
+        $( impl Field for $ty {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        } )*
+    };
+}
+display_fields!(u32, u64, usize, f64, bool);
+
+impl TraceKind {
+    /// The kind as one readable line: its tag, then `name=value` for each
+    /// field in wire order, values written as in the JSON — e.g.
+    /// `task_submit activity="a" slot=0 attempt=1 task=7 host="h1" resume=null`.
+    pub fn line(&self) -> String {
+        let mut o = String::with_capacity(96);
+        o.push_str(self.tag());
+        self.walk(|name, value| {
+            o.push(' ');
+            o.push_str(name);
+            o.push('=');
+            value.write(&mut o);
+        });
+        o
+    }
 }
 
 impl TraceEvent {
@@ -519,314 +587,16 @@ impl TraceEvent {
     pub fn to_json(&self) -> String {
         let mut o = String::with_capacity(96);
         o.push_str("{\"at\":");
-        push_f64(&mut o, self.at);
+        self.at.write(&mut o);
         o.push_str(",\"kind\":\"");
         o.push_str(self.kind.tag());
         o.push('"');
-        match &self.kind {
-            TraceKind::NodeState { activity, state } => {
-                o.push_str(",\"activity\":");
-                push_escaped(&mut o, activity);
-                o.push_str(",\"state\":");
-                push_escaped(&mut o, state);
-            }
-            TraceKind::LoopIteration {
-                activity,
-                iteration,
-            } => {
-                o.push_str(",\"activity\":");
-                push_escaped(&mut o, activity);
-                o.push_str(&format!(",\"iteration\":{iteration}"));
-            }
-            TraceKind::TaskSubmitted {
-                activity,
-                slot,
-                attempt,
-                task,
-                host,
-                resume,
-            } => {
-                o.push_str(",\"activity\":");
-                push_escaped(&mut o, activity);
-                o.push_str(&format!(
-                    ",\"slot\":{slot},\"attempt\":{attempt},\"task\":{task},\"host\":"
-                ));
-                push_escaped(&mut o, host);
-                o.push_str(",\"resume\":");
-                match resume {
-                    Some(flag) => push_escaped(&mut o, flag),
-                    None => o.push_str("null"),
-                }
-            }
-            TraceKind::TaskSettled {
-                activity,
-                task,
-                outcome,
-                reason,
-            } => {
-                o.push_str(",\"activity\":");
-                push_escaped(&mut o, activity);
-                o.push_str(&format!(
-                    ",\"task\":{task},\"outcome\":\"{}\"",
-                    outcome.as_str()
-                ));
-                o.push_str(",\"reason\":");
-                push_escaped(&mut o, reason);
-            }
-            TraceKind::RetryScheduled {
-                activity,
-                slot,
-                attempt,
-                fire_at,
-            } => {
-                o.push_str(",\"activity\":");
-                push_escaped(&mut o, activity);
-                o.push_str(&format!(
-                    ",\"slot\":{slot},\"attempt\":{attempt},\"fire_at\":"
-                ));
-                push_f64(&mut o, *fire_at);
-            }
-            TraceKind::RecoveryExhausted { activity } => {
-                o.push_str(",\"activity\":");
-                push_escaped(&mut o, activity);
-            }
-            TraceKind::AlternativeTask { from, to } => {
-                o.push_str(",\"from\":");
-                push_escaped(&mut o, from);
-                o.push_str(",\"to\":");
-                push_escaped(&mut o, to);
-            }
-            TraceKind::HandlerFired {
-                from,
-                to,
-                exception,
-            } => {
-                o.push_str(",\"from\":");
-                push_escaped(&mut o, from);
-                o.push_str(",\"to\":");
-                push_escaped(&mut o, to);
-                o.push_str(",\"exception\":");
-                push_escaped(&mut o, exception);
-            }
-            TraceKind::CheckpointFlag {
-                activity,
-                task,
-                flag,
-            } => {
-                o.push_str(",\"activity\":");
-                push_escaped(&mut o, activity);
-                o.push_str(&format!(",\"task\":{task},\"flag\":"));
-                push_escaped(&mut o, flag);
-            }
-            TraceKind::EngineCheckpoint { ok } => {
-                o.push_str(&format!(",\"ok\":{ok}"));
-            }
-            TraceKind::WatchReplaced {
-                task,
-                was_presumed_dead,
-            } => {
-                o.push_str(&format!(
-                    ",\"task\":{task},\"was_presumed_dead\":{was_presumed_dead}"
-                ));
-            }
-            TraceKind::EngineAborted { reason } => {
-                o.push_str(",\"reason\":");
-                push_escaped(&mut o, reason);
-            }
-            TraceKind::EngineStalled { activity } => {
-                o.push_str(",\"activity\":");
-                push_escaped(&mut o, activity);
-            }
-            TraceKind::JobAdmitted { job, name } => {
-                o.push_str(&format!(",\"job\":{job},\"name\":"));
-                push_escaped(&mut o, name);
-            }
-            TraceKind::JobRejected { name, reason } => {
-                o.push_str(",\"name\":");
-                push_escaped(&mut o, name);
-                o.push_str(",\"reason\":");
-                push_escaped(&mut o, reason);
-            }
-            TraceKind::JobRecovered { job } => {
-                o.push_str(&format!(",\"job\":{job}"));
-            }
-            TraceKind::JobStarted {
-                job,
-                incarnation,
-                seed,
-            } => {
-                o.push_str(&format!(
-                    ",\"job\":{job},\"incarnation\":{incarnation},\"seed\":{seed}"
-                ));
-            }
-            TraceKind::JobAborted { job, reason } => {
-                o.push_str(&format!(",\"job\":{job},\"reason\":"));
-                push_escaped(&mut o, reason);
-            }
-            TraceKind::JobSettled { job, state, detail } => {
-                o.push_str(&format!(",\"job\":{job},\"state\":"));
-                push_escaped(&mut o, state);
-                o.push_str(",\"detail\":");
-                push_escaped(&mut o, detail);
-            }
-            TraceKind::JobPanicked { job, detail } => {
-                o.push_str(&format!(",\"job\":{job},\"detail\":"));
-                push_escaped(&mut o, detail);
-            }
-            TraceKind::LeaseRenewed { job, epoch }
-            | TraceKind::LeaseExpired { job, epoch }
-            | TraceKind::LeaseTakeover { job, epoch }
-            | TraceKind::WriteFenced { job, epoch } => {
-                o.push_str(&format!(",\"job\":{job},\"epoch\":{epoch}"));
-            }
-            TraceKind::BreakerOpen { host, until } => {
-                o.push_str(",\"host\":");
-                push_escaped(&mut o, host);
-                o.push_str(",\"until\":");
-                push_f64(&mut o, *until);
-            }
-            TraceKind::BreakerProbe { host } => {
-                o.push_str(",\"host\":");
-                push_escaped(&mut o, host);
-            }
-            TraceKind::BreakerClosed { host } => {
-                o.push_str(",\"host\":");
-                push_escaped(&mut o, host);
-            }
-            TraceKind::SuspicionRaised {
-                activity,
-                task,
-                silence,
-                phi,
-            } => {
-                o.push_str(",\"activity\":");
-                push_escaped(&mut o, activity);
-                o.push_str(&format!(",\"task\":{task},\"silence\":"));
-                push_f64(&mut o, *silence);
-                o.push_str(",\"phi\":");
-                match phi {
-                    Some(level) => push_f64(&mut o, *level),
-                    None => o.push_str("null"),
-                }
-            }
-            TraceKind::ZombieCompletion {
-                activity,
-                task,
-                body,
-            } => {
-                o.push_str(",\"activity\":");
-                push_escaped(&mut o, activity);
-                o.push_str(&format!(",\"task\":{task},\"body\":"));
-                push_escaped(&mut o, body);
-            }
-            TraceKind::OrphanCancelled { activity, task } => {
-                o.push_str(",\"activity\":");
-                push_escaped(&mut o, activity);
-                o.push_str(&format!(",\"task\":{task}"));
-            }
-            TraceKind::LateHeartbeat {
-                activity,
-                task,
-                seq,
-            } => {
-                o.push_str(",\"activity\":");
-                push_escaped(&mut o, activity);
-                o.push_str(&format!(",\"task\":{task},\"seq\":{seq}"));
-            }
-            TraceKind::ForeachStarted {
-                activity,
-                items,
-                pending,
-            } => {
-                o.push_str(",\"activity\":");
-                push_escaped(&mut o, activity);
-                o.push_str(&format!(",\"items\":{items},\"pending\":{pending}"));
-            }
-            TraceKind::ItemSettled {
-                activity,
-                item,
-                outcome,
-                attempts,
-            } => {
-                o.push_str(",\"activity\":");
-                push_escaped(&mut o, activity);
-                o.push_str(&format!(",\"item\":{item},\"outcome\":"));
-                push_escaped(&mut o, outcome);
-                o.push_str(&format!(",\"attempts\":{attempts}"));
-            }
-            TraceKind::ItemDeadLettered {
-                activity,
-                item,
-                attempts,
-                reason,
-            } => {
-                o.push_str(",\"activity\":");
-                push_escaped(&mut o, activity);
-                o.push_str(&format!(
-                    ",\"item\":{item},\"attempts\":{attempts},\"reason\":"
-                ));
-                push_escaped(&mut o, reason);
-            }
-            TraceKind::ItemFailover {
-                activity,
-                item,
-                program,
-            } => {
-                o.push_str(",\"activity\":");
-                push_escaped(&mut o, activity);
-                o.push_str(&format!(",\"item\":{item},\"program\":"));
-                push_escaped(&mut o, program);
-            }
-            TraceKind::ItemReprocessed { activity, item } => {
-                o.push_str(",\"activity\":");
-                push_escaped(&mut o, activity);
-                o.push_str(&format!(",\"item\":{item}"));
-            }
-            TraceKind::PlacementScored {
-                activity,
-                slot,
-                attempt,
-                host,
-                score,
-                steered,
-            } => {
-                o.push_str(",\"activity\":");
-                push_escaped(&mut o, activity);
-                o.push_str(&format!(",\"slot\":{slot},\"attempt\":{attempt},\"host\":"));
-                push_escaped(&mut o, host);
-                o.push_str(",\"score\":");
-                push_f64(&mut o, *score);
-                o.push_str(&format!(",\"steered\":{steered}"));
-            }
-            TraceKind::Rereplicate {
-                activity,
-                slot,
-                from,
-                to,
-                phi,
-            } => {
-                o.push_str(",\"activity\":");
-                push_escaped(&mut o, activity);
-                o.push_str(&format!(",\"slot\":{slot},\"from\":"));
-                push_escaped(&mut o, from);
-                o.push_str(",\"to\":");
-                push_escaped(&mut o, to);
-                o.push_str(",\"phi\":");
-                push_f64(&mut o, *phi);
-            }
-            TraceKind::CkptIntervalAdapted {
-                host,
-                interval,
-                mttf,
-            } => {
-                o.push_str(",\"host\":");
-                push_escaped(&mut o, host);
-                o.push_str(",\"interval\":");
-                push_f64(&mut o, *interval);
-                o.push_str(",\"mttf\":");
-                push_f64(&mut o, *mttf);
-            }
-        }
+        self.kind.walk(|name, value| {
+            o.push_str(",\"");
+            o.push_str(name);
+            o.push_str("\":");
+            value.write(&mut o);
+        });
         o.push('}');
         o
     }
@@ -1031,6 +801,413 @@ mod tests {
         TraceEvent { at, kind }
     }
 
+    /// A sample event and its wire line, rendered by the hand-written
+    /// encoder that preceded the field walk: the walk must reproduce every
+    /// line byte for byte.
+    type Golden = (f64, TraceKind, &'static str);
+
+    fn s(v: &str) -> String {
+        v.to_string()
+    }
+
+    /// Navigation, task, engine and job lifecycle kinds.
+    fn core_golden() -> Vec<Golden> {
+        use TraceKind as K;
+        vec![
+            (
+                0.5,
+                K::NodeState {
+                    activity: s("a"),
+                    state: s("exception:oom"),
+                },
+                r#"{"at":0.5,"kind":"node_state","activity":"a","state":"exception:oom"}"#,
+            ),
+            (
+                3.0,
+                K::LoopIteration {
+                    activity: s("refine"),
+                    iteration: 2,
+                },
+                r#"{"at":3,"kind":"loop_iteration","activity":"refine","iteration":2}"#,
+            ),
+            (
+                1.5,
+                K::TaskSubmitted {
+                    activity: s("a"),
+                    slot: 0,
+                    attempt: 1,
+                    task: 7,
+                    host: s("h1"),
+                    resume: None,
+                },
+                r#"{"at":1.5,"kind":"task_submit","activity":"a","slot":0,"attempt":1,"task":7,"host":"h1","resume":null}"#,
+            ),
+            (
+                2.0,
+                K::TaskSubmitted {
+                    activity: s("a"),
+                    slot: 1,
+                    attempt: 3,
+                    task: 9,
+                    host: s("h"),
+                    resume: Some(s("ckpt-4")),
+                },
+                r#"{"at":2,"kind":"task_submit","activity":"a","slot":1,"attempt":3,"task":9,"host":"h","resume":"ckpt-4"}"#,
+            ),
+            (
+                3.25,
+                K::TaskSettled {
+                    activity: s("x"),
+                    task: 2,
+                    outcome: TaskOutcome::Crashed,
+                    reason: s("heartbeat-loss"),
+                },
+                r#"{"at":3.25,"kind":"task_settle","activity":"x","task":2,"outcome":"crashed","reason":"heartbeat-loss"}"#,
+            ),
+            (
+                4.0,
+                K::RetryScheduled {
+                    activity: s("a"),
+                    slot: 0,
+                    attempt: 2,
+                    fire_at: 14.125,
+                },
+                r#"{"at":4,"kind":"retry_scheduled","activity":"a","slot":0,"attempt":2,"fire_at":14.125}"#,
+            ),
+            (
+                9.0,
+                K::RecoveryExhausted { activity: s("a") },
+                r#"{"at":9,"kind":"recovery_exhausted","activity":"a"}"#,
+            ),
+            (
+                9.0,
+                K::AlternativeTask {
+                    from: s("a"),
+                    to: s("b"),
+                },
+                r#"{"at":9,"kind":"alternative_task","from":"a","to":"b"}"#,
+            ),
+            (
+                9.5,
+                K::HandlerFired {
+                    from: s("a"),
+                    to: s("fix"),
+                    exception: s("oom"),
+                },
+                r#"{"at":9.5,"kind":"handler_fired","from":"a","to":"fix","exception":"oom"}"#,
+            ),
+            (
+                2.5,
+                K::CheckpointFlag {
+                    activity: s("a"),
+                    task: 3,
+                    flag: s("ckpt:10"),
+                },
+                r#"{"at":2.5,"kind":"checkpoint_flag","activity":"a","task":3,"flag":"ckpt:10"}"#,
+            ),
+            (
+                2.5,
+                K::EngineCheckpoint { ok: false },
+                r#"{"at":2.5,"kind":"engine_checkpoint","ok":false}"#,
+            ),
+            (
+                1.0,
+                K::WatchReplaced {
+                    task: 4,
+                    was_presumed_dead: true,
+                },
+                r#"{"at":1,"kind":"watch_replaced","task":4,"was_presumed_dead":true}"#,
+            ),
+            (
+                0.0,
+                K::EngineAborted {
+                    reason: s("line\nbreak \"quoted\" \\slash\u{1}"),
+                },
+                r#"{"at":0,"kind":"engine_aborted","reason":"line\nbreak \"quoted\" \\slash\u0001"}"#,
+            ),
+            (
+                12.0,
+                K::EngineStalled { activity: s("a") },
+                r#"{"at":12,"kind":"engine_stalled","activity":"a"}"#,
+            ),
+            (
+                0.0,
+                K::JobAdmitted {
+                    job: 1,
+                    name: s("n"),
+                },
+                r#"{"at":0,"kind":"job_admit","job":1,"name":"n"}"#,
+            ),
+            (
+                0.0,
+                K::JobRejected {
+                    name: s("n"),
+                    reason: s("queue-full"),
+                },
+                r#"{"at":0,"kind":"job_reject","name":"n","reason":"queue-full"}"#,
+            ),
+            (
+                0.0,
+                K::JobRecovered { job: 2 },
+                r#"{"at":0,"kind":"job_recovered","job":2}"#,
+            ),
+            (
+                0.0,
+                K::JobStarted {
+                    job: 2,
+                    incarnation: 1,
+                    seed: 2003,
+                },
+                r#"{"at":0,"kind":"job_start","job":2,"incarnation":1,"seed":2003}"#,
+            ),
+            (
+                6.5,
+                K::JobAborted {
+                    job: 2,
+                    reason: s("stop"),
+                },
+                r#"{"at":6.5,"kind":"job_abort","job":2,"reason":"stop"}"#,
+            ),
+            (
+                5.0,
+                K::JobSettled {
+                    job: 1,
+                    state: s("done"),
+                    detail: s("Success"),
+                },
+                r#"{"at":5,"kind":"job_settle","job":1,"state":"done","detail":"Success"}"#,
+            ),
+        ]
+    }
+
+    /// Federated lease kinds.
+    fn lease_golden() -> Vec<Golden> {
+        use TraceKind as K;
+        vec![
+            (
+                0.0,
+                K::LeaseRenewed { job: 4, epoch: 2 },
+                r#"{"at":0,"kind":"lease_renew","job":4,"epoch":2}"#,
+            ),
+            (
+                0.0,
+                K::LeaseExpired { job: 4, epoch: 2 },
+                r#"{"at":0,"kind":"lease_expire","job":4,"epoch":2}"#,
+            ),
+            (
+                0.0,
+                K::LeaseTakeover { job: 4, epoch: 3 },
+                r#"{"at":0,"kind":"lease_takeover","job":4,"epoch":3}"#,
+            ),
+            (
+                0.0,
+                K::WriteFenced { job: 4, epoch: 2 },
+                r#"{"at":0,"kind":"write_fenced","job":4,"epoch":2}"#,
+            ),
+        ]
+    }
+
+    /// Worker-panic and circuit-breaker kinds.
+    fn chaos_and_breaker_golden() -> Vec<Golden> {
+        use TraceKind as K;
+        vec![
+            (
+                0.0,
+                K::JobPanicked {
+                    job: 3,
+                    detail: s("boom"),
+                },
+                r#"{"at":0,"kind":"job_panicked","job":3,"detail":"boom"}"#,
+            ),
+            (
+                12.5,
+                K::BreakerOpen {
+                    host: s("h1"),
+                    until: 19.25,
+                },
+                r#"{"at":12.5,"kind":"breaker_open","host":"h1","until":19.25}"#,
+            ),
+            (
+                19.25,
+                K::BreakerProbe { host: s("h1") },
+                r#"{"at":19.25,"kind":"breaker_probe","host":"h1"}"#,
+            ),
+            (
+                20.0,
+                K::BreakerClosed { host: s("h1") },
+                r#"{"at":20,"kind":"breaker_closed","host":"h1"}"#,
+            ),
+        ]
+    }
+
+    /// Failure-detector kinds.
+    fn detection_golden() -> Vec<Golden> {
+        use TraceKind as K;
+        vec![
+            (
+                4.0,
+                K::SuspicionRaised {
+                    activity: s("a"),
+                    task: 3,
+                    silence: 3.5,
+                    phi: Some(8.25),
+                },
+                r#"{"at":4,"kind":"suspicion_raised","activity":"a","task":3,"silence":3.5,"phi":8.25}"#,
+            ),
+            (
+                4.0,
+                K::SuspicionRaised {
+                    activity: s("a"),
+                    task: 3,
+                    silence: 3.5,
+                    phi: None,
+                },
+                r#"{"at":4,"kind":"suspicion_raised","activity":"a","task":3,"silence":3.5,"phi":null}"#,
+            ),
+            (
+                9.5,
+                K::ZombieCompletion {
+                    activity: s("a"),
+                    task: 3,
+                    body: s("done"),
+                },
+                r#"{"at":9.5,"kind":"zombie_completion","activity":"a","task":3,"body":"done"}"#,
+            ),
+            (
+                4.25,
+                K::OrphanCancelled {
+                    activity: s("a"),
+                    task: 3,
+                },
+                r#"{"at":4.25,"kind":"orphan_cancelled","activity":"a","task":3}"#,
+            ),
+            (
+                5.0,
+                K::LateHeartbeat {
+                    activity: s("a"),
+                    task: 3,
+                    seq: 7,
+                },
+                r#"{"at":5,"kind":"late_heartbeat","activity":"a","task":3,"seq":7}"#,
+            ),
+        ]
+    }
+
+    /// Fan-out kinds.
+    fn foreach_golden() -> Vec<Golden> {
+        use TraceKind as K;
+        vec![
+            (
+                0.0,
+                K::ForeachStarted {
+                    activity: s("map"),
+                    items: 5,
+                    pending: 3,
+                },
+                r#"{"at":0,"kind":"foreach_start","activity":"map","items":5,"pending":3}"#,
+            ),
+            (
+                7.5,
+                K::ItemSettled {
+                    activity: s("map"),
+                    item: 2,
+                    outcome: s("done"),
+                    attempts: 1,
+                },
+                r#"{"at":7.5,"kind":"item_settle","activity":"map","item":2,"outcome":"done","attempts":1}"#,
+            ),
+            (
+                9.0,
+                K::ItemDeadLettered {
+                    activity: s("map"),
+                    item: 4,
+                    attempts: 3,
+                    reason: s("crashed"),
+                },
+                r#"{"at":9,"kind":"item_dlq","activity":"map","item":4,"attempts":3,"reason":"crashed"}"#,
+            ),
+            (
+                4.25,
+                K::ItemFailover {
+                    activity: s("map"),
+                    item: 1,
+                    program: s("backup"),
+                },
+                r#"{"at":4.25,"kind":"item_failover","activity":"map","item":1,"program":"backup"}"#,
+            ),
+            (
+                0.0,
+                K::ItemReprocessed {
+                    activity: s("map"),
+                    item: 4,
+                },
+                r#"{"at":0,"kind":"item_reprocess","activity":"map","item":4}"#,
+            ),
+        ]
+    }
+
+    /// Resilience-aware scheduler kinds.
+    fn scheduler_golden() -> Vec<Golden> {
+        use TraceKind as K;
+        vec![
+            (
+                2.5,
+                K::PlacementScored {
+                    activity: s("a"),
+                    slot: 0,
+                    attempt: 2,
+                    host: s("h2"),
+                    score: 0.75,
+                    steered: true,
+                },
+                r#"{"at":2.5,"kind":"placement_scored","activity":"a","slot":0,"attempt":2,"host":"h2","score":0.75,"steered":true}"#,
+            ),
+            (
+                8.0,
+                K::Rereplicate {
+                    activity: s("a"),
+                    slot: 1,
+                    from: s("h1"),
+                    to: s("h3"),
+                    phi: 2.5,
+                },
+                r#"{"at":8,"kind":"rereplicate","activity":"a","slot":1,"from":"h1","to":"h3","phi":2.5}"#,
+            ),
+            (
+                10.0,
+                K::CkptIntervalAdapted {
+                    host: s("h1"),
+                    interval: 7.75,
+                    mttf: 30.0,
+                },
+                r#"{"at":10,"kind":"ckpt_interval_adapted","host":"h1","interval":7.75,"mttf":30}"#,
+            ),
+        ]
+    }
+
+    fn assert_golden(rows: Vec<Golden>) {
+        for (at, kind, wire) in rows {
+            assert_eq!(ev(at, kind).to_json(), wire);
+        }
+    }
+
+    /// One sample event per kind (two for each optional field).
+    #[test]
+    fn every_kind_has_a_golden_wire_line() {
+        let rows: Vec<Golden> = [
+            core_golden(),
+            lease_golden(),
+            chaos_and_breaker_golden(),
+            detection_golden(),
+            foreach_golden(),
+            scheduler_golden(),
+        ]
+        .concat();
+        let tags: std::collections::BTreeSet<_> = rows.iter().map(|(_, k, _)| k.tag()).collect();
+        assert_eq!(tags.len(), 39, "one sample per kind");
+        assert_golden(rows);
+    }
+
     #[test]
     fn json_field_order_is_fixed() {
         let e = ev(
@@ -1047,6 +1224,51 @@ mod tests {
         assert_eq!(
             e.to_json(),
             r#"{"at":1.5,"kind":"task_submit","activity":"a","slot":0,"attempt":1,"task":7,"host":"h1","resume":null}"#
+        );
+    }
+
+    #[test]
+    fn lease_kinds_have_stable_wire_forms() {
+        assert_golden(lease_golden());
+    }
+
+    #[test]
+    fn chaos_and_breaker_kinds_have_stable_wire_forms() {
+        assert_golden(chaos_and_breaker_golden());
+    }
+
+    #[test]
+    fn detection_kinds_have_stable_wire_forms() {
+        assert_golden(detection_golden());
+    }
+
+    #[test]
+    fn foreach_kinds_have_stable_wire_forms() {
+        assert_golden(foreach_golden());
+    }
+
+    #[test]
+    fn scheduler_kinds_have_stable_wire_forms() {
+        assert_golden(scheduler_golden());
+    }
+
+    #[test]
+    fn the_readable_line_walks_the_same_fields() {
+        let e = TraceKind::TaskSubmitted {
+            activity: "a".into(),
+            slot: 0,
+            attempt: 1,
+            task: 7,
+            host: "h1".into(),
+            resume: None,
+        };
+        assert_eq!(
+            e.line(),
+            r#"task_submit activity="a" slot=0 attempt=1 task=7 host="h1" resume=null"#
+        );
+        assert_eq!(
+            TraceKind::EngineCheckpoint { ok: false }.line(),
+            "engine_checkpoint ok=false"
         );
     }
 
@@ -1078,6 +1300,10 @@ mod tests {
             e.to_json(),
             r#"{"at":0,"kind":"engine_aborted","reason":"line\nbreak \"quoted\" \\slash\u0001"}"#
         );
+        // Multi-byte characters next to escapes are copied whole.
+        let mut out = String::new();
+        push_escaped(&mut out, "φ\"é\t→\r");
+        assert_eq!(out, r#""φ\"é\t→\r""#);
     }
 
     #[test]
@@ -1098,245 +1324,6 @@ mod tests {
                 },
             );
             assert!(e.to_json().contains(&format!("\"outcome\":\"{s}\"")));
-        }
-    }
-
-    #[test]
-    fn lease_kinds_have_stable_wire_forms() {
-        let cases = [
-            (
-                ev(0.0, TraceKind::LeaseRenewed { job: 4, epoch: 2 }),
-                r#"{"at":0,"kind":"lease_renew","job":4,"epoch":2}"#,
-            ),
-            (
-                ev(0.0, TraceKind::LeaseExpired { job: 4, epoch: 2 }),
-                r#"{"at":0,"kind":"lease_expire","job":4,"epoch":2}"#,
-            ),
-            (
-                ev(0.0, TraceKind::LeaseTakeover { job: 4, epoch: 3 }),
-                r#"{"at":0,"kind":"lease_takeover","job":4,"epoch":3}"#,
-            ),
-            (
-                ev(0.0, TraceKind::WriteFenced { job: 4, epoch: 2 }),
-                r#"{"at":0,"kind":"write_fenced","job":4,"epoch":2}"#,
-            ),
-        ];
-        for (event, want) in cases {
-            assert_eq!(event.to_json(), want);
-        }
-    }
-
-    #[test]
-    fn chaos_and_breaker_kinds_have_stable_wire_forms() {
-        let cases = [
-            (
-                ev(
-                    0.0,
-                    TraceKind::JobPanicked {
-                        job: 3,
-                        detail: "boom".into(),
-                    },
-                ),
-                r#"{"at":0,"kind":"job_panicked","job":3,"detail":"boom"}"#,
-            ),
-            (
-                ev(
-                    12.5,
-                    TraceKind::BreakerOpen {
-                        host: "h1".into(),
-                        until: 19.25,
-                    },
-                ),
-                r#"{"at":12.5,"kind":"breaker_open","host":"h1","until":19.25}"#,
-            ),
-            (
-                ev(19.25, TraceKind::BreakerProbe { host: "h1".into() }),
-                r#"{"at":19.25,"kind":"breaker_probe","host":"h1"}"#,
-            ),
-            (
-                ev(20.0, TraceKind::BreakerClosed { host: "h1".into() }),
-                r#"{"at":20,"kind":"breaker_closed","host":"h1"}"#,
-            ),
-        ];
-        for (event, wire) in cases {
-            assert_eq!(event.to_json(), wire);
-        }
-    }
-
-    #[test]
-    fn detection_kinds_have_stable_wire_forms() {
-        let cases = [
-            (
-                ev(
-                    4.0,
-                    TraceKind::SuspicionRaised {
-                        activity: "a".into(),
-                        task: 3,
-                        silence: 3.5,
-                        phi: Some(8.25),
-                    },
-                ),
-                r#"{"at":4,"kind":"suspicion_raised","activity":"a","task":3,"silence":3.5,"phi":8.25}"#,
-            ),
-            (
-                ev(
-                    4.0,
-                    TraceKind::SuspicionRaised {
-                        activity: "a".into(),
-                        task: 3,
-                        silence: 3.5,
-                        phi: None,
-                    },
-                ),
-                r#"{"at":4,"kind":"suspicion_raised","activity":"a","task":3,"silence":3.5,"phi":null}"#,
-            ),
-            (
-                ev(
-                    9.5,
-                    TraceKind::ZombieCompletion {
-                        activity: "a".into(),
-                        task: 3,
-                        body: "done".into(),
-                    },
-                ),
-                r#"{"at":9.5,"kind":"zombie_completion","activity":"a","task":3,"body":"done"}"#,
-            ),
-            (
-                ev(
-                    4.25,
-                    TraceKind::OrphanCancelled {
-                        activity: "a".into(),
-                        task: 3,
-                    },
-                ),
-                r#"{"at":4.25,"kind":"orphan_cancelled","activity":"a","task":3}"#,
-            ),
-            (
-                ev(
-                    5.0,
-                    TraceKind::LateHeartbeat {
-                        activity: "a".into(),
-                        task: 3,
-                        seq: 7,
-                    },
-                ),
-                r#"{"at":5,"kind":"late_heartbeat","activity":"a","task":3,"seq":7}"#,
-            ),
-        ];
-        for (event, wire) in cases {
-            assert_eq!(event.to_json(), wire);
-        }
-    }
-
-    #[test]
-    fn foreach_kinds_have_stable_wire_forms() {
-        let cases = [
-            (
-                ev(
-                    0.0,
-                    TraceKind::ForeachStarted {
-                        activity: "map".into(),
-                        items: 5,
-                        pending: 3,
-                    },
-                ),
-                r#"{"at":0,"kind":"foreach_start","activity":"map","items":5,"pending":3}"#,
-            ),
-            (
-                ev(
-                    7.5,
-                    TraceKind::ItemSettled {
-                        activity: "map".into(),
-                        item: 2,
-                        outcome: "done".into(),
-                        attempts: 1,
-                    },
-                ),
-                r#"{"at":7.5,"kind":"item_settle","activity":"map","item":2,"outcome":"done","attempts":1}"#,
-            ),
-            (
-                ev(
-                    9.0,
-                    TraceKind::ItemDeadLettered {
-                        activity: "map".into(),
-                        item: 4,
-                        attempts: 3,
-                        reason: "crashed".into(),
-                    },
-                ),
-                r#"{"at":9,"kind":"item_dlq","activity":"map","item":4,"attempts":3,"reason":"crashed"}"#,
-            ),
-            (
-                ev(
-                    4.25,
-                    TraceKind::ItemFailover {
-                        activity: "map".into(),
-                        item: 1,
-                        program: "backup".into(),
-                    },
-                ),
-                r#"{"at":4.25,"kind":"item_failover","activity":"map","item":1,"program":"backup"}"#,
-            ),
-            (
-                ev(
-                    0.0,
-                    TraceKind::ItemReprocessed {
-                        activity: "map".into(),
-                        item: 4,
-                    },
-                ),
-                r#"{"at":0,"kind":"item_reprocess","activity":"map","item":4}"#,
-            ),
-        ];
-        for (event, wire) in cases {
-            assert_eq!(event.to_json(), wire);
-        }
-    }
-
-    #[test]
-    fn scheduler_kinds_have_stable_wire_forms() {
-        let cases = [
-            (
-                ev(
-                    2.5,
-                    TraceKind::PlacementScored {
-                        activity: "a".into(),
-                        slot: 0,
-                        attempt: 2,
-                        host: "h2".into(),
-                        score: 0.75,
-                        steered: true,
-                    },
-                ),
-                r#"{"at":2.5,"kind":"placement_scored","activity":"a","slot":0,"attempt":2,"host":"h2","score":0.75,"steered":true}"#,
-            ),
-            (
-                ev(
-                    8.0,
-                    TraceKind::Rereplicate {
-                        activity: "a".into(),
-                        slot: 1,
-                        from: "h1".into(),
-                        to: "h3".into(),
-                        phi: 2.5,
-                    },
-                ),
-                r#"{"at":8,"kind":"rereplicate","activity":"a","slot":1,"from":"h1","to":"h3","phi":2.5}"#,
-            ),
-            (
-                ev(
-                    10.0,
-                    TraceKind::CkptIntervalAdapted {
-                        host: "h1".into(),
-                        interval: 7.75,
-                        mttf: 30.0,
-                    },
-                ),
-                r#"{"at":10,"kind":"ckpt_interval_adapted","host":"h1","interval":7.75,"mttf":30}"#,
-            ),
-        ];
-        for (event, wire) in cases {
-            assert_eq!(event.to_json(), wire);
         }
     }
 

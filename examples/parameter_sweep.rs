@@ -12,7 +12,7 @@
 //! cargo run --release --example parameter_sweep
 //! ```
 
-use gridwfs::core::{Engine, EngineConfig, LogKind, SimGrid};
+use gridwfs::core::{Engine, EngineConfig, SimGrid, SpanOutcome};
 use gridwfs::sim::resource::ResourceSpec;
 use gridwfs::wpdl::WorkflowBuilder;
 
@@ -75,9 +75,9 @@ fn main() {
     println!("makespan:         {:.1} time units", report.makespan);
     let attempts = report.spans.len();
     let crashes = report
-        .log
+        .spans
         .iter()
-        .filter(|e| e.kind == LogKind::Detect && e.message.contains("crash"))
+        .filter(|s| s.outcome == SpanOutcome::Crashed)
         .count();
     println!(
         "attempts:         {attempts} for {} tasks ({crashes} crashes recovered)",

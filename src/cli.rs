@@ -33,13 +33,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use grid_wfs::checkpoint;
-use grid_wfs::engine::{Engine, LogKind, Report};
+use grid_wfs::engine::{Engine, Report};
 use grid_wfs::sim_executor::SimGrid;
 use grid_wfs::TraceSink;
 use gridwfs_serve::json::{json_number, json_string};
 use gridwfs_serve::{
-    recover, Backend, DetectorSpec, ExecMode, FaultPlan, GridSpec, JobId, JobState, Op,
-    SchedulerSpec, Service, ServiceConfig, Storage, Submission, SubmitError, WalStorage, WAL_FILE,
+    recover, DetectorSpec, ExecMode, FaultPlan, GridSpec, JobId, JobState, Op, SchedulerSpec,
+    Service, ServiceConfig, Storage, Submission, SubmitError, WalStorage, WAL_FILE,
 };
 use gridwfs_trace::JsonlSink;
 use gridwfs_wpdl::validate::validate;
@@ -220,11 +220,6 @@ pub fn report_to_json(report: &Report) -> String {
     for span in &report.spans {
         *submissions.entry(span.activity.as_str()).or_default() += 1;
     }
-    let cancellations = report
-        .log
-        .iter()
-        .filter(|e| e.kind == LogKind::Cancel)
-        .count();
     let mut s = String::from("{\n  \"schema\": 1,\n");
     let _ = writeln!(
         s,
@@ -242,7 +237,7 @@ pub fn report_to_json(report: &Report) -> String {
     );
     let _ = writeln!(s, "  \"makespan\": {},", json_number(report.makespan));
     let _ = writeln!(s, "  \"finished_at\": {},", json_number(report.finished_at));
-    let _ = writeln!(s, "  \"cancellations\": {cancellations},");
+    let _ = writeln!(s, "  \"cancellations\": {},", report.cancellations());
     s.push_str("  \"activities\": [\n");
     for (i, (name, status)) in report.node_status.iter().enumerate() {
         let _ = write!(
@@ -387,10 +382,8 @@ pub struct ServeOptions {
     pub inflight: usize,
     /// Admission-queue capacity.
     pub queue: usize,
-    /// Crash-recovery state directory.
+    /// Crash-recovery state directory (its write-ahead log).
     pub state_dir: Option<PathBuf>,
-    /// Storage backend for the state directory (`wal` | `memory`).
-    pub backend: gridwfs_serve::Backend,
     /// Per-job deadline (executor seconds).
     pub deadline: Option<f64>,
     /// Run paced (wall-clock) instead of virtual-time, with this
@@ -429,7 +422,6 @@ impl Default for ServeOptions {
             inflight: 1,
             queue: 64,
             state_dir: None,
-            backend: gridwfs_serve::Backend::default(),
             deadline: None,
             paced: None,
             seed: None,
@@ -497,12 +489,19 @@ pub fn cmd_serve(opts: &ServeOptions) -> Result<(i32, String), CliError> {
     if opts.replica_id.is_some() && opts.state_dir.is_none() {
         return err("--replica-id requires --state-dir (the shared lease store)");
     }
+    let storage = match &opts.state_dir {
+        Some(dir) => {
+            let wal =
+                WalStorage::open(dir).map_err(|e| CliError(format!("{}: {e}", dir.display())))?;
+            Some(Arc::new(wal) as Arc<dyn Storage>)
+        }
+        None => None,
+    };
     let service = Service::start(ServiceConfig {
         workers: opts.workers,
         max_in_flight: opts.inflight,
         queue_capacity: opts.queue,
-        state_dir: opts.state_dir.clone(),
-        backend: opts.backend,
+        storage,
         default_deadline: opts.deadline,
         trace_dir: opts.trace_dir.clone(),
         chaos: chaos.clone(),
@@ -510,7 +509,6 @@ pub fn cmd_serve(opts: &ServeOptions) -> Result<(i32, String), CliError> {
         lease_ttl,
         replica_index,
         fleet_size,
-        ..ServiceConfig::default()
     })
     .map_err(CliError)?;
     let base_seed = opts.seed.unwrap_or(file_seed);
@@ -601,29 +599,19 @@ pub fn cmd_serve(opts: &ServeOptions) -> Result<(i32, String), CliError> {
 // ------------------------------------------------------- dead letters ---
 
 /// Opens a service state dir for offline inspection (`dlq list|retry`).
-/// The memory backend keeps nothing across processes, so there is nothing
-/// offline to open.
-fn open_state_dir(dir: &Path, backend: Backend) -> Result<Arc<dyn Storage>, CliError> {
-    match backend {
-        Backend::Wal => {
-            // `WalStorage::open` creates what it does not find.  Inspection
-            // must not: a mistyped path would report an empty queue and
-            // leave a fresh log behind.
-            let log = dir.join(WAL_FILE);
-            if !log.is_file() {
-                return err(format!(
-                    "{}: no write-ahead log — not a gridwfs state dir (the per-file \
-                     layout of the removed 'dir' backend is no longer read)",
-                    log.display()
-                ));
-            }
-            let st =
-                WalStorage::open(dir).map_err(|e| CliError(format!("{}: {e}", dir.display())))?;
-            Ok(Arc::new(st))
-        }
-        Backend::Memory => err("the memory backend keeps no state across processes; \
-             dlq needs a wal state dir"),
+fn open_state_dir(dir: &Path) -> Result<WalStorage, CliError> {
+    // `WalStorage::open` creates what it does not find.  Inspection must
+    // not: a mistyped path would report an empty queue and leave a fresh
+    // log behind.
+    let log = dir.join(WAL_FILE);
+    if !log.is_file() {
+        return err(format!(
+            "{}: no write-ahead log — not a gridwfs state dir (the per-file \
+             layout of the removed 'dir' backend is no longer read)",
+            log.display()
+        ));
     }
+    WalStorage::open(dir).map_err(|e| CliError(format!("{}: {e}", dir.display())))
 }
 
 /// Accepts `job-7` (the display form) or a bare `7`.
@@ -740,8 +728,8 @@ USAGE:
   gridwfs run      --resume <state.xml> --grid <grid.json> [options]
   gridwfs resume   <state.xml> --grid <grid.json> [options]
   gridwfs serve    <wf1.xml> [wf2.xml ...] --grid <grid.json> [serve options]
-  gridwfs dlq      list --state-dir <dir> [--backend <name>]
-  gridwfs dlq      retry <job-id> --state-dir <dir> [--backend <name>]
+  gridwfs dlq      list --state-dir <dir>
+  gridwfs dlq      retry <job-id> --state-dir <dir>
 
 RUN OPTIONS:
   --grid <file>        Grid configuration (JSON: hosts, link, profiles);
@@ -761,7 +749,8 @@ RUN OPTIONS:
                        plus MTTF priors from the grid config); overrides
                        the grid config's \"scheduler\" field
   --timeline           render an ASCII Gantt of all attempts
-  --verbose            include the full engine log
+  --verbose            print the flight journal as readable lines, one
+                       per decision: [time] category: event field=value ...
   --json <file>        also write a machine-readable JSON report
   --trace <file>       write the flight-recorder journal (JSONL); runs with
                        the same seed produce byte-identical journals
@@ -772,10 +761,8 @@ SERVE OPTIONS:
   --inflight <n>       jobs each worker steps cooperatively at once
                        (default 1; raise for paced jobs that mostly wait)
   --queue <n>          admission-queue capacity (default 64)
-  --state-dir <dir>    persist jobs + checkpoints for crash recovery
-  --backend <name>     storage engine for --state-dir: wal (group-commit
-                       write-ahead log, default) or memory (tests/benches;
-                       nothing survives)
+  --state-dir <dir>    persist jobs + checkpoints for crash recovery in a
+                       group-committed write-ahead log (<dir>/wal.log)
   --deadline <s>       per-job deadline in executor seconds
   --paced <scale>      run on real threads, scale wall-seconds per unit
   --seed <n>           base seed (job i runs with seed base+i)
@@ -810,8 +797,6 @@ DLQ OPTIONS:
                        deadline ledger carried across incarnations
   --state-dir <dir>    the service's persistence root (required); must
                        already hold a wal.log — dlq never creates one
-  --backend <name>     storage engine of the state dir: wal (default);
-                       memory keeps nothing across processes
 ";
 
 /// The value after a flag, parsed; `msg` is the error when it is missing
@@ -919,13 +904,6 @@ pub fn main_with_args(args: &[String]) -> (i32, String) {
                     }
                     "--queue" => opts.queue = flag_value(&mut rest, "--queue requires an integer")?,
                     "--state-dir" => opts.state_dir = rest.next().map(PathBuf::from),
-                    "--backend" => match rest.next() {
-                        Some(name) => match gridwfs_serve::Backend::parse(name) {
-                            Ok(b) => opts.backend = b,
-                            Err(e) => return err(format!("{e}\n\n{USAGE}")),
-                        },
-                        None => return err(format!("--backend needs a value\n\n{USAGE}")),
-                    },
                     "--deadline" => {
                         opts.deadline = Some(flag_value(&mut rest, "--deadline requires a number")?)
                     }
@@ -965,18 +943,10 @@ pub fn main_with_args(args: &[String]) -> (i32, String) {
             let mut action: Option<String> = None;
             let mut job: Option<String> = None;
             let mut state_dir: Option<PathBuf> = None;
-            let mut backend = Backend::default();
             let mut rest = it.clone();
             while let Some(a) = rest.next() {
                 match a.as_str() {
                     "--state-dir" => state_dir = rest.next().map(PathBuf::from),
-                    "--backend" => match rest.next() {
-                        Some(name) => match Backend::parse(name) {
-                            Ok(b) => backend = b,
-                            Err(e) => return err(format!("{e}\n\n{USAGE}")),
-                        },
-                        None => return err(format!("--backend needs a value\n\n{USAGE}")),
-                    },
                     other if !other.starts_with("--") && action.is_none() => {
                         action = Some(other.to_string())
                     }
@@ -987,12 +957,12 @@ pub fn main_with_args(args: &[String]) -> (i32, String) {
                 }
             }
             let dir = state_dir.ok_or_else(|| CliError("dlq requires --state-dir <dir>".into()))?;
-            let st = open_state_dir(&dir, backend)?;
+            let st = open_state_dir(&dir)?;
             match action.as_deref() {
-                Some("list") => cmd_dlq_list(st.as_ref()),
+                Some("list") => cmd_dlq_list(&st),
                 Some("retry") => {
                     let job = job.ok_or_else(|| CliError("dlq retry requires a job id".into()))?;
-                    cmd_dlq_retry(st.as_ref(), &job)
+                    cmd_dlq_retry(&st, &job)
                 }
                 Some(other) => err(format!("unknown dlq action '{other}' (list | retry)")),
                 None => err(format!("dlq requires an action: list | retry\n\n{USAGE}")),
@@ -1406,6 +1376,21 @@ mod tests {
             ..ServeOptions::default()
         };
         assert!(cmd_serve(&bad_scale).is_err());
+        // Persistence is `--state-dir` alone: its write-ahead log.
+        let (code, out) = cli(&["serve", "x.xml", "--backend", "wal"]);
+        assert_eq!(code, 2);
+        assert!(out.contains("unknown argument '--backend'"), "{out}");
+        // A host name the job's manifest cannot store is a refusal.
+        let spaced = write_grid(&dir, r#"{"hosts": [{"hostname": "h one"}]}"#);
+        let wf = write_wf(&dir);
+        let (code, out) = cli(&[
+            "serve",
+            wf.to_str().unwrap(),
+            "--grid",
+            spaced.to_str().unwrap(),
+        ]);
+        assert_eq!(code, 2);
+        assert!(out.contains(r#"grid host name "h one""#), "{out}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1799,12 +1784,10 @@ mod tests {
         let (code, out) = cli(&["dlq", "retry", "9", "--state-dir", d]);
         assert_eq!(code, 2);
         assert!(out.contains("no such job"), "{out}");
+        // A state dir is a write-ahead log; there is no backend to pick.
         let (code, out) = cli(&["dlq", "list", "--state-dir", d, "--backend", "memory"]);
         assert_eq!(code, 2);
-        assert!(out.contains("memory backend"), "{out}");
-        let (code, out) = cli(&["dlq", "list", "--state-dir", d, "--backend", "dir"]);
-        assert_eq!(code, 2);
-        assert!(out.contains("unknown storage backend"), "{out}");
+        assert!(out.contains("unknown argument '--backend'"), "{out}");
         // An empty log lists an empty queue rather than erroring.
         let (code, out) = cli(&["dlq", "list", "--state-dir", d]);
         assert_eq!(code, 0, "{out}");

@@ -5,7 +5,7 @@
 use gridwfs::catalog::{
     Broker, BrokerPolicy, Implementation, ResourceCatalog, ResourceEntry, SoftwareCatalog,
 };
-use gridwfs::core::{Engine, LogKind, SimGrid, TaskProfile, TaskResult, ThreadExecutor};
+use gridwfs::core::{Engine, SimGrid, TaskProfile, TaskResult, ThreadExecutor, TraceKind};
 use gridwfs::sim::resource::ResourceSpec;
 use gridwfs::wpdl::{parse, validate, WorkflowBuilder};
 
@@ -103,10 +103,8 @@ fn threaded_executor_end_to_end_with_recovery() {
     let report = Engine::new(b.edge("a", "b").build().unwrap(), exec).run();
     assert!(report.is_success(), "{:?}", report.outcome);
     assert_eq!(report.submissions_of("a"), 2, "crash then retry");
-    assert!(report
-        .log
-        .iter()
-        .any(|e| e.kind == LogKind::Detect && e.message.contains("Done without Task End")));
+    assert!(report.trace.iter().any(|e| matches!(&e.kind,
+        TraceKind::TaskSettled { reason, .. } if reason == "done-without-task-end")));
 }
 
 /// Policy typos never reach the Grid: the validation front line.

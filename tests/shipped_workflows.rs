@@ -3,6 +3,7 @@
 //! the example Grid, and the CLI drives all of it.
 
 use gridwfs::cli::{cmd_dot, cmd_run, cmd_validate, RunOptions};
+use gridwfs::core::LogKind;
 use gridwfs::serve::{DetectorSpec, GridSpec, LinkSpec, ProfileSpec};
 use std::path::{Path, PathBuf};
 
@@ -404,6 +405,18 @@ fn shipped_journals_are_pinned() {
                     };
                     let (report, _) = cmd_run(&opts).expect("setup succeeds");
                     let _ = write!(got, " {:016x}", fnv1a(report.trace_jsonl().as_bytes()));
+                    // The log is a view of the journal: one entry per
+                    // event, and a `Submit` entry exactly per `task_submit`.
+                    let logged = report.log.iter().filter(|l| l.kind == LogKind::Submit);
+                    let submitted = report
+                        .trace
+                        .iter()
+                        .filter(|e| e.kind.tag() == "task_submit");
+                    assert_eq!(
+                        (report.log.len(), logged.count()),
+                        (report.trace.len(), submitted.count()),
+                        "{wf_name} {grid} {seed}"
+                    );
                 }
                 got.push('\n');
             }
