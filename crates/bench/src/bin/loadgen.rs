@@ -362,10 +362,9 @@ fn fleet_main(opts: &LoadOptions) {
 
     let mut done = 0usize;
     for &(id, _, _) in &admitted {
-        let result = st
-            .read_to_string(&recover::result_name(gridwfs_serve::JobId(id)))
+        let result = recover::read_result(st.as_ref(), gridwfs_serve::JobId(id))
             .expect("terminal record readable");
-        if result.starts_with("state done") {
+        if matches!(result, Some((JobState::Done, _))) {
             done += 1;
         }
         assert!(

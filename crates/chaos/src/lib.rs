@@ -80,12 +80,10 @@ const SALT_RKILL: u64 = 0x0072_6b69_6c6c; // "rkill"
 
 /// A seed-driven schedule of injectable faults, replayable by seed.
 ///
-/// Parse one from a CLI spec string (`key=value` pairs, comma-separated) or a
-/// flat JSON object with the same keys:
+/// Parse one from a CLI spec string (`key=value` pairs, comma-separated):
 ///
 /// ```text
 /// seed=7,panic=0.1,torn=0.2,rename=0.1
-/// {"seed":7,"panic":0.1,"torn":0.2,"rename":0.1}
 /// ```
 ///
 /// Keys: `seed` (u64 decision seed), `panic` (P(workflow closure panics), per
@@ -145,22 +143,10 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// Parse a plan from either the CLI spec form (`seed=7,panic=0.1`) or a
-    /// flat JSON object (`{"seed":7,"panic":0.1}`).  Unknown keys and
-    /// malformed values are errors: a typo must not silently disable chaos.
+    /// Parse a plan from the CLI spec form (`seed=7,panic=0.1`).  Unknown
+    /// keys and malformed values are errors: a typo must not silently
+    /// disable chaos.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
-        let spec = spec.trim();
-        if spec.is_empty() {
-            return Ok(FaultPlan::default());
-        }
-        if spec.starts_with('{') {
-            Self::parse_json(spec)
-        } else {
-            Self::parse_spec(spec)
-        }
-    }
-
-    fn parse_spec(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         for pair in spec.split(',') {
             let pair = pair.trim();
@@ -171,54 +157,6 @@ impl FaultPlan {
                 .split_once('=')
                 .ok_or_else(|| format!("chaos spec: expected key=value, got {pair:?}"))?;
             plan.apply(key.trim(), value.trim())?;
-        }
-        Ok(plan)
-    }
-
-    fn parse_json(spec: &str) -> Result<FaultPlan, String> {
-        let body = spec
-            .strip_prefix('{')
-            .and_then(|s| s.strip_suffix('}'))
-            .ok_or_else(|| "chaos spec: unbalanced JSON braces".to_string())?;
-        let mut plan = FaultPlan::default();
-        // Flat object of numbers (plus one optional flat array of numbers):
-        // split on commas that are not inside brackets.
-        let mut depth = 0usize;
-        let mut start = 0usize;
-        let mut fields = Vec::new();
-        for (i, c) in body.char_indices() {
-            match c {
-                '[' => depth += 1,
-                ']' => depth = depth.saturating_sub(1),
-                ',' if depth == 0 => {
-                    fields.push(&body[start..i]);
-                    start = i + 1;
-                }
-                _ => {}
-            }
-        }
-        fields.push(&body[start..]);
-        for field in fields {
-            let field = field.trim();
-            if field.is_empty() {
-                continue;
-            }
-            let (key, value) = field
-                .split_once(':')
-                .ok_or_else(|| format!("chaos spec: expected \"key\":value, got {field:?}"))?;
-            let key = key.trim().trim_matches('"');
-            let value = value.trim();
-            if key == "panic_seeds" {
-                let inner = value
-                    .strip_prefix('[')
-                    .and_then(|s| s.strip_suffix(']'))
-                    .ok_or_else(|| "chaos spec: panic_seeds must be an array".to_string())?;
-                for n in inner.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                    plan.apply("panic_seed", n)?;
-                }
-            } else {
-                plan.apply(key, value)?;
-            }
         }
         Ok(plan)
     }
@@ -522,22 +460,15 @@ mod tests {
     }
 
     #[test]
-    fn parse_json_form_matches_spec_form() {
-        let a = FaultPlan::parse("seed=9,write=0.3,rename=0.2,panic_seed=4,panic_seed=8").unwrap();
-        let b = FaultPlan::parse(
-            "{\"seed\": 9, \"write\": 0.3, \"rename\": 0.2, \"panic_seeds\": [4, 8]}",
-        )
-        .unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn parse_rejects_unknown_keys_and_bad_values() {
         assert!(FaultPlan::parse("panik=0.5").is_err());
         assert!(FaultPlan::parse("panic=1.5").is_err());
         assert!(FaultPlan::parse("panic=abc").is_err());
         assert!(FaultPlan::parse("panic").is_err());
         assert!(FaultPlan::parse("{\"panic\" 0.5}").is_err());
+        // The spec form is the only form: a JSON object is an error.
+        let e = FaultPlan::parse("{\"seed\":7,\"panic\":0.1}").unwrap_err();
+        assert!(e.contains("expected key=value"), "{e}");
     }
 
     #[test]

@@ -185,7 +185,7 @@ fn write_runtime_lines(out: &mut String, instance: &Instance) {
 ///
 /// The engine calls this after every settlement, so the cost follows what
 /// can have changed: the `<Workflow>` child is rendered once per instance
-/// ([`Instance::workflow_xml`]) and copied, and the `<Runtime>` lines are
+/// (`Instance::workflow_xml`) and copied, and the `<Runtime>` lines are
 /// written straight into a buffer.  `concat` allocates the document at its
 /// exact length, which matters because storage backends keep it as-is.
 pub fn to_xml(instance: &Instance) -> String {

@@ -188,8 +188,8 @@ impl SimGrid {
     }
 
     /// Per-host failure priors for the resilience-aware scheduler:
-    /// `(hostname, λ, D)` with λ = 1/E[TTF] (0 for failure-free hosts) and
-    /// D = E[downtime].  Hostname-sorted so the result is deterministic.
+    /// `(hostname, λ, D)` with λ = 1/E\[TTF\] (0 for failure-free hosts) and
+    /// D = E\[downtime\].  Hostname-sorted so the result is deterministic.
     pub fn host_priors(&self) -> Vec<(String, f64, f64)> {
         let mut out: Vec<(String, f64, f64)> = self
             .hosts

@@ -5,7 +5,7 @@
 //! seeds first, then `0..cases` — so every run checks the same cases, and a
 //! failure names the seed that found it.  Inputs are direct draws
 //! ([`Rng::index`], [`Rng::range_f64`], [`Rng::bernoulli`], [`between`],
-//! [`vec`], [`string`]); there is no shrinking.
+//! [`vec()`], [`string`]); there is no shrinking.
 //!
 //! ```
 //! use gridwfs_sim::check::{self, forall};

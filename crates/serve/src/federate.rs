@@ -306,7 +306,7 @@ pub(crate) fn write_result_fenced(
     shared: &Shared,
     fed: &Federation,
     id: JobId,
-    state: &str,
+    state: JobState,
     detail: &str,
 ) {
     let Some(st) = &shared.storage else {
@@ -451,6 +451,15 @@ fn admit_takeover(
         return Ok(());
     };
     let sub = recover::load_job(st.as_ref(), id)?;
+    // The record is in the table before the takeover is counted, so an
+    // observer that sees the counter also sees the job (as `Queued`).
+    let mut record = JobRecord::new(id, sub.name.clone(), shared.now(), true);
+    record.recovered = true;
+    {
+        let mut shard = shared.table.shard(id.0);
+        shard.jobs.insert(id.0, record);
+        shard.subs.insert(id.0, sub);
+    }
     // Journal the takeover *before* the job becomes poppable: once it is
     // pushed, a worker may immediately append the next incarnation's
     // `job_start` header, and the journal's event order must not depend
@@ -460,13 +469,6 @@ fn admit_takeover(
         let kind = TraceKind::LeaseTakeover { job: id.0, epoch };
         journal_event(shared, id, kind.clone());
         shared.trace(kind);
-    }
-    let mut record = JobRecord::new(id, sub.name.clone(), shared.now(), true);
-    record.recovered = true;
-    {
-        let mut shard = shared.table.shard(id.0);
-        shard.jobs.insert(id.0, record);
-        shard.subs.insert(id.0, sub);
     }
     if shared.queue.force_push(id).is_err() {
         // Undo the table insert: a job that can never be popped must not

@@ -2,10 +2,10 @@
 //!
 //! The service must be able to rebuild a job's executor after a restart,
 //! so the Grid is described as plain data (hosts, link, behaviour
-//! profiles) rather than a live [`SimGrid`] value, and it round-trips
-//! through a line-based manifest format (`to_manifest` / `from_manifest`).
-//! It is also the one grid model of the CLI: a `--grid` JSON file parses
-//! straight into it ([`GridSpec::from_json`]), and every engine on it —
+//! profiles) rather than a live [`SimGrid`] value.  It is also the one
+//! grid model of the CLI: a `--grid` JSON file parses straight into it
+//! ([`GridSpec::from_json`]), a job's stored meta record holds the same
+//! document ([`GridSpec::to_json`]), and every engine on it —
 //! `gridwfs run`'s or a serve worker's — starts from
 //! [`GridSpec::engine_config`].
 //!
@@ -21,6 +21,7 @@
 //!   to demonstrate throughput.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use grid_wfs::engine::EngineConfig;
 use grid_wfs::sim_executor::TaskProfile;
@@ -30,7 +31,7 @@ use gridwfs_sim::net::LinkModel;
 use gridwfs_sim::resource::ResourceSpec;
 use gridwfs_wpdl::ast::Workflow;
 
-use crate::json::{self, Value};
+use crate::json::{self, child, opt, req, Members, Value};
 
 /// How jobs on this Grid execute.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,6 +87,15 @@ impl LinkSpec {
         LinkModel::jittered(self.delay, self.jitter, self.drop_p).with_duplicates(self.dup_p)
     }
 
+    /// Writes the link's non-zero fields (the reader defaults a missing
+    /// one to zero).
+    fn write_json(&self, m: &mut Members<'_>) {
+        m.num("delay", non_default(self.delay, 0.0));
+        m.num("drop_p", non_default(self.drop_p, 0.0));
+        m.num("jitter", non_default(self.jitter, 0.0));
+        m.num("dup_p", non_default(self.dup_p, 0.0));
+    }
+
     /// Rejects a link the simulator cannot run; `what` names it in the
     /// error (`link`, `host_links.<host>`).
     fn check(&self, what: &str) -> Result<(), String> {
@@ -135,35 +145,44 @@ impl DetectorSpec {
             Some((k, a)) => (k, Some(a)),
             None => (spec, None),
         };
-        match kind {
+        let spec = match kind {
             "phi" => {
                 let raw = arg.ok_or("detector 'phi' needs a threshold, e.g. phi:8")?;
-                let threshold: f64 = raw
+                let threshold = raw
                     .parse()
                     .map_err(|_| format!("bad phi threshold '{raw}'"))?;
-                if !(threshold.is_finite() && threshold > 0.0) {
-                    return Err(format!("phi threshold {threshold} must be finite and > 0"));
-                }
-                Ok(DetectorSpec::Phi { threshold })
+                DetectorSpec::Phi { threshold }
             }
             "timeout" => {
                 let tolerance = match arg {
                     None => None,
-                    Some(raw) => {
-                        let v: f64 = raw
-                            .parse()
-                            .map_err(|_| format!("bad timeout tolerance '{raw}'"))?;
-                        if !(v.is_finite() && v >= 1.0) {
-                            return Err(format!("timeout tolerance {v} must be >= 1"));
-                        }
-                        Some(v)
-                    }
+                    Some(raw) => Some(
+                        raw.parse()
+                            .map_err(|_| format!("bad timeout tolerance '{raw}'"))?,
+                    ),
                 };
-                Ok(DetectorSpec::Timeout { tolerance })
+                DetectorSpec::Timeout { tolerance }
             }
-            other => Err(format!(
-                "unknown detector '{other}' (use phi:<threshold> or timeout[:<tolerance>])"
-            )),
+            other => {
+                return Err(format!(
+                    "unknown detector '{other}' (use phi:<threshold> or timeout[:<tolerance>])"
+                ))
+            }
+        };
+        spec.check()?;
+        Ok(spec)
+    }
+
+    /// Rejects a threshold or tolerance the engine cannot use.
+    fn check(&self) -> Result<(), String> {
+        match *self {
+            DetectorSpec::Phi { threshold } if !(threshold.is_finite() && threshold > 0.0) => {
+                Err(format!("phi threshold {threshold} must be finite and > 0"))
+            }
+            DetectorSpec::Timeout { tolerance: Some(v) } if !(v.is_finite() && v >= 1.0) => {
+                Err(format!("timeout tolerance {v} must be >= 1"))
+            }
+            _ => Ok(()),
         }
     }
 
@@ -176,6 +195,17 @@ impl DetectorSpec {
             DetectorSpec::Phi { threshold } => {
                 DetectorPolicy::PhiAccrual(PhiConfig::with_threshold(*threshold))
             }
+        }
+    }
+}
+
+/// The inverse of [`DetectorSpec::parse`]: `phi:6`, `timeout`, `timeout:3`.
+impl fmt::Display for DetectorSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DetectorSpec::Phi { threshold } => write!(f, "phi:{threshold}"),
+            DetectorSpec::Timeout { tolerance: None } => f.write_str("timeout"),
+            DetectorSpec::Timeout { tolerance: Some(t) } => write!(f, "timeout:{t}"),
         }
     }
 }
@@ -225,6 +255,16 @@ impl SchedulerSpec {
                 })
             }
         }
+    }
+}
+
+/// The inverse of [`SchedulerSpec::parse`].
+impl fmt::Display for SchedulerSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            SchedulerSpec::Oblivious => "oblivious",
+            SchedulerSpec::Resilient => "resilient",
+        })
     }
 }
 
@@ -385,11 +425,20 @@ impl GridSpec {
         }
     }
 
-    /// Rejects a Grid the simulator cannot run: no hosts, a host with a
-    /// non-positive speed or MTTF, or a link outside its ranges.
-    fn validate(&self) -> Result<(), String> {
+    /// Rejects a Grid the simulator cannot run or a job record cannot
+    /// store: no hosts, a host with a non-positive speed or MTTF, a link
+    /// outside its ranges, a detector [`DetectorSpec::parse`] would
+    /// refuse, a non-positive pacing scale, or any non-finite number
+    /// (JSON cannot carry one).
+    pub fn validate(&self) -> Result<(), String> {
+        let infinite = |v: Option<f64>| v.filter(|v| !v.is_finite());
         if self.hosts.is_empty() {
             return Err("grid config declares no hosts".into());
+        }
+        if let ExecMode::Paced { scale } = self.mode {
+            if !(scale.is_finite() && scale > 0.0) {
+                return Err(format!("pacing scale {scale} must be finite and > 0"));
+            }
         }
         for h in &self.hosts {
             if h.speed <= 0.0 {
@@ -398,6 +447,15 @@ impl GridSpec {
             if let Some(bad) = h.mttf.filter(|&m| m <= 0.0) {
                 return Err(format!("host {}: mttf {bad} must be positive", h.hostname));
             }
+            for (field, v) in [
+                ("speed", Some(h.speed)),
+                ("mttf", h.mttf),
+                ("downtime", Some(h.downtime)),
+            ] {
+                if let Some(v) = infinite(v) {
+                    return Err(format!("host {}: {field} {v} must be finite", h.hostname));
+                }
+            }
         }
         if let Some(link) = &self.link {
             link.check("link")?;
@@ -405,7 +463,78 @@ impl GridSpec {
         for (host, link) in &self.host_links {
             link.check(&format!("host_links.{host}"))?;
         }
+        if let Some(detector) = &self.detector {
+            detector.check()?;
+        }
+        for p in &self.profiles {
+            let prob = p.exception.as_ref().map(|e| e.2);
+            for (field, v) in [
+                ("checkpoint_period", p.checkpoint_period),
+                ("soft_crash_mttf", p.soft_crash_mttf),
+                ("exception.prob", prob),
+            ] {
+                if let Some(v) = infinite(v) {
+                    return Err(format!("profiles.{}.{field} {v} must be finite", p.program));
+                }
+            }
+        }
         Ok(())
+    }
+
+    /// The spec as a `--grid` file (format: the README's "The grid
+    /// file"), the form a job's meta record stores it in.  Every value
+    /// the reader would default anyway is left out (`speed` 1,
+    /// `downtime` 0, zero link fields, absent options), and so is the
+    /// execution mode, which the meta record keeps beside the Grid.
+    /// [`GridSpec::from_json`] reads it back; `host_links` and
+    /// `profiles` are objects keyed by name, so they come back sorted.
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        json::object(&mut out, |m| self.write_json(m));
+        out
+    }
+
+    /// Writes the members of [`GridSpec::to_json`]'s object.
+    pub(crate) fn write_json(&self, m: &mut Members<'_>) {
+        m.array("hosts", &self.hosts, |m, h| {
+            m.str("hostname", &h.hostname);
+            m.num("speed", non_default(h.speed, 1.0));
+            m.num("mttf", h.mttf);
+            m.num("downtime", non_default(h.downtime, 0.0));
+        });
+        if let Some(link) = &self.link {
+            m.object("link", |m| link.write_json(m));
+        }
+        if !self.host_links.is_empty() {
+            m.object("host_links", |m| {
+                for (host, link) in &self.host_links {
+                    m.object(host, |m| link.write_json(m));
+                }
+            });
+        }
+        if let Some(detector) = &self.detector {
+            m.str("detector", &detector.to_string());
+        }
+        if let Some(scheduler) = &self.scheduler {
+            m.str("scheduler", &scheduler.to_string());
+        }
+        if !self.profiles.is_empty() {
+            m.object("profiles", |m| {
+                for p in &self.profiles {
+                    m.object(&p.program, |m| {
+                        m.num("checkpoint_period", p.checkpoint_period);
+                        m.num("soft_crash_mttf", p.soft_crash_mttf);
+                        if let Some((name, checks, prob)) = &p.exception {
+                            m.object("exception", |m| {
+                                m.str("name", name);
+                                m.uint("checks", u64::from(*checks));
+                                m.num("prob", *prob);
+                            });
+                        }
+                    });
+                }
+            });
+        }
     }
 
     /// Parses a `--grid` JSON file (format: the README's "The grid file")
@@ -476,234 +605,6 @@ impl GridSpec {
         }
         executor
     }
-
-    // ------------------------------------------------------- manifest ---
-
-    /// Refuses a name the manifest cannot carry.  Its fields are
-    /// whitespace-separated, so a host name, `host_links` key, profile
-    /// program or profile exception that is empty or contains whitespace
-    /// would not read back.
-    pub(crate) fn check_manifest_names(&self) -> Result<(), String> {
-        let hosts = self.hosts.iter().map(|h| ("host name", &h.hostname));
-        let links = self.host_links.iter().map(|(h, _)| ("host_links key", h));
-        let programs = self
-            .profiles
-            .iter()
-            .map(|p| ("profile program", &p.program));
-        let exceptions = self.profiles.iter().filter_map(|p| {
-            let (name, _, _) = p.exception.as_ref()?;
-            Some(("profile exception", name))
-        });
-        match hosts
-            .chain(links)
-            .chain(programs)
-            .chain(exceptions)
-            .find(|(_, name)| name.is_empty() || name.contains(char::is_whitespace))
-        {
-            Some((field, name)) => Err(format!(
-                "cannot store grid {field} {name:?}: empty or contains whitespace"
-            )),
-            None => Ok(()),
-        }
-    }
-
-    /// Serialises the spec to the line-based manifest format.
-    pub fn to_manifest(&self) -> String {
-        let mut out = String::new();
-        match self.mode {
-            ExecMode::Virtual => out.push_str("mode virtual\n"),
-            ExecMode::Paced { scale } => out.push_str(&format!("mode paced {scale}\n")),
-        }
-        for h in &self.hosts {
-            let mttf = h.mttf.map(|m| m.to_string()).unwrap_or_else(|| "-".into());
-            out.push_str(&format!(
-                "host {} {} {} {}\n",
-                h.hostname, h.speed, mttf, h.downtime
-            ));
-        }
-        let link_line = |name: &str, l: &LinkSpec| {
-            // Old manifests carried two link fields; keep emitting that
-            // form when the extensions are unused so existing state dirs
-            // stay byte-stable.
-            if l.jitter == 0.0 && l.dup_p == 0.0 {
-                format!("{name} {} {}\n", l.delay, l.drop_p)
-            } else {
-                format!("{name} {} {} {} {}\n", l.delay, l.drop_p, l.jitter, l.dup_p)
-            }
-        };
-        if let Some(l) = &self.link {
-            out.push_str(&link_line("link", l));
-        }
-        for (host, l) in &self.host_links {
-            out.push_str(&link_line(&format!("hostlink {host}"), l));
-        }
-        match &self.detector {
-            None => {}
-            Some(DetectorSpec::Timeout { tolerance }) => {
-                let t = tolerance
-                    .map(|v| v.to_string())
-                    .unwrap_or_else(|| "-".into());
-                out.push_str(&format!("detector timeout {t}\n"));
-            }
-            Some(DetectorSpec::Phi { threshold }) => {
-                out.push_str(&format!("detector phi {threshold}\n"));
-            }
-        }
-        match &self.scheduler {
-            None => {}
-            Some(SchedulerSpec::Oblivious) => out.push_str("scheduler oblivious\n"),
-            Some(SchedulerSpec::Resilient) => out.push_str("scheduler resilient\n"),
-        }
-        for p in &self.profiles {
-            let ck = p
-                .checkpoint_period
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "-".into());
-            let sc = p
-                .soft_crash_mttf
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "-".into());
-            out.push_str(&format!("profile {} {} {}", p.program, ck, sc));
-            if let Some((name, checks, prob)) = &p.exception {
-                out.push_str(&format!(" exception {name} {checks} {prob}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses the manifest format back into a spec.
-    pub fn from_manifest(text: &str) -> Result<GridSpec, String> {
-        let mut spec = GridSpec::virtual_grid();
-        let opt = |s: &str, what: &str| -> Result<Option<f64>, String> {
-            if s == "-" {
-                Ok(None)
-            } else {
-                s.parse().map(Some).map_err(|_| format!("bad {what} '{s}'"))
-            }
-        };
-        for line in text.lines() {
-            let mut f = line.split_whitespace();
-            match f.next() {
-                None => continue,
-                Some("mode") => match f.next() {
-                    Some("virtual") => spec.mode = ExecMode::Virtual,
-                    Some("paced") => {
-                        let scale = f
-                            .next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| "paced mode needs a scale".to_string())?;
-                        spec.mode = ExecMode::Paced { scale };
-                    }
-                    other => return Err(format!("unknown mode {other:?}")),
-                },
-                Some("host") => {
-                    let fields: Vec<&str> = f.collect();
-                    let [hostname, speed, mttf, downtime] = fields.as_slice() else {
-                        return Err(format!("malformed host line '{line}'"));
-                    };
-                    spec.hosts.push(HostSpec {
-                        hostname: hostname.to_string(),
-                        speed: speed.parse().map_err(|_| format!("bad speed '{speed}'"))?,
-                        mttf: opt(mttf, "mttf")?,
-                        downtime: downtime
-                            .parse()
-                            .map_err(|_| format!("bad downtime '{downtime}'"))?,
-                    });
-                }
-                Some("link") => {
-                    let fields: Vec<&str> = f.collect();
-                    spec.link = Some(parse_link(&fields, line)?);
-                }
-                Some("hostlink") => {
-                    let fields: Vec<&str> = f.collect();
-                    let Some((host, rest)) = fields.split_first() else {
-                        return Err(format!("malformed hostlink line '{line}'"));
-                    };
-                    spec.host_links
-                        .push((host.to_string(), parse_link(rest, line)?));
-                }
-                Some("detector") => {
-                    let fields: Vec<&str> = f.collect();
-                    spec.detector = Some(match fields.as_slice() {
-                        ["timeout", t] => DetectorSpec::Timeout {
-                            tolerance: opt(t, "tolerance")?,
-                        },
-                        ["phi", t] => DetectorSpec::Phi {
-                            threshold: t.parse().map_err(|_| format!("bad threshold '{t}'"))?,
-                        },
-                        _ => return Err(format!("malformed detector line '{line}'")),
-                    });
-                }
-                Some("scheduler") => {
-                    spec.scheduler = Some(match f.next() {
-                        Some("oblivious") => SchedulerSpec::Oblivious,
-                        Some("resilient") => SchedulerSpec::Resilient,
-                        other => return Err(format!("unknown scheduler {other:?}")),
-                    });
-                }
-                Some("profile") => {
-                    let fields: Vec<&str> = f.collect();
-                    if fields.len() != 3 && fields.len() != 7 {
-                        return Err(format!("malformed profile line '{line}'"));
-                    }
-                    let exception = if fields.len() == 7 {
-                        if fields[3] != "exception" {
-                            return Err(format!("malformed profile line '{line}'"));
-                        }
-                        Some((
-                            fields[4].to_string(),
-                            fields[5]
-                                .parse()
-                                .map_err(|_| format!("bad checks '{}'", fields[5]))?,
-                            fields[6]
-                                .parse()
-                                .map_err(|_| format!("bad prob '{}'", fields[6]))?,
-                        ))
-                    } else {
-                        None
-                    };
-                    spec.profiles.push(ProfileSpec {
-                        program: fields[0].to_string(),
-                        checkpoint_period: opt(fields[1], "checkpoint period")?,
-                        soft_crash_mttf: opt(fields[2], "soft-crash mttf")?,
-                        exception,
-                    });
-                }
-                Some(other) => return Err(format!("unknown manifest directive '{other}'")),
-            }
-        }
-        Ok(spec)
-    }
-}
-
-/// `path.key`: how errors name a member.
-fn child(path: &str, key: &str) -> String {
-    if path.is_empty() {
-        key.to_string()
-    } else {
-        format!("{path}.{key}")
-    }
-}
-
-/// The optional member `key` of the object at `path`, read by `as_t`.
-fn opt<'v, T>(
-    obj: &'v Value,
-    path: &str,
-    key: &str,
-    as_t: impl Fn(&'v Value, &str) -> Result<T, String>,
-) -> Result<Option<T>, String> {
-    obj.get(key).map(|v| as_t(v, &child(path, key))).transpose()
-}
-
-/// The required member `key` of the object at `path`, read by `as_t`.
-fn req<'v, T>(
-    obj: &'v Value,
-    path: &str,
-    key: &str,
-    as_t: impl Fn(&'v Value, &str) -> Result<T, String>,
-) -> Result<T, String> {
-    opt(obj, path, key, as_t)?.ok_or_else(|| format!("missing field '{}'", child(path, key)))
 }
 
 fn link_from_json(v: &Value, path: &str) -> Result<LinkSpec, String> {
@@ -717,7 +618,14 @@ fn link_from_json(v: &Value, path: &str) -> Result<LinkSpec, String> {
     })
 }
 
-fn spec_from_json(doc: &Value) -> Result<(GridSpec, u64), String> {
+/// `v`, or `None` when it is the value the reader defaults to anyway.
+fn non_default(v: f64, default: f64) -> Option<f64> {
+    (v != default).then_some(v)
+}
+
+/// Reads a parsed `--grid` document: the spec (virtual-time, not yet
+/// validated) and the file's `seed`.
+pub(crate) fn spec_from_json(doc: &Value) -> Result<(GridSpec, u64), String> {
     doc.as_object("document")?;
     let seed = opt(doc, "", "seed", Value::as_u64)?.unwrap_or(2003);
     let mut spec = GridSpec::virtual_grid();
@@ -751,10 +659,9 @@ fn spec_from_json(doc: &Value) -> Result<(GridSpec, u64), String> {
         p.as_object(&path)?;
         let exception = |e: &Value, path: &str| -> Result<_, String> {
             e.as_object(path)?;
-            let checks = req(e, path, "checks", Value::as_u64)?;
             Ok((
                 req(e, path, "name", Value::as_str)?.to_string(),
-                u32::try_from(checks).map_err(|_| format!("{path}.checks: {checks} too large"))?,
+                req(e, path, "checks", Value::as_uint::<u32>)?,
                 req(e, path, "prob", Value::as_f64)?,
             ))
         };
@@ -766,27 +673,6 @@ fn spec_from_json(doc: &Value) -> Result<(GridSpec, u64), String> {
         });
     }
     Ok((spec, seed))
-}
-
-/// Parses `delay drop_p [jitter dup_p]` link fields — the 2-field form is
-/// the pre-extension manifest format and must keep parsing.
-fn parse_link(fields: &[&str], line: &str) -> Result<LinkSpec, String> {
-    let num = |s: &str, what: &str| -> Result<f64, String> {
-        s.parse().map_err(|_| format!("bad {what} '{s}'"))
-    };
-    match fields {
-        [delay, drop_p] => Ok(LinkSpec::constant(
-            num(delay, "delay")?,
-            num(drop_p, "drop_p")?,
-        )),
-        [delay, drop_p, jitter, dup_p] => Ok(LinkSpec {
-            delay: num(delay, "delay")?,
-            drop_p: num(drop_p, "drop_p")?,
-            jitter: num(jitter, "jitter")?,
-            dup_p: num(dup_p, "dup_p")?,
-        }),
-        _ => Err(format!("malformed link line '{line}'")),
-    }
 }
 
 #[cfg(test)]
@@ -806,17 +692,45 @@ mod tests {
             })
     }
 
-    #[test]
-    fn manifest_round_trips() {
-        let spec = sample();
-        let parsed = GridSpec::from_manifest(&spec.to_manifest()).unwrap();
-        assert_eq!(spec, parsed);
+    /// `to_json` and back: equal, with defaults left out of the text.
+    fn round_trip(spec: &GridSpec) -> String {
+        let text = spec.to_json();
+        let (back, _) = GridSpec::from_json(&text).unwrap();
+        assert_eq!(&back, spec, "{text}");
+        text
     }
 
+    /// The Grid a meta record stores (its manifest) reads back equal.
+    #[test]
+    fn manifest_round_trips() {
+        // The execution mode lives beside the Grid in the meta record.
+        let text = round_trip(&GridSpec {
+            mode: ExecMode::Virtual,
+            ..sample()
+        });
+        assert_eq!(
+            text,
+            r#"{"hosts":[{"hostname":"fast.example.org","speed":2},"#.to_owned()
+                + r#"{"hostname":"flaky.example.org","mttf":80,"downtime":4}],"#
+                + r#""link":{"delay":0.5,"drop_p":0.01},"#
+                + r#""profiles":{"solver":{"checkpoint_period":10,"#
+                + r#""exception":{"name":"disk_full","checks":4,"prob":0.05}}}}"#
+        );
+        // A perfect link is still a link.
+        let perfect = GridSpec::virtual_grid()
+            .with_host("h", 1.0)
+            .with_link(0.0, 0.0);
+        assert_eq!(
+            round_trip(&perfect),
+            r#"{"hosts":[{"hostname":"h"}],"link":{}}"#
+        );
+    }
+
+    /// Lossy links, per-host links and both detectors survive the round trip.
     #[test]
     fn manifest_round_trips_lossy_extensions() {
-        let spec = GridSpec::virtual_grid()
-            .with_host("h1", 1.0)
+        let lossy = GridSpec::virtual_grid()
+            .with_host("h one", 1.0)
             .with_host("h2", 1.0)
             .with_link_spec(LinkSpec {
                 delay: 0.2,
@@ -824,24 +738,79 @@ mod tests {
                 jitter: 0.5,
                 dup_p: 0.05,
             })
-            .with_host_link("h1", LinkSpec::constant(3.0, 0.25))
+            .with_host_link("h one", LinkSpec::constant(3.0, 0.25))
+            .with_host_link("h2", LinkSpec::constant(0.0, 0.0))
             .with_detector(DetectorSpec::Phi { threshold: 8.0 });
-        let parsed = GridSpec::from_manifest(&spec.to_manifest()).unwrap();
-        assert_eq!(spec, parsed);
-        let timeout =
-            GridSpec::virtual_grid().with_detector(DetectorSpec::Timeout { tolerance: None });
-        assert_eq!(
-            GridSpec::from_manifest(&timeout.to_manifest()).unwrap(),
-            timeout
-        );
+        let text = round_trip(&lossy);
+        assert!(text.contains(r#""host_links":{"h one":{"delay":3,"drop_p":0.25},"h2":{}}"#));
+        for detector in [
+            DetectorSpec::Timeout { tolerance: None },
+            DetectorSpec::Timeout {
+                tolerance: Some(2.5),
+            },
+        ] {
+            round_trip(
+                &GridSpec::virtual_grid()
+                    .with_host("h", 1.0)
+                    .with_detector(detector),
+            );
+        }
     }
 
     #[test]
-    fn old_two_field_link_lines_still_parse() {
-        let spec = GridSpec::from_manifest("mode virtual\nlink 0.5 0.01\n").unwrap();
-        assert_eq!(spec.link, Some(LinkSpec::constant(0.5, 0.01)));
-        // ... and specs without the extensions still emit the old form.
-        assert!(spec.to_manifest().contains("link 0.5 0.01\n"));
+    fn validate_refuses_what_a_record_cannot_store() {
+        let ok = GridSpec::virtual_grid().with_host("h", 1.0);
+        let profile = |checkpoint_period, prob| ProfileSpec {
+            program: "p".into(),
+            checkpoint_period,
+            soft_crash_mttf: None,
+            exception: Some(("e".into(), 1, prob)),
+        };
+        for (grid, want) in [
+            (GridSpec::virtual_grid(), "grid config declares no hosts"),
+            (
+                ok.clone().with_host("inf", f64::INFINITY),
+                "host inf: speed inf must be finite",
+            ),
+            (
+                ok.clone().with_unreliable_host("u", 1.0, f64::NAN, 1.0),
+                "host u: mttf NaN must be finite",
+            ),
+            (
+                ok.clone()
+                    .with_unreliable_host("u", 1.0, 5.0, f64::INFINITY),
+                "host u: downtime inf must be finite",
+            ),
+            (
+                ok.clone().with_profile(profile(Some(f64::NAN), 0.5)),
+                "profiles.p.checkpoint_period NaN must be finite",
+            ),
+            (
+                ok.clone().with_profile(profile(None, f64::INFINITY)),
+                "profiles.p.exception.prob inf must be finite",
+            ),
+            (
+                ok.clone()
+                    .with_detector(DetectorSpec::Phi { threshold: 0.0 }),
+                "phi threshold 0 must be finite and > 0",
+            ),
+            (
+                ok.clone().with_detector(DetectorSpec::Timeout {
+                    tolerance: Some(f64::INFINITY),
+                }),
+                "timeout tolerance inf must be >= 1",
+            ),
+            (
+                GridSpec {
+                    mode: ExecMode::Paced { scale: f64::NAN },
+                    ..ok.clone()
+                },
+                "pacing scale NaN must be finite and > 0",
+            ),
+        ] {
+            assert_eq!(grid.validate(), Err(want.to_string()));
+        }
+        assert_eq!(ok.validate(), Ok(()));
     }
 
     #[test]
@@ -861,24 +830,11 @@ mod tests {
     }
 
     #[test]
-    fn manifest_rejects_garbage() {
-        assert!(GridSpec::from_manifest("frobnicate x").is_err());
-        assert!(GridSpec::from_manifest("host only-two 1.0").is_err());
-        assert!(GridSpec::from_manifest("mode paced").is_err());
-        assert!(GridSpec::from_manifest("link 1.0").is_err());
-        assert!(GridSpec::from_manifest("hostlink h 1.0").is_err());
-        assert!(GridSpec::from_manifest("detector phi x").is_err());
-        assert!(GridSpec::from_manifest("detector voodoo 1").is_err());
-        assert!(GridSpec::from_manifest("scheduler voodoo").is_err());
-    }
-
-    #[test]
     fn scheduler_directive_round_trips_and_maps_to_policy() {
         use grid_wfs::SchedulerPolicy;
-        // Unset: no manifest line (old state dirs stay byte-stable) and
-        // the default (oblivious) engine policy.
+        // Unset: no stored key, and the default (oblivious) engine policy.
         let unset = GridSpec::virtual_grid();
-        assert!(!unset.to_manifest().contains("scheduler"));
+        assert!(!unset.to_json().contains("scheduler"));
         assert!(matches!(
             unset.scheduler_policy(),
             SchedulerPolicy::Oblivious
@@ -888,8 +844,7 @@ mod tests {
                 .with_host("ok.example.org", 1.0)
                 .with_unreliable_host("flaky.example.org", 1.0, 50.0, 4.0)
                 .with_scheduler(spec);
-            let parsed = GridSpec::from_manifest(&grid.to_manifest()).unwrap();
-            assert_eq!(grid, parsed);
+            round_trip(&grid);
         }
         let resilient = GridSpec::virtual_grid()
             .with_host("ok.example.org", 1.0)
@@ -1029,6 +984,10 @@ mod tests {
         assert!(DetectorSpec::parse("phi:soon").is_err());
         assert!(DetectorSpec::parse("timeout:0.5").is_err(), "tolerance < 1");
         assert!(DetectorSpec::parse("voodoo:3").is_err());
+        // Display is the inverse of parse.
+        for text in ["phi:6", "phi:0.5", "timeout", "timeout:3"] {
+            assert_eq!(DetectorSpec::parse(text).unwrap().to_string(), text);
+        }
     }
 
     #[test]
@@ -1042,6 +1001,9 @@ mod tests {
             SchedulerSpec::Resilient
         );
         assert!(SchedulerSpec::parse("voodoo").is_err());
+        for text in ["oblivious", "resilient"] {
+            assert_eq!(SchedulerSpec::parse(text).unwrap().to_string(), text);
+        }
         assert!(SchedulerSpec::parse("").is_err());
     }
 

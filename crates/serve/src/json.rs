@@ -1,31 +1,145 @@
 //! Minimal hand-rolled JSON: a writer for the service's own documents and
-//! a reader for the one JSON input the workspace takes, the `--grid` file.
+//! a reader for the JSON the workspace takes in — the `--grid` file and
+//! every job record the service stores (see `crate::recover`).
 //!
 //! The service's metrics snapshots and the load generator's summaries are
 //! flat, fully-known shapes, so — like the bench crate's `--json` reports —
-//! they are rendered by hand.  The reader ([`parse`] into a [`Value`]) is
+//! they are rendered by hand.  Stored records are written member by member
+//! through `object` / `array`.  The reader (`parse` into a `Value`) is
 //! the matching small half: strict RFC 8259 syntax, and numbers kept as
 //! their source text so an integer field (a seed above 2^53) converts
 //! exactly instead of through `f64`.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+use gridwfs_trace::push_escaped;
 
 /// JSON string literal with the required escaping (quotes, backslash,
 /// control characters) — the flight recorder's escaper, so journals,
-/// metrics snapshots and bench reports share one writer.
+/// metrics snapshots, stored records and bench reports share one writer.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    gridwfs_trace::push_escaped(&mut out, s);
+    push_escaped(&mut out, s);
     out
 }
 
 /// JSON number; non-finite values become `null`.
 pub fn json_number(v: f64) -> String {
+    let mut out = String::new();
+    push_number(&mut out, v);
+    out
+}
+
+fn push_number(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        "null".into()
+        out.push_str("null");
     }
+}
+
+/// Writes one JSON object into `out`, its members added by `body`.
+pub(crate) fn object(out: &mut String, body: impl FnOnce(&mut Members<'_>)) {
+    out.push('{');
+    body(&mut Members { out, first: true });
+    out.push('}');
+}
+
+/// Writes `items` into `out` as an array of objects, each one's members
+/// added by `body`.
+pub(crate) fn array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut body: impl FnMut(&mut Members<'_>, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        object(out, |m| body(m, item));
+    }
+    out.push(']');
+}
+
+/// The members of an object [`object`] is writing.
+pub(crate) struct Members<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl Members<'_> {
+    /// Writes `"key":` and returns the buffer the value goes to.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !std::mem::replace(&mut self.first, false) {
+            self.out.push(',');
+        }
+        push_escaped(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A string member.
+    pub(crate) fn str(&mut self, key: &str, value: &str) {
+        push_escaped(self.key(key), value);
+    }
+
+    /// A number member (`null` when non-finite), left out when `None`.
+    pub(crate) fn num(&mut self, key: &str, value: impl Into<Option<f64>>) {
+        if let Some(v) = value.into() {
+            push_number(self.key(key), v);
+        }
+    }
+
+    /// An exact integer member.
+    pub(crate) fn uint(&mut self, key: &str, value: u64) {
+        let _ = write!(self.key(key), "{value}");
+    }
+
+    /// A nested object member.
+    pub(crate) fn object(&mut self, key: &str, body: impl FnOnce(&mut Members<'_>)) {
+        object(self.key(key), body);
+    }
+
+    /// A member holding an array of objects (see [`array`]).
+    pub(crate) fn array<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        body: impl FnMut(&mut Members<'_>, T),
+    ) {
+        array(self.key(key), items, body);
+    }
+}
+
+/// `path.key`: how errors name a member.
+pub(crate) fn child(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_string()
+    } else {
+        format!("{path}.{key}")
+    }
+}
+
+/// The optional member `key` of the object at `path`, read by `as_t`.
+pub(crate) fn opt<'v, T>(
+    obj: &'v Value,
+    path: &str,
+    key: &str,
+    as_t: impl Fn(&'v Value, &str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    obj.get(key).map(|v| as_t(v, &child(path, key))).transpose()
+}
+
+/// The required member `key` of the object at `path`, read by `as_t`.
+pub(crate) fn req<'v, T>(
+    obj: &'v Value,
+    path: &str,
+    key: &str,
+    as_t: impl Fn(&'v Value, &str) -> Result<T, String>,
+) -> Result<T, String> {
+    opt(obj, path, key, as_t)?.ok_or_else(|| format!("missing field '{}'", child(path, key)))
 }
 
 /// One parsed JSON value.
@@ -67,12 +181,15 @@ impl Value {
         }
     }
 
-    /// The value as an `f64`; `path` names it in the error.
+    /// The value as a finite `f64`; `path` names it in the error.
     pub(crate) fn as_f64(&self, path: &str) -> Result<f64, String> {
         match self {
             // Validated number text always parses; a huge exponent
-            // saturates to infinity.
-            Value::Number(text) => Ok(text.parse().expect("validated number")),
+            // saturates to infinity, which no writer could have meant.
+            Value::Number(text) => match text.parse().expect("validated number") {
+                v if f64::is_finite(v) => Ok(v),
+                _ => Err(format!("{path}: {text} is out of range")),
+            },
             other => other.expected("a number", path),
         }
     }
@@ -86,6 +203,12 @@ impl Value {
                 .map_err(|_| format!("{path}: expected an unsigned integer, found {text}")),
             other => other.expected("an unsigned integer", path),
         }
+    }
+
+    /// The value as an exact unsigned integer that fits `T`.
+    pub(crate) fn as_uint<T: TryFrom<u64>>(&self, path: &str) -> Result<T, String> {
+        let n = self.as_u64(path)?;
+        T::try_from(n).map_err(|_| format!("{path}: {n} too large"))
     }
 
     /// The value as a string slice.
@@ -355,6 +478,32 @@ mod tests {
     use super::*;
 
     #[test]
+    fn writer_emits_compact_objects_and_arrays() {
+        let mut out = String::new();
+        object(&mut out, |m| {
+            m.str("s", "a\"b\n");
+            m.num("n", 1.5);
+            m.num("whole", 2.0);
+            m.uint("u", u64::MAX);
+            m.object("empty", |_| {});
+            m.array("items", [1, 2], |m, i| m.uint("i", i));
+        });
+        assert_eq!(
+            out,
+            r#"{"s":"a\"b\n","n":1.5,"whole":2,"u":18446744073709551615,"empty":{},"items":[{"i":1},{"i":2}]}"#
+        );
+        let doc = parse(&out).unwrap();
+        assert_eq!(doc.get("u").unwrap().as_uint::<u64>("u"), Ok(u64::MAX));
+        assert_eq!(
+            doc.get("u").unwrap().as_uint::<u32>("u"),
+            Err("u: 18446744073709551615 too large".into())
+        );
+        let mut empty = String::new();
+        array(&mut empty, Vec::<u8>::new(), |_, _| {});
+        assert_eq!(empty, "[]");
+    }
+
+    #[test]
     fn strings_escape() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
@@ -428,6 +577,11 @@ mod tests {
         ] {
             assert_eq!(v(text).as_f64("n"), Ok(want), "{text}");
         }
+        // A number that overflows f64 is an error, not infinity.
+        assert_eq!(
+            v("-1e999").as_f64("n"),
+            Err("n: -1e999 is out of range".into())
+        );
         // Seeds above 2^53 survive exactly (f64 would round them).
         assert_eq!(
             v("9007199254740993").as_u64("seed"),

@@ -8,8 +8,8 @@
 //! * [`queue`] — the bounded admission queue with explicit backpressure;
 //! * [`job`] — submission / job-record / lifecycle types;
 //! * [`gridspec`] — a data description of the Grid a job runs on
-//!   (virtual-time simulation or real paced threads), manifest
-//!   round-trippable for crash recovery;
+//!   (virtual-time simulation or real paced threads), stored with each
+//!   job as the JSON document a `--grid` file holds;
 //! * [`service`] — the service itself: worker pool, submission API,
 //!   status queries, cancellation, deadlines, graceful and hard shutdown,
 //!   backed by a sharded job table (per-shard locks, `id % SHARDS`);

@@ -1,14 +1,19 @@
 //! State persistence and crash recovery over the [`Storage`] trait.
 //!
 //! An admitted job leaves a handful of named records in the service's
-//! storage backend:
+//! storage backend.  Every structured one is a JSON document, written
+//! with the journals' escaper and read by the strict reader that parses
+//! `--grid` files ([`crate::json`]):
 //!
 //! * `job-<id>.wf.xml`   — the submitted WPDL document;
-//! * `job-<id>.meta`     — label, seed, deadline, and the Grid manifest
-//!   ([`GridSpec::to_manifest`]);
+//! * `job-<id>.meta`     — `{"name":…,"seed":…,"deadline":…,"paced":…,
+//!   "grid":{…}}` ([`meta_payload`]): the label, seed, deadline and pacing
+//!   scale (the last two absent when unset), and the Grid as the document
+//!   a `--grid` file holds ([`GridSpec::to_json`](crate::GridSpec::to_json));
 //! * `job-<id>.ckpt.xml` — the engine checkpoint, rewritten after every
 //!   task settlement while the job runs;
-//! * `job-<id>.result`   — the terminal marker, written exactly once.
+//! * `job-<id>.result`   — `{"state":…,"detail":…}`, the terminal marker,
+//!   written exactly once and read only by [`read_result`].
 //!
 //! A restarted service re-admits every job that has a meta record but no
 //! result marker.  If a checkpoint exists the worker resumes the engine
@@ -18,12 +23,14 @@
 //!
 //! Two more per-job records:
 //!
-//! * `job-<id>.elapsed` — executor-clock seconds the job has already
-//!   consumed in earlier incarnations, so a resumed job's deadline is the
-//!   *remaining* budget, not a fresh one.  It is updated whenever an
-//!   aborted engine is requeued; time spent in an incarnation that died
-//!   without a clean abort (kill -9) is forfeited from the ledger.
-//! * `job-<id>.dlq` — the `foreach` items the job's last run parked
+//! * `job-<id>.elapsed` — a bare JSON number: executor-clock seconds the
+//!   job has already consumed in earlier incarnations, so a resumed job's
+//!   deadline is the *remaining* budget, not a fresh one.  It is updated
+//!   whenever an aborted engine is requeued; time spent in an incarnation
+//!   that died without a clean abort (kill -9) is forfeited from the
+//!   ledger.
+//! * `job-<id>.dlq` — `[{"activity":…,"index":…,"item":…,"attempts":…,
+//!   "reason":…}]`, the `foreach` items the job's last run parked
 //!   ([`dlq_name`]).
 //!
 //! Where the records live is the backend's business: frames in a
@@ -35,14 +42,18 @@
 //!
 //! Corrupt entries are quarantined (meta renamed to
 //! `job-<id>.meta.quarantined`, warning on stderr) rather than failing
-//! the whole startup: one bad job must not take the service down.
+//! the whole startup: one bad job must not take the service down.  A
+//! meta record that does not parse, or whose Grid fails
+//! [`GridSpec::validate`](crate::GridSpec::validate), is corrupt —
+//! including every meta record a service older than the JSON records
+//! wrote.
 //!
-//! Federated fleets add one more record: `job-<id>.lease` — which replica
-//! owns the job (`owner <id> epoch <n>` fencing line + `expires <t>`
-//! wall-clock deadline).  The lease is minted in the admission batch,
-//! renewed on the owner's heartbeat, CAS-claimed with a bumped epoch by a
-//! takeover scanner once expired, and deleted in the same group commit as
-//! the terminal result.  See `crate::federate`.
+//! Federated fleets add one more record: `job-<id>.lease` —
+//! `{"owner":…,"epoch":N,"expires":T}`, which replica owns the job until
+//! wall-clock second `T` ([`Lease`]).  The lease is minted in the
+//! admission batch, renewed on the owner's heartbeat, CAS-claimed with a
+//! bumped epoch by a takeover scanner once expired, and deleted in the
+//! same group commit as the terminal result.  See `crate::federate`.
 //!
 //! ## Record lifecycle
 //!
@@ -69,17 +80,19 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use grid_wfs::DlqEntry;
 use gridwfs_storage::{Op, Storage};
 
-use crate::gridspec::GridSpec;
-use crate::job::{JobId, Submission};
+use crate::gridspec::{spec_from_json, ExecMode};
+use crate::job::{JobId, JobState, Submission};
+use crate::json::{self, json_number, json_string, opt, req, Value};
 
 /// Record name of the persisted workflow document.
 pub fn workflow_name(id: JobId) -> String {
     format!("{id}.wf.xml")
 }
 
-/// Record name of the job metadata manifest.
+/// Record name of the job metadata.
 pub fn meta_name(id: JobId) -> String {
     format!("{id}.meta")
 }
@@ -123,7 +136,7 @@ pub fn purge_names(id: JobId) -> [String; 3] {
 
 /// The terminal write of a job with nothing left to restart: the result
 /// marker plus the deletes of [`purge_names`], as one batch.
-pub fn terminal_ops(id: JobId, state: &str, detail: &str) -> Vec<Op> {
+pub fn terminal_ops(id: JobId, state: JobState, detail: &str) -> Vec<Op> {
     let mut ops: Vec<Op> = purge_names(id).into_iter().map(Op::Del).collect();
     ops.push(Op::Put(result_name(id), result_payload(state, detail)));
     ops
@@ -204,42 +217,41 @@ pub fn write_elapsed(st: &dyn Storage, id: JobId, secs: f64) -> std::io::Result<
     st.put(&elapsed_name(id), &elapsed_payload(secs))
 }
 
-/// The meta record is line-oriented, so the client-chosen label must not
-/// be able to inject lines: escape backslashes and CR/LF on write…
-fn escape_label(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            _ => out.push(c),
+/// Serialized form of the meta record (module docs): the submission
+/// without its workflow document.
+pub fn meta_payload(sub: &Submission) -> Vec<u8> {
+    let mut out = String::new();
+    json::object(&mut out, |m| {
+        m.str("name", &sub.name);
+        m.uint("seed", sub.seed);
+        m.num("deadline", sub.deadline);
+        if let ExecMode::Paced { scale } = sub.grid.mode {
+            m.num("paced", scale);
         }
-    }
-    out
+        m.object("grid", |m| sub.grid.write_json(m));
+    });
+    out.into_bytes()
 }
 
-/// …and undo it on read.
-fn unescape_label(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('\\') => out.push('\\'),
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
+/// Parses [`meta_payload`] back into the submission of `workflow_xml`; a
+/// Grid that fails [`GridSpec::validate`](crate::GridSpec::validate) is
+/// an error.
+fn parse_meta(text: &str, workflow_xml: String) -> Result<Submission, String> {
+    let doc = json::parse(text)?;
+    doc.as_object("meta")?;
+    let grid = doc.get("grid").ok_or("missing field 'grid'")?;
+    let (mut grid, _) = spec_from_json(grid).map_err(|e| format!("grid: {e}"))?;
+    if let Some(scale) = opt(&doc, "", "paced", Value::as_f64)? {
+        grid.mode = ExecMode::Paced { scale };
     }
-    out
+    grid.validate()?;
+    Ok(Submission {
+        name: req(&doc, "", "name", Value::as_str)?.to_string(),
+        workflow_xml,
+        grid,
+        seed: req(&doc, "", "seed", Value::as_u64)?,
+        deadline: opt(&doc, "", "deadline", Value::as_f64)?,
+    })
 }
 
 /// The ops [`write_submission`] commits, exposed so a federated service
@@ -247,16 +259,6 @@ fn unescape_label(s: &str) -> String {
 /// of `Some(bytes)` puts `job-<id>.lease`; `None` clears any stale lease
 /// at the id (a reassigned id must not inherit one).
 pub fn write_submission_ops(id: JobId, sub: &Submission, lease: Option<Vec<u8>>) -> Vec<Op> {
-    let mut meta = String::new();
-    meta.push_str(&format!("name {}\n", escape_label(&sub.name)));
-    meta.push_str(&format!("seed {}\n", sub.seed));
-    meta.push_str(&format!(
-        "deadline {}\n",
-        sub.deadline
-            .map(|d| d.to_string())
-            .unwrap_or_else(|| "-".into())
-    ));
-    meta.push_str(&sub.grid.to_manifest());
     let mut ops = vec![
         Op::Del(checkpoint_name(id)),
         Op::Del(result_name(id)),
@@ -271,7 +273,7 @@ pub fn write_submission_ops(id: JobId, sub: &Submission, lease: Option<Vec<u8>>)
         workflow_name(id),
         sub.workflow_xml.clone().into_bytes(),
     ));
-    ops.push(Op::Put(meta_name(id), meta.into_bytes()));
+    ops.push(Op::Put(meta_name(id), meta_payload(sub)));
     ops
 }
 
@@ -314,89 +316,102 @@ pub fn remove_submission(st: &dyn Storage, id: JobId) -> std::io::Result<()> {
 
 /// Serialized form of the terminal marker — one source of truth for the
 /// synchronous writer and the scheduler's group-commit batches.
-pub fn result_payload(state: &str, detail: &str) -> Vec<u8> {
-    format!("state {state}\ndetail {detail}\n").into_bytes()
-}
-
-/// Serialized form of the dead-letter record: line-oriented like the meta
-/// record — an `entry <index>` line opens each dead item, followed by its
-/// fields.  Client-chosen text (item payload, failure reason) is escaped
-/// so it cannot inject lines.
-pub fn dlq_payload(entries: &[grid_wfs::DlqEntry]) -> Vec<u8> {
+pub fn result_payload(state: JobState, detail: &str) -> Vec<u8> {
     let mut out = String::new();
-    for e in entries {
-        out.push_str(&format!("entry {}\n", e.index));
-        out.push_str(&format!("activity {}\n", escape_label(&e.activity)));
-        out.push_str(&format!("item {}\n", escape_label(&e.item)));
-        out.push_str(&format!("attempts {}\n", e.attempts));
-        out.push_str(&format!("reason {}\n", escape_label(&e.reason)));
-    }
+    json::object(&mut out, |m| {
+        m.str("state", state.as_str());
+        m.str("detail", detail);
+    });
     out.into_bytes()
 }
 
-/// Parses [`dlq_payload`].  Unknown keys are skipped (forward
-/// compatibility); a field line before the first `entry` is an error.
-pub fn parse_dlq(text: &str) -> Result<Vec<grid_wfs::DlqEntry>, String> {
-    let mut out: Vec<grid_wfs::DlqEntry> = Vec::new();
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        let (key, value) = line.split_once(' ').unwrap_or((line, ""));
-        if key == "entry" {
-            let index = value
-                .parse()
-                .map_err(|_| format!("dlq record: bad entry index '{value}'"))?;
-            out.push(grid_wfs::DlqEntry {
-                activity: String::new(),
-                index,
-                item: String::new(),
-                attempts: 0,
-                reason: String::new(),
-            });
-            continue;
-        }
-        let Some(e) = out.last_mut() else {
-            return Err(format!("dlq record: field '{key}' before any entry"));
-        };
-        match key {
-            "activity" => e.activity = unescape_label(value),
-            "item" => e.item = unescape_label(value),
-            "attempts" => {
-                e.attempts = value
-                    .parse()
-                    .map_err(|_| format!("dlq record: bad attempts '{value}'"))?;
-            }
-            "reason" => e.reason = unescape_label(value),
-            _ => {}
-        }
+fn parse_result(text: &str) -> Result<(JobState, String), String> {
+    let doc = json::parse(text)?;
+    doc.as_object("result")?;
+    let state = req(&doc, "", "state", Value::as_str)?;
+    let state = [JobState::Done, JobState::Failed, JobState::Cancelled]
+        .into_iter()
+        .find(|s| s.as_str() == state)
+        .ok_or_else(|| format!("state: '{state}' is not a terminal state"))?;
+    Ok((state, req(&doc, "", "detail", Value::as_str)?.to_string()))
+}
+
+/// Reads a job's terminal marker: its state and detail, `Ok(None)` while
+/// the job has none.
+pub fn read_result(st: &dyn Storage, id: JobId) -> Result<Option<(JobState, String)>, String> {
+    read_record(st, &result_name(id), parse_result)
+}
+
+/// Writes the terminal marker.
+pub fn write_result(
+    st: &dyn Storage,
+    id: JobId,
+    state: JobState,
+    detail: &str,
+) -> std::io::Result<()> {
+    st.put(&result_name(id), &result_payload(state, detail))
+}
+
+/// Reads record `name` with `parse`; `Ok(None)` when it is absent.  An
+/// unreadable or unparsable record is an error naming it.
+fn read_record<T>(
+    st: &dyn Storage,
+    name: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
+    match st.read_to_string(name) {
+        Ok(text) => parse(&text).map(Some).map_err(|e| format!("{name}: {e}")),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(format!("{name}: {e}")),
     }
-    Ok(out)
+}
+
+/// Serialized form of the dead-letter record (module docs).
+pub fn dlq_payload(entries: &[DlqEntry]) -> Vec<u8> {
+    let mut out = String::new();
+    json::array(&mut out, entries, |m, e| {
+        m.str("activity", &e.activity);
+        m.uint("index", e.index as u64);
+        m.str("item", &e.item);
+        m.uint("attempts", u64::from(e.attempts));
+        m.str("reason", &e.reason);
+    });
+    out.into_bytes()
+}
+
+/// Parses [`dlq_payload`].  Unknown keys are ignored (forward
+/// compatibility).
+pub fn parse_dlq(text: &str) -> Result<Vec<DlqEntry>, String> {
+    let doc = json::parse(text)?;
+    let entry = |(i, e): (usize, &Value)| {
+        let path = format!("[{i}]");
+        e.as_object(&path)?;
+        let text = |key| req(e, &path, key, Value::as_str).map(String::from);
+        Ok(DlqEntry {
+            activity: text("activity")?,
+            index: req(e, &path, "index", Value::as_uint)?,
+            item: text("item")?,
+            attempts: req(e, &path, "attempts", Value::as_uint)?,
+            reason: text("reason")?,
+        })
+    };
+    doc.as_array("dlq")?.iter().enumerate().map(entry).collect()
 }
 
 /// Reads and parses a job's dead-letter record; an absent record is an
 /// empty queue.
-pub fn read_dlq(st: &dyn Storage, id: JobId) -> Result<Vec<grid_wfs::DlqEntry>, String> {
-    match st.read_to_string(&dlq_name(id)) {
-        Ok(text) => parse_dlq(&text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(format!("{}: {e}", dlq_name(id))),
-    }
-}
-
-/// Writes the terminal marker.
-pub fn write_result(st: &dyn Storage, id: JobId, state: &str, detail: &str) -> std::io::Result<()> {
-    st.put(&result_name(id), &result_payload(state, detail))
+pub fn read_dlq(st: &dyn Storage, id: JobId) -> Result<Vec<DlqEntry>, String> {
+    read_record(st, &dlq_name(id), parse_dlq).map(Option::unwrap_or_default)
 }
 
 /// One job's ownership lease (federated fleets).
 ///
-/// Wire form is two lines: `owner <escaped-id> epoch <n>` — the *fencing
-/// line*, stable for as long as the same replica holds the same epoch —
-/// followed by `expires <unix-secs>`, rewritten on every heartbeat
-/// renewal.  Keeping the volatile expiry out of the first line is what
-/// lets every guarded batch carry `Op::Check(lease, fencing-line)`
-/// without re-reading the lease after each renewal.
+/// The record is `{"owner":…,"epoch":N,"expires":T}`.  Everything up to
+/// the comma after the epoch is the *fencing prefix*, stable for as long
+/// as the same replica holds the same epoch; only the expiry after it is
+/// rewritten on every heartbeat renewal.  That is what lets every guarded
+/// batch carry `Op::Check(lease, fencing-prefix)` without re-reading the
+/// lease after each renewal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lease {
     /// Replica id of the owner.
@@ -409,45 +424,27 @@ pub struct Lease {
 }
 
 impl Lease {
-    /// The first payload line — the byte prefix a fenced batch checks.
+    /// The byte prefix a fenced batch checks: `{"owner":"r1","epoch":3,`.
+    /// The closing comma keeps epoch 3 from prefix-matching epoch 31.
     pub fn fence_prefix(owner: &str, epoch: u64) -> Vec<u8> {
-        format!("owner {} epoch {epoch}\n", escape_label(owner)).into_bytes()
+        format!("{{\"owner\":{},\"epoch\":{epoch},", json_string(owner)).into_bytes()
     }
 
     /// Serialized record form.
     pub fn payload(&self) -> Vec<u8> {
         let mut out = Self::fence_prefix(&self.owner, self.epoch);
-        out.extend_from_slice(format!("expires {}\n", self.expires_at).as_bytes());
+        out.extend_from_slice(format!("\"expires\":{}}}", json_number(self.expires_at)).as_bytes());
         out
     }
 
     /// Parses [`Lease::payload`].
     pub fn parse(text: &str) -> Result<Lease, String> {
-        let mut lines = text.lines();
-        let head = lines.next().ok_or("lease record: empty")?;
-        let head = head
-            .strip_prefix("owner ")
-            .ok_or_else(|| format!("lease record: bad owner line '{head}'"))?;
-        // The owner id is escaped, so it cannot contain a newline; split
-        // on the *last* " epoch " so an owner containing the literal text
-        // still round-trips.
-        let (owner, epoch) = head
-            .rsplit_once(" epoch ")
-            .ok_or_else(|| format!("lease record: missing epoch in '{head}'"))?;
-        let epoch = epoch
-            .parse()
-            .map_err(|_| format!("lease record: bad epoch '{epoch}'"))?;
-        let exp = lines.next().ok_or("lease record: missing expires line")?;
-        let exp = exp
-            .strip_prefix("expires ")
-            .ok_or_else(|| format!("lease record: bad expires line '{exp}'"))?;
-        let expires_at = exp
-            .parse()
-            .map_err(|_| format!("lease record: bad expires '{exp}'"))?;
+        let doc = json::parse(text)?;
+        doc.as_object("lease")?;
         Ok(Lease {
-            owner: unescape_label(owner),
-            epoch,
-            expires_at,
+            owner: req(&doc, "", "owner", Value::as_str)?.to_string(),
+            epoch: req(&doc, "", "epoch", Value::as_u64)?,
+            expires_at: req(&doc, "", "expires", Value::as_f64)?,
         })
     }
 
@@ -460,52 +457,7 @@ impl Lease {
 /// Reads and parses a job's lease.  `Ok(None)` when absent; corrupt
 /// records are an error so the caller can quarantine them.
 pub fn read_lease(st: &dyn Storage, id: JobId) -> Result<Option<Lease>, String> {
-    match st.read_to_string(&lease_name(id)) {
-        Ok(text) => Lease::parse(&text).map(Some),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(format!("{}: {e}", lease_name(id))),
-    }
-}
-
-fn parse_meta(text: &str, wf_xml: String) -> Result<Submission, String> {
-    let mut name = None;
-    let mut seed = 0u64;
-    let mut deadline = None;
-    let mut grid_lines = String::new();
-    for line in text.lines() {
-        let (key, rest) = line.split_once(' ').unwrap_or((line, ""));
-        match key {
-            "name" => name = Some(unescape_label(rest)),
-            "seed" => {
-                seed = rest
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("bad seed '{rest}'"))?
-            }
-            "deadline" => {
-                deadline = if rest.trim() == "-" {
-                    None
-                } else {
-                    Some(
-                        rest.trim()
-                            .parse()
-                            .map_err(|_| format!("bad deadline '{rest}'"))?,
-                    )
-                }
-            }
-            _ => {
-                grid_lines.push_str(line);
-                grid_lines.push('\n');
-            }
-        }
-    }
-    Ok(Submission {
-        name: name.ok_or("meta file missing 'name'")?,
-        workflow_xml: wf_xml,
-        grid: GridSpec::from_manifest(&grid_lines)?,
-        seed,
-        deadline,
-    })
+    read_record(st, &lease_name(id), Lease::parse)
 }
 
 /// Largest job id any `job-<id>.*` record mentions (0 when there is
@@ -639,6 +591,7 @@ pub fn load_job(st: &dyn Storage, id: JobId) -> Result<Submission, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gridspec::GridSpec;
     use gridwfs_storage::{MemStorage, WalStorage};
     use std::sync::Arc;
 
@@ -686,6 +639,15 @@ mod tests {
             assert_eq!(got.deadline, Some(100.0));
             assert_eq!(got.grid, sub("x").grid);
             assert_eq!(got.workflow_xml, sub("x").workflow_xml);
+            // A paced job without a deadline keeps both facts.
+            let paced = Submission {
+                grid: GridSpec::paced_grid(0.25).with_host("h one", 2.0),
+                deadline: None,
+                ..sub("paced")
+            };
+            write_submission(st.as_ref(), JobId(4), &paced).unwrap();
+            let got = load_job(st.as_ref(), JobId(4)).unwrap();
+            assert_eq!((got.grid, got.deadline), (paced.grid, None));
         }
         fs::remove_dir_all(&root).ok();
     }
@@ -696,7 +658,7 @@ mod tests {
         for st in backends(&root) {
             write_submission(st.as_ref(), JobId(1), &sub("a")).unwrap();
             write_submission(st.as_ref(), JobId(2), &sub("b")).unwrap();
-            write_result(st.as_ref(), JobId(1), "done", "Success").unwrap();
+            write_result(st.as_ref(), JobId(1), JobState::Done, "Success").unwrap();
             let scanned = scan(st.as_ref()).unwrap();
             assert_eq!(scanned.jobs.len(), 1);
             assert_eq!(scanned.jobs[0].0, JobId(2));
@@ -738,13 +700,57 @@ mod tests {
 
     #[test]
     fn dlq_parser_rejects_garbage() {
-        assert!(parse_dlq("activity orphaned\n").is_err());
-        assert!(parse_dlq("entry not-a-number\n").is_err());
-        assert!(parse_dlq("entry 1\nattempts many\n").is_err());
-        // Unknown keys are skipped for forward compatibility.
-        let got = parse_dlq("entry 0\nfuture field\nattempts 2\n").unwrap();
+        let entry = |rest: &str| {
+            format!(r#"[{{"activity":"m","index":0,"item":"x","reason":"r",{rest}}}]"#)
+        };
+        for (bad, why) in [
+            ("{}".to_string(), "dlq: expected an array, found an object"),
+            ("[1]".to_string(), "[0]: expected an object, found a number"),
+            (
+                entry(r#""attempts":"many""#),
+                "[0].attempts: expected an unsigned integer",
+            ),
+            (
+                entry(r#""attempts":4294967296"#),
+                "[0].attempts: 4294967296 too large",
+            ),
+            (entry(r#""future":1"#), "missing field '[0].attempts'"),
+            (
+                "entry 0\nattempts 2\n".to_string(),
+                "line 1 column 1: expected a value",
+            ),
+        ] {
+            let e = parse_dlq(&bad).unwrap_err();
+            assert!(e.contains(why), "{bad}: {e}");
+        }
+        // Unknown keys are ignored for forward compatibility.
+        let got = parse_dlq(&entry(r#""attempts":2,"future":[true]"#)).unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].attempts, 2);
+    }
+
+    #[test]
+    fn result_record_round_trips_and_rejects_garbage() {
+        let st = MemStorage::new();
+        assert_eq!(read_result(&st, JobId(1)), Ok(None));
+        let detail = "Failed(\"a\")\nsecond line \\ done";
+        write_result(&st, JobId(1), JobState::Failed, detail).unwrap();
+        assert_eq!(
+            read_result(&st, JobId(1)),
+            Ok(Some((JobState::Failed, detail.to_string())))
+        );
+        for (bad, why) in [
+            (
+                r#"{"state":"running","detail":""}"#,
+                "'running' is not a terminal state",
+            ),
+            (r#"{"state":"done"}"#, "missing field 'detail'"),
+            ("state done\ndetail Success\n", "expected a value"),
+        ] {
+            st.put(&result_name(JobId(2)), bad.as_bytes()).unwrap();
+            let e = read_result(&st, JobId(2)).unwrap_err();
+            assert!(e.starts_with("job-2.result: ") && e.contains(why), "{e}");
+        }
     }
 
     #[test]
@@ -761,7 +767,7 @@ mod tests {
     #[test]
     fn labels_with_newlines_cannot_inject_meta_lines() {
         let root = tmpdir("newline");
-        let label = "evil\nhost h9 1.0\r";
+        let label = "evil\nhost h9 1.0\r\",\"grid\":{\"hosts\":[{\"hostname\":\"h9\"}]},\"x\":\"";
         for st in backends(&root) {
             write_submission(st.as_ref(), JobId(1), &sub(label)).unwrap();
             let scanned = scan(st.as_ref()).unwrap();
@@ -788,18 +794,33 @@ mod tests {
         let root = tmpdir("quarantine");
         for st in backends(&root) {
             write_submission(st.as_ref(), JobId(1), &sub("good")).unwrap();
-            st.put(&meta_name(JobId(2)), b"frobnicate\n").unwrap();
+            // Garbage, a line-format record from before the JSON records,
+            // and a Grid `GridSpec::validate` refuses.
+            for (id, bad) in [
+                (2, "frobnicate\n"),
+                (
+                    3,
+                    "name a\nseed 1\ndeadline -\nmode virtual\nhost h1 1 - 0\n",
+                ),
+                (4, r#"{"name":"a","seed":1,"grid":{"hosts":[]}}"#),
+            ] {
+                st.put(&meta_name(JobId(id)), bad.as_bytes()).unwrap();
+                st.put(&workflow_name(JobId(id)), b"<Workflow name='w'/>")
+                    .unwrap();
+            }
             let scanned = scan(st.as_ref()).unwrap();
             assert_eq!(scanned.jobs.len(), 1, "the good job still recovers");
             assert_eq!(scanned.jobs[0].0, JobId(1));
-            assert_eq!(scanned.quarantined, 1);
-            assert!(!st.exists(&meta_name(JobId(2))), "bad meta moved aside");
-            assert!(st.exists("job-2.meta.quarantined"));
-            // Later scans stay clean and the id stays burned.
+            assert_eq!(scanned.quarantined, 3);
+            for id in 2..=4 {
+                assert!(!st.exists(&meta_name(JobId(id))), "bad meta moved aside");
+                assert!(st.exists(&format!("job-{id}.meta.quarantined")));
+            }
+            // Later scans stay clean and the ids stay burned.
             let again = scan(st.as_ref()).unwrap();
             assert_eq!(again.jobs.len(), 1);
             assert_eq!(again.quarantined, 0);
-            assert_eq!(max_job_id(st.as_ref()).unwrap(), 2);
+            assert_eq!(max_job_id(st.as_ref()).unwrap(), 4);
         }
         fs::remove_dir_all(&root).ok();
     }
@@ -810,7 +831,7 @@ mod tests {
         for st in backends(&root) {
             assert_eq!(max_job_id(st.as_ref()).unwrap(), 0);
             write_submission(st.as_ref(), JobId(3), &sub("a")).unwrap();
-            write_result(st.as_ref(), JobId(3), "done", "Success").unwrap();
+            write_result(st.as_ref(), JobId(3), JobState::Done, "Success").unwrap();
             write_submission(st.as_ref(), JobId(2), &sub("b")).unwrap();
             // Job 3 is terminal — scan skips it — but its id stays burned.
             assert_eq!(scan(st.as_ref()).unwrap().jobs.len(), 1);
@@ -823,7 +844,7 @@ mod tests {
     fn reassigned_id_does_not_inherit_stale_state() {
         let root = tmpdir("stale");
         for st in backends(&root) {
-            write_result(st.as_ref(), JobId(4), "done", "Success").unwrap();
+            write_result(st.as_ref(), JobId(4), JobState::Done, "Success").unwrap();
             st.put(&checkpoint_name(JobId(4)), b"<EngineCheckpoint/>")
                 .unwrap();
             write_elapsed(st.as_ref(), JobId(4), 9.0).unwrap();
@@ -918,7 +939,8 @@ mod tests {
         let root = tmpdir("lease-corrupt");
         for st in backends(&root) {
             write_submission(st.as_ref(), JobId(1), &sub("good")).unwrap();
-            st.put(&lease_name(JobId(1)), b"owner r1 ep").unwrap();
+            st.put(&lease_name(JobId(1)), br#"{"owner":"r1","ep"#)
+                .unwrap();
             let scanned = scan(st.as_ref()).unwrap();
             assert_eq!(scanned.jobs.len(), 1, "the job itself still recovers");
             assert_eq!(scanned.quarantined, 1);
@@ -933,19 +955,40 @@ mod tests {
 
     #[test]
     fn lease_parser_rejects_garbage() {
-        assert!(Lease::parse("").is_err());
-        assert!(Lease::parse("owner r1\nexpires 1\n").is_err(), "no epoch");
-        assert!(Lease::parse("owner r1 epoch x\nexpires 1\n").is_err());
-        assert!(Lease::parse("owner r1 epoch 1\n").is_err(), "no expires");
-        assert!(Lease::parse("owner r1 epoch 1\nexpires soon\n").is_err());
-        // An owner containing the literal " epoch " still round-trips.
+        for (bad, why) in [
+            ("", "unexpected end of input"),
+            (r#"{"owner":"r1","expires":1}"#, "missing field 'epoch'"),
+            (
+                r#"{"owner":"r1","epoch":-1,"expires":1}"#,
+                "epoch: expected an unsigned integer",
+            ),
+            (r#"{"owner":"r1","epoch":1}"#, "missing field 'expires'"),
+            (
+                r#"{"owner":"r1","epoch":1,"expires":"soon"}"#,
+                "expires: expected a number",
+            ),
+            ("owner r1 epoch 1\nexpires 1\n", "expected a value"),
+        ] {
+            let e = Lease::parse(bad).unwrap_err();
+            assert!(e.contains(why), "{bad:?}: {e}");
+        }
+        // An owner containing the literal "epoch" or quotes round-trips.
         let tricky = Lease {
-            owner: "r epoch 9".into(),
+            owner: r#"r","epoch":9,"#.into(),
             epoch: 3,
             expires_at: 1.0,
         };
         let text = String::from_utf8(tricky.payload()).unwrap();
         assert_eq!(Lease::parse(&text).unwrap(), tricky);
+        // The fencing prefix ends at the comma after the epoch, so epoch 3
+        // never prefix-matches epoch 31.
+        assert_eq!(Lease::fence_prefix("r1", 3), br#"{"owner":"r1","epoch":3,"#);
+        let later = Lease {
+            owner: "r1".into(),
+            epoch: 31,
+            expires_at: 9.0,
+        };
+        assert!(!later.payload().starts_with(&Lease::fence_prefix("r1", 3)));
     }
 
     #[test]

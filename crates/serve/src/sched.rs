@@ -604,7 +604,7 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, me: usize) {
                 Pop::Item(id) => {
                     if shared.aborting.load(Ordering::Relaxed) {
                         // Hard shutdown: leave the job `Queued`; its
-                        // manifest survives for the next incarnation's
+                        // meta record survives for the next incarnation's
                         // recovery scan.
                         continue;
                     }

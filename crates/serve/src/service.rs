@@ -127,8 +127,8 @@ pub enum SubmitError {
     QueueFull,
     /// The service is draining or shut down.
     ShuttingDown,
-    /// The submission could not be persisted, or its grid names something
-    /// the job's stored manifest cannot carry.
+    /// The submission could not be persisted, or its grid fails
+    /// [`crate::GridSpec::validate`].
     Io(String),
 }
 
@@ -165,7 +165,7 @@ pub(crate) struct Shared {
     pub(crate) trace_ring: RingSink,
     pub(crate) accepting: AtomicBool,
     /// Hard-shutdown latch: workers drop popped jobs back into `Queued`
-    /// (their manifests survive for the next incarnation) instead of
+    /// (their meta records survive for the next incarnation) instead of
     /// running them.
     pub(crate) aborting: AtomicBool,
     /// Federated-serve state (lease ownership, fencing epochs) when the
@@ -334,9 +334,9 @@ impl Service {
             self.reject(&sub.name, "shutting-down");
             return Err(SubmitError::ShuttingDown);
         }
-        // Refused before an id is drawn: a name the job's manifest cannot
-        // carry would admit a job that no restart could read back.
-        if let Err(e) = sub.grid.check_manifest_names() {
+        // Refused before an id is drawn: a Grid its meta record cannot
+        // store would admit a job that no restart could read back.
+        if let Err(e) = sub.grid.validate() {
             self.reject(&sub.name, "bad-grid");
             return Err(SubmitError::Io(e));
         }
@@ -475,7 +475,7 @@ impl Service {
                 // (best-effort: if the tombstone also fails, the burned id
                 // still keeps live state and stale records disjoint).
                 eprintln!("gridwfs-serve: rollback of {id} left staged records: {e}");
-                let _ = recover::write_result(st.as_ref(), id, "failed", "rolled-back");
+                let _ = recover::write_result(st.as_ref(), id, JobState::Failed, "rolled-back");
                 return;
             }
         }
@@ -523,13 +523,13 @@ impl Service {
                             &self.shared,
                             fed,
                             id,
-                            "cancelled",
+                            JobState::Cancelled,
                             "cancelled while queued",
                         ),
                         None => {
                             let _ = st.apply(recover::terminal_ops(
                                 id,
-                                "cancelled",
+                                JobState::Cancelled,
                                 "cancelled while queued",
                             ));
                         }

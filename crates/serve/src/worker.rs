@@ -406,7 +406,7 @@ pub(crate) fn settle(
         }
         batch.stage(
             recover::result_name(id),
-            recover::result_payload(state.as_str(), &detail),
+            recover::result_payload(state, &detail),
         );
     }
 }

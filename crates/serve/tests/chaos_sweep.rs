@@ -43,8 +43,8 @@ use std::time::Duration;
 
 use grid_wfs::ItemState;
 use gridwfs_serve::{
-    recover, Backend, FaultPlan, GridSpec, JobId, MemStorage, ProfileSpec, SchedulerSpec, Service,
-    ServiceConfig, Storage, Submission, SubmitError, WalStorage,
+    recover, Backend, FaultPlan, GridSpec, JobId, JobState, MemStorage, ProfileSpec, SchedulerSpec,
+    Service, ServiceConfig, Storage, Submission, SubmitError, WalStorage,
 };
 
 const JOBS: u64 = 5;
@@ -181,10 +181,7 @@ fn item_accounting(
     ctx: &str,
 ) -> Vec<String> {
     let mut out = Vec::new();
-    let done = st
-        .read_to_string(&recover::result_name(id))
-        .map(|r| r.starts_with("state done"))
-        .unwrap_or(false);
+    let done = matches!(recover::read_result(st, id), Ok(Some((JobState::Done, _))));
     if !done {
         // Legitimately failed (e.g. a chaos-injected workflow panic keyed
         // by the job seed, which recurs identically every incarnation):

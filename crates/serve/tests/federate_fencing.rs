@@ -151,10 +151,10 @@ fn zombie_owner_is_fenced_on_every_backend() {
         drop(b.drain());
 
         // Exactly one terminal state in storage, owned by nobody.
-        let result = st.read_to_string(&recover::result_name(id)).unwrap();
+        let result = recover::read_result(st.as_ref(), id).unwrap();
         assert!(
-            result.starts_with("state done"),
-            "({bt}) result is the taker's: {result}"
+            matches!(result, Some((JobState::Done, _))),
+            "({bt}) result is the taker's: {result:?}"
         );
         assert!(
             !st.exists(&recover::lease_name(id)),
@@ -222,8 +222,8 @@ fn killed_replica_job_resumes_from_checkpoint_on_the_peer() {
     assert!(rec.recovered, "the taker re-admitted it as recovered work");
     drop(b.drain());
 
-    let result = st.read_to_string(&recover::result_name(id)).unwrap();
-    assert!(result.starts_with("state done"), "{result}");
+    let result = recover::read_result(st.as_ref(), id).unwrap();
+    assert!(matches!(result, Some((JobState::Done, _))), "{result:?}");
     let journal = std::fs::read_to_string(recover::trace_path(&trace, JobId(id.0))).unwrap();
     assert_eq!(journal.matches("\"kind\":\"lease_takeover\"").count(), 1);
     assert!(
@@ -321,8 +321,8 @@ fn unservable_claim_is_released_and_retried() {
     assert!(a.wait_all_terminal(Duration::from_secs(20)));
     assert_eq!(a.status(id).unwrap().state, JobState::Done);
     drop(a.drain());
-    let result = st.read_to_string(&recover::result_name(id)).unwrap();
-    assert!(result.starts_with("state done"), "{result}");
+    let result = recover::read_result(st.as_ref(), id).unwrap();
+    assert!(matches!(result, Some((JobState::Done, _))), "{result:?}");
     assert!(!st.exists(&recover::lease_name(id)));
     std::fs::remove_dir_all(&root).ok();
 }
@@ -378,7 +378,7 @@ fn colliding_admission_is_rejected_not_overwritten() {
     // Job 1's records are a's throughout: the collision never touched them.
     let meta = st.read_to_string(&recover::meta_name(id)).unwrap();
     assert!(meta.contains("collide-a"), "{meta}");
-    let result = st.read_to_string(&recover::result_name(id)).unwrap();
-    assert!(result.starts_with("state done"), "{result}");
+    let result = recover::read_result(st.as_ref(), id).unwrap();
+    assert!(matches!(result, Some((JobState::Done, _))), "{result:?}");
     std::fs::remove_dir_all(&root).ok();
 }

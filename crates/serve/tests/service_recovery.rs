@@ -441,8 +441,8 @@ fn failed_rollback_burns_the_id_instead_of_resurrecting_the_job() {
         "premise: staged meta survived the failed rollback"
     );
     assert_eq!(
-        st.read_to_string(&recover::result_name(burned)).unwrap(),
-        "state failed\ndetail rolled-back\n"
+        recover::read_result(st.as_ref(), burned),
+        Ok(Some((JobState::Failed, "rolled-back".into())))
     );
     service.shutdown_now();
 

@@ -388,9 +388,12 @@ impl Storage for ChaosStorage {
     /// the batch a fault fires.  A failed write or rename rejects the
     /// whole batch, as the [`Storage::apply`] contract promises: nothing
     /// lands and every op reports the failure.  A rejected batch never ran,
-    /// so only the draws that fired are spent; a retry of the other ops
-    /// draws the same decisions again.  Torn puts claim success, so they
-    /// commit with the batch.
+    /// so only the failures that rejected it are spent; a retry of the
+    /// other ops draws the same decisions again.  That keeps every
+    /// record's decisions independent of which other jobs' records shared
+    /// its batch: a tear drawn in a batch another record's failure
+    /// rejected is drawn again, and fires again, when the put commits.
+    /// Torn puts claim success, so they commit with the batch.
     fn apply(&self, ops: Vec<Op>) -> Vec<(String, io::Error)> {
         let mut seq = relock(&self.seq);
         // (counter key, fired) per draw, in op order.
@@ -435,8 +438,9 @@ impl Storage for ChaosStorage {
                 op => kept.push(op),
             }
         }
+        let torn = FsFaultKind::Torn.op_name();
         for (key, fired) in draws {
-            if fired || failure.is_none() {
+            if failure.is_none() || (fired && key.1 != torn) {
                 *seq.entry(key).or_insert(0) += 1;
             }
         }
@@ -599,7 +603,7 @@ mod tests {
         let st = ChaosStorage::new(inner.clone(), plan);
         let errors = st.apply(vec![
             Op::Del("job-1.wf.xml".into()),
-            Op::Put("job-1.result".into(), b"state done\n".to_vec()),
+            Op::Put("job-1.result".into(), br#"{"state":"done"}"#.to_vec()),
         ]);
         let names: Vec<&str> = errors.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["job-1.wf.xml", "job-1.result"], "{errors:?}");
@@ -618,7 +622,7 @@ mod tests {
             format!("job-{clean}.result"),
         );
         let st = ChaosStorage::new(Arc::new(MemStorage::new()), plan.clone());
-        let put = |name: &str| Op::Put(name.to_string(), b"state done\n".to_vec());
+        let put = |name: &str| Op::Put(name.to_string(), br#"{"state":"done"}"#.to_vec());
         assert_eq!(st.apply(vec![put(&clean), put(&faulty)]).len(), 2);
         // The clean put never ran: on its own it draws the same decision.
         assert!(st.apply(vec![put(&clean)]).is_empty());
@@ -629,37 +633,68 @@ mod tests {
     }
 
     #[test]
+    fn a_tear_in_a_rejected_batch_is_drawn_again() {
+        // Whether a record tears must not depend on which other records
+        // shared its batch: a tear drawn in a batch another record's
+        // write failure rejected fires again when the put commits.
+        let plan = FaultPlan::parse("seed=4,write=0.5,torn=0.5").unwrap();
+        let fires = |kind, i: u32, n| plan.op_faults(kind, &format!("job-{i}.result"), n);
+        let failing = (0..64)
+            .find(|&i| fires(FsFaultKind::Write, i, 0))
+            .expect("p=0.5 fires");
+        let torn = (0..64)
+            .find(|&i| {
+                !fires(FsFaultKind::Write, i, 0)
+                    && fires(FsFaultKind::Torn, i, 0)
+                    && !fires(FsFaultKind::Torn, i, 1)
+            })
+            .expect("p=0.5 mixes");
+        let (failing, torn) = (
+            format!("job-{failing}.result"),
+            format!("job-{torn}.result"),
+        );
+        let st = ChaosStorage::new(Arc::new(MemStorage::new()), plan);
+        let put = |name: &str| Op::Put(name.to_string(), b"0123456789".to_vec());
+        assert_eq!(st.apply(vec![put(&failing), put(&torn)]).len(), 2);
+        assert!(st.apply(vec![put(&torn)]).is_empty());
+        assert_eq!(st.read(&torn).unwrap(), b"01234", "the same tear fires");
+    }
+
+    #[test]
     fn checks_gate_the_whole_batch_on_every_backend() {
         let dir = tmpdir("checks");
         for st in backends(&dir) {
-            st.put("job-1.lease", b"owner a epoch 1\nexpires 10\n")
+            st.put("job-1.lease", br#"{"owner":"a","epoch":1,"expires":10}"#)
                 .unwrap();
             // Prefix matches: the guarded write lands.
             let errors = st.apply(vec![
-                Op::Check("job-1.lease".into(), b"owner a epoch 1\n".to_vec()),
-                Op::Put("job-1.result".into(), b"state done\n".to_vec()),
+                Op::Check("job-1.lease".into(), br#"{"owner":"a","epoch":1,"#.to_vec()),
+                Op::Put("job-1.result".into(), br#"{"state":"done"}"#.to_vec()),
             ]);
             assert!(errors.is_empty(), "{errors:?}");
             assert!(st.exists("job-1.result"));
 
             // Stale prefix: batch rejected as a whole, nothing lands.
             let errors = st.apply(vec![
-                Op::Check("job-1.lease".into(), b"owner b epoch 2\n".to_vec()),
-                Op::Put("job-1.result".into(), b"state failed\n".to_vec()),
+                Op::Check("job-1.lease".into(), br#"{"owner":"b","epoch":2,"#.to_vec()),
+                Op::Put("job-1.result".into(), br#"{"state":"failed"}"#.to_vec()),
                 Op::Del("job-1.lease".into()),
             ]);
             assert_eq!(errors.len(), 1, "{errors:?}");
             assert!(is_fence_conflict(&errors[0].1), "{:?}", errors[0].1);
-            assert_eq!(st.read_to_string("job-1.result").unwrap(), "state done\n");
+            assert_eq!(
+                st.read_to_string("job-1.result").unwrap(),
+                r#"{"state":"done"}"#
+            );
             assert!(st.exists("job-1.lease"), "rejected batch must not delete");
 
             // CAS claim: succeeds once, the loser is fenced.
             let claim = |owner: &str| {
                 st.apply(vec![
-                    Op::Check("job-1.lease".into(), b"owner a epoch 1\n".to_vec()),
+                    Op::Check("job-1.lease".into(), br#"{"owner":"a","epoch":1,"#.to_vec()),
                     Op::Put(
                         "job-1.lease".into(),
-                        format!("owner {owner} epoch 2\nexpires 20\n").into_bytes(),
+                        format!(r#"{{"owner":"{owner}","epoch":2,"expires":20}}"#).into_bytes(),
                     ),
                 ])
             };
@@ -670,7 +705,7 @@ mod tests {
             assert!(st
                 .read_to_string("job-1.lease")
                 .unwrap()
-                .starts_with("owner b epoch 2\n"));
+                .starts_with(r#"{"owner":"b","epoch":2,"#));
 
             // CheckAbsent: first writer wins.
             let mint = |owner: &str| {
@@ -678,7 +713,7 @@ mod tests {
                     Op::CheckAbsent("job-2.lease".into()),
                     Op::Put(
                         "job-2.lease".into(),
-                        format!("owner {owner} epoch 1\nexpires 5\n").into_bytes(),
+                        format!(r#"{{"owner":"{owner}","epoch":1,"expires":5}}"#).into_bytes(),
                     ),
                 ])
             };
@@ -689,7 +724,10 @@ mod tests {
 
             // A check-only batch that passes is a no-op, not an error.
             assert!(st
-                .apply(vec![Op::Check("job-2.lease".into(), b"owner a".to_vec())])
+                .apply(vec![Op::Check(
+                    "job-2.lease".into(),
+                    br#"{"owner":"a""#.to_vec()
+                )])
                 .is_empty());
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -736,16 +774,20 @@ mod tests {
         let dir = tmpdir("checks-wal");
         {
             let st = WalStorage::open(dir.join("wal")).unwrap();
-            st.put("job-1.lease", b"owner a epoch 1\n").unwrap();
+            st.put("job-1.lease", br#"{"owner":"a","epoch":1,"#)
+                .unwrap();
             assert!(st
                 .apply(vec![
-                    Op::Check("job-1.lease".into(), b"owner a".to_vec()),
-                    Op::Put("job-1.result".into(), b"state done\n".to_vec()),
+                    Op::Check("job-1.lease".into(), br#"{"owner":"a""#.to_vec()),
+                    Op::Put("job-1.result".into(), br#"{"state":"done"}"#.to_vec()),
                 ])
                 .is_empty());
         }
         let st = WalStorage::open(dir.join("wal")).unwrap();
-        assert_eq!(st.read_to_string("job-1.result").unwrap(), "state done\n");
+        assert_eq!(
+            st.read_to_string("job-1.result").unwrap(),
+            r#"{"state":"done"}"#
+        );
         // 1 put + 1 guarded put (check not logged).
         assert_eq!(st.counters().recovery_replayed_records, 2);
         let _ = std::fs::remove_dir_all(&dir);
@@ -756,11 +798,18 @@ mod tests {
         let plan = FaultPlan::parse("seed=5,write=1.0,read=1.0").unwrap();
         let st = ChaosStorage::new(Arc::new(MemStorage::new()), plan);
         // Every write and read faults — except on lease records.
-        st.put("job-1.lease", b"owner a epoch 1\n").unwrap();
-        assert_eq!(st.read("job-1.lease").unwrap(), b"owner a epoch 1\n");
+        st.put("job-1.lease", br#"{"owner":"a","epoch":1,"#)
+            .unwrap();
+        assert_eq!(
+            st.read("job-1.lease").unwrap(),
+            br#"{"owner":"a","epoch":1,"#
+        );
         assert!(st.put("job-1.meta", b"meta").is_err());
         // Checks pass through to the inner backend untouched.
-        let errors = st.apply(vec![Op::Check("job-1.lease".into(), b"owner b".to_vec())]);
+        let errors = st.apply(vec![Op::Check(
+            "job-1.lease".into(),
+            br#"{"owner":"b""#.to_vec(),
+        )]);
         assert_eq!(errors.len(), 1);
         assert!(is_fence_conflict(&errors[0].1));
     }

@@ -246,7 +246,8 @@ trace_kinds! {
             /// Client label.
             name: String,
             /// `queue-full`, `shutting-down`, `io`, `id-collision` or
-            /// `bad-grid` (a name the job's manifest cannot store).
+            /// `bad-grid` (a Grid `GridSpec::validate` refuses, which the
+            /// job's meta record could not store).
             reason: String,
         },
         /// serve: a recovered job was re-admitted by a later service

@@ -194,6 +194,15 @@ pub fn validate(workflow: Workflow) -> Result<Validated, Vec<Issue>> {
                         ),
                     });
                 }
+                if w.loop_for(&a.name).is_some() {
+                    issues.push(Issue {
+                        kind: IssueKind::BadPolicy,
+                        message: format!(
+                            "dummy activity '{}' cannot loop (nothing to re-run)",
+                            a.name
+                        ),
+                    });
+                }
             }
         }
     }
@@ -440,14 +449,21 @@ mod tests {
         d.policy = Policy::Replica;
         d.max_tries = 3;
         w.activities.push(d);
+        w.loops.push(crate::ast::LoopSpec {
+            activity: "d".into(),
+            condition: expr::parse("runs('d') < 3").unwrap(),
+        });
         let issues = validate(w).unwrap_err();
         assert_eq!(
             issues
                 .iter()
                 .filter(|i| i.kind == IssueKind::BadPolicy)
                 .count(),
-            2
+            3
         );
+        assert!(issues
+            .iter()
+            .any(|i| i.message == "dummy activity 'd' cannot loop (nothing to re-run)"));
     }
 
     #[test]

@@ -544,7 +544,7 @@ pub fn push_attr(out: &mut String, name: &str, value: &str) {
 
 /// Appends `el` pretty-printed at nesting depth `indent` (two spaces per
 /// level, one line per element, trailing newline): exactly the bytes
-/// [`write`] emits for `el` as a descendant at that depth, so a fragment
+/// [`write()`] emits for `el` as a descendant at that depth, so a fragment
 /// rendered here can be spliced into a larger document.
 pub fn write_element(out: &mut String, el: &Element, indent: usize) {
     let pad = "  ".repeat(indent);

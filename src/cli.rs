@@ -1083,6 +1083,31 @@ mod tests {
     }
 
     #[test]
+    fn run_refuses_a_looping_dummy_activity() {
+        let dir = tmpdir();
+        let wf = dir.join("dummy-loop.xml");
+        std::fs::write(
+            &wf,
+            r#"<Workflow name='dl'><Activity name='d'/>
+               <Loop activity='d' condition="runs('d') &lt; 3"/></Workflow>"#,
+        )
+        .unwrap();
+        let grid = write_grid(&dir, GRID);
+        let (code, out) = cli(&[
+            "run",
+            wf.to_str().unwrap(),
+            "--grid",
+            grid.to_str().unwrap(),
+        ]);
+        assert_eq!(code, 2, "{out}");
+        assert!(
+            out.contains("dummy activity 'd' cannot loop (nothing to re-run)"),
+            "{out}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn run_checkpoint_then_resume() {
         let dir = tmpdir();
         let wf = dir.join("wf.xml");
@@ -1380,17 +1405,37 @@ mod tests {
         let (code, out) = cli(&["serve", "x.xml", "--backend", "wal"]);
         assert_eq!(code, 2);
         assert!(out.contains("unknown argument '--backend'"), "{out}");
-        // A host name the job's manifest cannot store is a refusal.
-        let spaced = write_grid(&dir, r#"{"hosts": [{"hostname": "h one"}]}"#);
+        // A grid the job's meta record cannot store is refused at
+        // admission: JSON carries no infinite pacing scale.
         let wf = write_wf(&dir);
+        let grid = write_grid(&dir, GRID);
+        let (code, out) = cli(&[
+            "serve",
+            wf.to_str().unwrap(),
+            "--grid",
+            grid.to_str().unwrap(),
+            "--paced",
+            "inf",
+        ]);
+        assert_eq!(code, 2);
+        assert!(
+            out.contains("pacing scale inf must be finite and > 0"),
+            "{out}"
+        );
+        // A host name with a space in it is stored like any other.
+        let spaced = write_grid(
+            &dir,
+            r#"{"hosts": [{"hostname": "h one"}, {"hostname": "h1"}, {"hostname": "h2"}]}"#,
+        );
         let (code, out) = cli(&[
             "serve",
             wf.to_str().unwrap(),
             "--grid",
             spaced.to_str().unwrap(),
+            "--state-dir",
+            dir.join("state").to_str().unwrap(),
         ]);
-        assert_eq!(code, 2);
-        assert!(out.contains(r#"grid host name "h one""#), "{out}");
+        assert_eq!(code, 0, "{out}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -64,9 +64,9 @@ fn profile(
     }
 }
 
-/// Each shipped grid file parses to the spec it declares, and its manifest
-/// (what a serve state dir records per job) is byte-for-byte the one these
-/// files produced before the JSON reader moved in-repo.
+/// Each shipped grid file parses to the spec it declares, and the Grid a
+/// serve job stores for it is this pinned `--grid` document, which
+/// [`GridSpec::from_json`] reads back to the same spec.
 #[test]
 fn shipped_grids_parse_to_pinned_specs_and_manifests() {
     let example = GridSpec::virtual_grid()
@@ -112,50 +112,53 @@ fn shipped_grids_parse_to_pinned_specs_and_manifests() {
         .with_detector(DetectorSpec::Phi { threshold: 6.0 })
         .with_host("bolas.isi.edu", 1.0)
         .with_host("condor.example.org", 1.0);
-    let manifests = [
+    let stored = [
         (
             "grid.example.json",
             example,
-            "mode virtual\n\
-             host ingest.example.org 1 - 0\n\
-             host bigmem.example.org 2 200 10\n\
-             host cluster.example.org 1 500 5\n\
-             host vol1.example.org 1.5 40 60\n\
-             host vol2.example.org 1.2 60 30\n\
-             host vol3.example.org 0.8 90 20\n\
-             host volunteer.example.org 1 20 5\n\
-             host condor.example.org 1 - 0\n\
-             host bolas.isi.edu 1 40 2\n\
-             host vanuatu.isi.edu 1 60 4\n\
-             host jupiter.isi.edu 1.3 - 0\n\
-             link 0.05 0\n\
-             profile fast_impl - 25\n\
-             profile solver_disk 10 -\n\
-             profile solver_mem - - exception out_of_memory 3 0.5\n",
+            concat!(
+                r#"{"hosts":[{"hostname":"ingest.example.org"},"#,
+                r#"{"hostname":"bigmem.example.org","speed":2,"mttf":200,"downtime":10},"#,
+                r#"{"hostname":"cluster.example.org","mttf":500,"downtime":5},"#,
+                r#"{"hostname":"vol1.example.org","speed":1.5,"mttf":40,"downtime":60},"#,
+                r#"{"hostname":"vol2.example.org","speed":1.2,"mttf":60,"downtime":30},"#,
+                r#"{"hostname":"vol3.example.org","speed":0.8,"mttf":90,"downtime":20},"#,
+                r#"{"hostname":"volunteer.example.org","mttf":20,"downtime":5},"#,
+                r#"{"hostname":"condor.example.org"},"#,
+                r#"{"hostname":"bolas.isi.edu","mttf":40,"downtime":2},"#,
+                r#"{"hostname":"vanuatu.isi.edu","mttf":60,"downtime":4},"#,
+                r#"{"hostname":"jupiter.isi.edu","speed":1.3}],"#,
+                r#""link":{"delay":0.05},"#,
+                r#""profiles":{"fast_impl":{"soft_crash_mttf":25},"#,
+                r#""solver_disk":{"checkpoint_period":10},"#,
+                r#""solver_mem":{"exception":{"name":"out_of_memory","checks":3,"prob":0.5}}}}"#,
+            ),
         ),
         (
             "grid.flaky.json",
             flaky,
-            "mode virtual\n\
-             host h1 1 - 0\n\
-             profile mapper - - exception bad_shard 1 0.45\n",
+            concat!(
+                r#"{"hosts":[{"hostname":"h1"}],"#,
+                r#""profiles":{"mapper":{"exception":{"name":"bad_shard","checks":1,"prob":0.45}}}}"#,
+            ),
         ),
         (
             "grid.lossy.json",
             lossy,
-            "mode virtual\n\
-             host bolas.isi.edu 1 - 0\n\
-             host condor.example.org 1 - 0\n\
-             link 0.05 0.15 0.4 0.05\n\
-             hostlink bolas.isi.edu 0.3 0.25 0.8 0.05\n\
-             detector phi 6\n",
+            concat!(
+                r#"{"hosts":[{"hostname":"bolas.isi.edu"},{"hostname":"condor.example.org"}],"#,
+                r#""link":{"delay":0.05,"drop_p":0.15,"jitter":0.4,"dup_p":0.05},"#,
+                r#""host_links":{"bolas.isi.edu":{"delay":0.3,"drop_p":0.25,"jitter":0.8,"dup_p":0.05}},"#,
+                r#""detector":"phi:6"}"#,
+            ),
         ),
     ];
-    for (name, want, manifest) in manifests {
+    for (name, want, json) in stored {
         let (spec, seed) = shipped_grid(name);
         assert_eq!(seed, 2003, "{name}");
         assert_eq!(spec, want, "{name}");
-        assert_eq!(spec.to_manifest(), manifest, "{name}");
+        assert_eq!(spec.to_json(), json, "{name}");
+        assert_eq!(GridSpec::from_json(json), Ok((want, 2003)), "{name}");
     }
     // Only the lossy grid jitters, so only it buffers notifications, for
     // its slowest link's delay + jitter bound.
