@@ -183,11 +183,14 @@ fn write_runtime_lines(out: &mut String, instance: &Instance) {
 
 /// Serialises an instance to the checkpoint document.
 ///
-/// The engine calls this after every settlement, so the cost follows what
-/// can have changed: the `<Workflow>` child is rendered once per instance
-/// (`Instance::workflow_xml`) and copied, and the `<Runtime>` lines are
-/// written straight into a buffer.  `concat` allocates the document at its
-/// exact length, which matters because storage backends keep it as-is.
+/// An eager [`crate::CheckpointSink`] calls this at every checkpoint (each
+/// task termination); the serve scheduler calls it once at the end of a
+/// slice that checkpointed ([`crate::Engine::checkpoint_xml`]).  Either
+/// way the cost follows what can have changed: the `<Workflow>` child is
+/// rendered once per instance (`Instance::workflow_xml`) and copied, and
+/// the `<Runtime>` lines are written straight into a buffer.  `concat`
+/// allocates the document at its exact length, which matters because
+/// storage backends keep it as-is.
 pub fn to_xml(instance: &Instance) -> String {
     // A validated workflow has at least one activity, so `<Runtime>` always
     // has children and never self-closes.
@@ -213,8 +216,9 @@ pub fn to_xml(instance: &Instance) -> String {
 /// This is the file an engine built with
 /// [`crate::Engine::with_checkpointing`] writes at every checkpoint
 /// (`gridwfs run --checkpoint`), one fsync pair each.  The service never
-/// writes files: its engines' [`crate::CheckpointSink`] stages the XML and
-/// the scheduler group-commits it through its storage backend.
+/// writes files: its engines' [`crate::CheckpointSink`] marks the job
+/// dirty, and the scheduler encodes the instance once per slice and
+/// group-commits the document through its storage backend.
 pub fn save(instance: &Instance, path: &Path) -> Result<(), CheckpointError> {
     gridwfs_chaos::write_atomic(&gridwfs_chaos::RealFs, path, to_xml(instance).as_bytes())?;
     Ok(())

@@ -48,10 +48,10 @@
 //! `settle_node`, a do-while's loop-limit failure included.
 //!
 //! The engine itself is fault tolerant: after every task termination it can
-//! hand the annotated parse tree as XML ([`crate::checkpoint`]) to a
-//! [`CheckpointSink`] — [`Engine::with_checkpointing`] installs one that
-//! writes a file — and a restarted engine resumes navigation from where it
-//! left off.
+//! offer the annotated parse tree to a [`CheckpointSink`], which encodes it
+//! as XML ([`crate::checkpoint`]) then or later —
+//! [`Engine::with_checkpointing`] installs one that writes a file at once —
+//! and a restarted engine resumes navigation from where it left off.
 //!
 //! Every decision is recorded once, as a [`TraceEvent`] in the flight
 //! journal ([`Report::trace`]).  [`Report::spans`] and [`Report::log`] are
@@ -276,22 +276,38 @@ impl Report {
     }
 }
 
-/// Where the engine hands finished checkpoint XML: a file writer
-/// ([`Engine::with_checkpointing`]) or a host that owns durability.  The
-/// callback runs on the engine's thread at every checkpoint, so a host's
-/// must be cheap (the serve worker just replaces a staging cell); an error
-/// is journalled as a failed `engine_checkpoint`.
+/// Where the engine offers its instance at every checkpoint: after each
+/// task termination and when a run is aborted.  The callback runs on the
+/// engine's thread and sees the instance by reference, so it decides
+/// whether and when the checkpoint document is encoded.
+///
+/// [`CheckpointSink::new`] encodes at once ([`crate::checkpoint::to_xml`])
+/// and hands the XML on; [`Engine::with_checkpointing`] writes it to a
+/// file.  [`CheckpointSink::deferred`] encodes nothing: the serve worker's
+/// only marks the job dirty and encodes once at the end of the scheduler
+/// slice ([`Engine::checkpoint_xml`]).  An error is journalled as a failed
+/// `engine_checkpoint`.
 #[derive(Clone)]
-pub struct CheckpointSink(Arc<dyn Fn(String) -> std::io::Result<()> + Send + Sync>);
+pub struct CheckpointSink(Arc<SaveCheckpoint>);
+
+type SaveCheckpoint = dyn Fn(&Instance) -> std::io::Result<()> + Send + Sync;
 
 impl CheckpointSink {
+    /// A sink that encodes the checkpoint document at every checkpoint and
+    /// hands it to `f`.
     pub fn new(f: impl Fn(String) -> std::io::Result<()> + Send + Sync + 'static) -> Self {
+        CheckpointSink::deferred(move |instance| f(crate::checkpoint::to_xml(instance)))
+    }
+
+    /// A sink that sees the instance itself and encodes it later, or not
+    /// at all.
+    pub fn deferred(f: impl Fn(&Instance) -> std::io::Result<()> + Send + Sync + 'static) -> Self {
         CheckpointSink(Arc::new(f))
     }
 
-    /// Offer one serialized checkpoint to the host.
-    pub fn save(&self, xml: String) -> std::io::Result<()> {
-        (self.0)(xml)
+    /// Offer the instance at one checkpoint to the host.
+    pub fn save(&self, instance: &Instance) -> std::io::Result<()> {
+        (self.0)(instance)
     }
 }
 
@@ -304,13 +320,14 @@ impl fmt::Debug for CheckpointSink {
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Hand an engine checkpoint to this sink after every task
-    /// termination (paper §7's engine fault tolerance).
-    /// [`Engine::with_checkpointing`] installs one that writes a file
-    /// atomically; the serve worker's stages the XML into the scheduler's
-    /// group-committed state batch, so checkpoint durability costs one
-    /// shared fsync per tick instead of a private tmp→rename→fsync per
-    /// settlement.
+    /// Offer the instance to this sink after every task termination and
+    /// on an abort (paper §7's engine fault tolerance).
+    /// [`Engine::with_checkpointing`] installs one that encodes and writes
+    /// a file atomically each time.  The serve worker's encodes nothing
+    /// there: the scheduler encodes the instance once at the end of a
+    /// slice that checkpointed and stages that document into its
+    /// group-committed state batch, so a slice costs at most one encode
+    /// and the batch one shared fsync.
     pub checkpoint_sink: Option<CheckpointSink>,
     /// Safety cap on do-while iterations per activity.
     pub max_loop_iterations: u32,
@@ -1427,7 +1444,7 @@ impl<X: Executor> Engine<X> {
         let Some(sink) = self.config.checkpoint_sink.clone() else {
             return;
         };
-        let ok = sink.save(crate::checkpoint::to_xml(&self.instance)).is_ok();
+        let ok = sink.save(&self.instance).is_ok();
         self.trace(TraceKind::EngineCheckpoint { ok });
     }
 
@@ -1811,6 +1828,14 @@ impl<X: Executor> Engine<X> {
     /// [`StepOutcome::Finished`] panics.
     pub fn step(&mut self) -> StepOutcome {
         self.step_inner(false)
+    }
+
+    /// The checkpoint document of the instance as it stands now, in-flight
+    /// attempts written as `pending` ([`crate::checkpoint::to_xml`]).  A
+    /// host behind a [`CheckpointSink::deferred`] sink calls this once for
+    /// the many checkpoints it coalesces.
+    pub fn checkpoint_xml(&self) -> String {
+        crate::checkpoint::to_xml(&self.instance)
     }
 
     /// Current executor-clock time (virtual seconds for the simulated Grid,

@@ -242,9 +242,10 @@ pub struct Instance {
     /// `workflow_xml` below relies on it.
     workflow: Workflow,
     /// The `<Workflow>` element as it stands inside a checkpoint document,
-    /// rendered on the first checkpoint and reused by every later one — the
-    /// engine checkpoints after every settlement and the definition is most
-    /// of the document.  A clone carries the rendered text along.
+    /// rendered on the first checkpoint and reused by every later one — an
+    /// eager checkpoint sink encodes after every settlement, the serve
+    /// scheduler once per slice, and the definition is most of the
+    /// document.  A clone carries the rendered text along.
     workflow_xml: OnceLock<String>,
     topo: Vec<String>,
     status: HashMap<String, NodeStatus>,

@@ -1,15 +1,17 @@
 //! The checkpoint codec as the engine drives it: one document per
-//! settlement through a [`CheckpointSink`], across a crash, a resume and a
-//! `dlq retry` rewrite.  The encoder renders the `<Workflow>` part once per
-//! instance and reuses it, so what must hold is that no path — a resumed
-//! engine, a reset document — can ever hand out a stale or foreign one.
+//! settlement through a [`CheckpointSink`] (or one on demand behind a
+//! deferred sink), across a crash, a resume and a `dlq retry` rewrite.
+//! The encoder renders the `<Workflow>` part once per instance and reuses
+//! it, so what must hold is that no path — a resumed engine, a reset
+//! document — can ever hand out a stale or foreign one.
 //! (Byte identity with the reference encoder is unit-tested next to it in
 //! `checkpoint.rs`.)
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use grid_wfs::checkpoint;
-use grid_wfs::engine::{CheckpointSink, Engine, EngineConfig};
+use grid_wfs::engine::{CheckpointSink, Engine, EngineConfig, StepOutcome};
 use grid_wfs::sim_executor::SimGrid;
 use gridwfs_sim::resource::ResourceSpec;
 use gridwfs_wpdl::ast::ForeachSpec;
@@ -148,4 +150,29 @@ fn a_clone_taken_mid_run_keeps_encoding_its_own_state() {
         doc,
         "the clone moved with the original"
     );
+}
+
+/// A deferred sink is offered the instance at exactly the checkpoints an
+/// eager one encodes, and encodes nothing itself; `Engine::checkpoint_xml`
+/// encodes on demand, and once the run has finished it is the eager
+/// sink's last document.
+#[test]
+fn a_deferred_sink_is_offered_every_checkpoint_and_encodes_on_demand() {
+    let (eager, docs) = collecting_sink();
+    Engine::new(workflow(), grid(8, false))
+        .with_checkpoint_sink(eager)
+        .run();
+    let docs = drain(&docs);
+    let offered = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&offered);
+    let mut engine = Engine::new(workflow(), grid(8, false)).with_checkpoint_sink(
+        CheckpointSink::deferred(move |_| {
+            seen.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        }),
+    );
+    while !matches!(engine.step(), StepOutcome::Finished(_)) {}
+    assert!(docs.len() >= 6, "one document per settlement");
+    assert_eq!(offered.load(Ordering::Relaxed), docs.len());
+    assert_eq!(engine.checkpoint_xml(), *docs.last().unwrap());
 }

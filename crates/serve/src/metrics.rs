@@ -98,6 +98,10 @@ pub struct Counters {
     pub state_commits: AtomicU64,
     /// Records those commits carried; over `state_commits`, the batch size.
     pub records_committed: AtomicU64,
+    /// Engine checkpoints encoded and staged by the scheduler: at most one
+    /// per slice in which the engine checkpointed, none for a run whose
+    /// settle purged its checkpoint.
+    pub checkpoints_staged: AtomicU64,
 }
 
 /// The registry: counters + the running-jobs gauge + the latency and
@@ -312,7 +316,7 @@ impl Metrics {
     /// the backend label, the [`gridwfs_storage::Storage::counters`]
     /// snapshot the service samples at the same instant as the gauges, and
     /// the scheduler's own view of its group commits (`state_commits`,
-    /// `records_committed`, `commit_lag_seconds`).
+    /// `records_committed`, `checkpoints_staged`, `commit_lag_seconds`).
     /// Schema 1 is the storage-less document; schema 2 adds the section.
     pub fn snapshot_json_with_storage(
         &self,
@@ -374,6 +378,7 @@ impl Metrics {
                 ("recovery_replayed_records", s.recovery_replayed_records),
                 ("state_commits", get(&c.state_commits)),
                 ("records_committed", get(&c.records_committed)),
+                ("checkpoints_staged", get(&c.checkpoints_staged)),
             ];
             for (name, v) in fields {
                 out.push_str(&format!("    {}: {v},\n", json_string(name)));

@@ -48,15 +48,21 @@
 //! record and the purge of its workflow, checkpoint and elapsed ledger
 //! commit together, at most a window later (a run that parked
 //! dead-lettered items commits its last checkpoint instead of the purge;
-//! see `crate::recover`).  The purge replaces the run's final checkpoint
-//! in the batch, so a virtual job that finishes inside one slice never
-//! writes a checkpoint at all.  A crash inside the window therefore loses
-//! markers that were staged but not committed, and their purges with
-//! them: those jobs still have their admission records, so the next
-//! incarnation re-admits them and re-runs each from its last *committed*
-//! checkpoint (from scratch for a job that started and finished inside
-//! the lost window).  Every job still ends with exactly one result
-//! record.
+//! see `crate::recover`).  A checkpoint is encoded at the end of a slice
+//! in which the engine took one, not at each of the engine's checkpoints,
+//! and not at all when that slice's settle staged the purge: a virtual
+//! job that finishes inside one slice never encodes a checkpoint.  A crash
+//! inside the window therefore loses markers that were staged but not
+//! committed, and their purges with them: those jobs still have their
+//! admission records, so the next incarnation re-admits them and re-runs
+//! each from its last *committed* checkpoint (from scratch for a job that
+//! started and finished inside the lost window).  Every job still ends
+//! with exactly one result record.
+//!
+//! A committed checkpoint is the instance at the end of a slice, in-flight
+//! attempts written as `pending` (as an aborting engine writes them), not
+//! the instance at the slice's last settlement: a restart resubmits those
+//! attempts and never an activity the document records as done.
 //!
 //! A run's staged checkpoint never sits in one worker's batch while the
 //! run is where another worker can steal it: [`requeue`] moves it out of
@@ -87,6 +93,7 @@ use gridwfs_storage::Op;
 use gridwfs_trace::JsonlSink;
 
 use crate::job::{JobId, JobState};
+use crate::metrics::Metrics;
 use crate::queue::Pop;
 use crate::service::Shared;
 use crate::worker::{self, AnyEngine};
@@ -117,13 +124,13 @@ pub(crate) struct Run {
     pub(crate) id: JobId,
     pub(crate) engine: AnyEngine,
     pub(crate) journal: Option<Arc<JsonlSink>>,
-    /// Latest checkpoint XML the engine staged via its
-    /// [`grid_wfs::CheckpointSink`] and the record it commits to.  The
-    /// engine serialises a checkpoint at *every* settlement and each one
-    /// overwrites the cell; the worker drains the cell into its
-    /// [`StateBatch`] after every slice.  What is coalesced is the storage
-    /// write — only the newest checkpoint of a slice is staged — not the
-    /// serialisation.
+    /// The record the run's checkpoints commit to, and the dirty flag its
+    /// [`grid_wfs::CheckpointSink`] sets at every checkpoint the engine
+    /// takes.  After a slice that set it, the worker encodes the instance
+    /// once, as it stands at the end of the slice (in-flight attempts
+    /// written as `pending`), and stages that document on its
+    /// [`StateBatch`]; a run whose settle staged its purge, or whose slice
+    /// panicked, encodes nothing.
     pub(crate) checkpoint: Option<(String, worker::CheckpointCell)>,
     /// A checkpoint that was staged but not yet committed when the run
     /// last became stealable, with the age of the batch it left (see
@@ -220,6 +227,13 @@ impl StateBatch {
     fn restage(&mut self, name: String, data: Vec<u8>, since: Instant) {
         self.since = Some(self.since.map_or(since, |mine| mine.min(since)));
         self.entry(name, Some(data));
+    }
+
+    /// True if the batch stages the delete of `name`.
+    fn deletes(&self, name: &str) -> bool {
+        self.writes
+            .iter()
+            .any(|(n, data)| n == name && data.is_none())
     }
 
     /// What is left of the commit window; `None` with nothing staged.
@@ -368,8 +382,10 @@ enum Slice {
     Yield,
     /// Nothing deliverable until (about) this instant: timer heap.
     Sleep(Instant),
-    /// The run is over (report, failure, or panic): settle it.
-    Done(Result<Report, String>),
+    /// The run is over: settle it with its report.
+    Done(Box<Report>),
+    /// The workflow panicked mid-slice: settle it as `Failed`.
+    Panicked(String),
 }
 
 /// Steps `run` for at most [`SLICE_STEPS`] engine turns.
@@ -391,7 +407,7 @@ fn step_slice(shared: &Shared, run: &mut Run) -> Slice {
     }));
     match caught {
         Ok(Inner::Yield) => Slice::Yield,
-        Ok(Inner::Finished(report)) => Slice::Done(Ok(*report)),
+        Ok(Inner::Finished(report)) => Slice::Done(report),
         Ok(Inner::Idle(wake_at)) => {
             let wake = match wake_at {
                 // `wake_at` is on the executor clock; `Idle` guarantees it
@@ -408,7 +424,7 @@ fn step_slice(shared: &Shared, run: &mut Run) -> Slice {
         Err(payload) => {
             let msg = worker::panic_message(payload);
             worker::note_panic(shared, run.id, run.journal.as_ref(), &msg);
-            Slice::Done(Err(format!("workflow panicked: {msg}")))
+            Slice::Panicked(format!("workflow panicked: {msg}"))
         }
     }
 }
@@ -476,11 +492,31 @@ fn pickup(shared: &Arc<Shared>, id: JobId, batch: &mut StateBatch) -> Option<Run
 }
 
 /// Settles a finished run and releases its bookkeeping.
-fn finish_run(shared: &Shared, run: Run, result: Result<Report, String>, batch: &mut StateBatch) {
+fn finish_run(
+    shared: &Shared,
+    run: &mut Run,
+    result: Result<Report, String>,
+    batch: &mut StateBatch,
+) {
     let run_wall = run.started.elapsed().as_secs_f64();
     shared.table.shard(run.id.0).stops.remove(&run.id.0);
     shared.metrics.running.fetch_sub(1, Ordering::Relaxed);
-    worker::settle(shared, run.id, result, run_wall, run.journal, batch);
+    worker::settle(shared, run.id, result, run_wall, run.journal.take(), batch);
+}
+
+/// Encodes the run's checkpoint and stages it, if the engine checkpointed
+/// during the slice: one encode per slice, of the instance as it stands at
+/// the slice's end.  A run whose settle staged the purge of its checkpoint
+/// has nothing left to restart, so nothing is encoded for it.
+fn stage_checkpoint(shared: &Shared, run: &Run, batch: &mut StateBatch) {
+    let Some((name, dirty)) = &run.checkpoint else {
+        return;
+    };
+    if !dirty.swap(false, Ordering::Relaxed) || batch.deletes(name) {
+        return;
+    }
+    batch.stage(name.clone(), run.engine.checkpoint_xml().into_bytes());
+    Metrics::incr(&shared.metrics.counters.checkpoints_staged);
 }
 
 /// How long to park given the next timer expiry.
@@ -520,18 +556,13 @@ fn run_slice(
     if let (Some((name, _)), Some((since, xml))) = (&run.checkpoint, run.carried.take()) {
         batch.restage(name.clone(), xml, since);
     }
-    let slice = step_slice(shared, &mut run);
-    // Drain the engine's staged checkpoint (if any) into the batch: at
-    // most the newest checkpoint per record per slice reaches storage
-    // (the engine serialised every one of them).
-    if let Some((name, cell)) = &run.checkpoint {
-        if let Some(xml) = relock(cell).take() {
-            batch.stage(name.clone(), xml);
+    let yielded = match step_slice(shared, &mut run) {
+        Slice::Yield => {
+            stage_checkpoint(shared, &run, batch);
+            Some(run)
         }
-    }
-    let yielded = match slice {
-        Slice::Yield => Some(run),
         Slice::Sleep(wake) => {
+            stage_checkpoint(shared, &run, batch);
             *seq += 1;
             sleepers.push(Sleeper {
                 wake,
@@ -540,8 +571,18 @@ fn run_slice(
             });
             None
         }
-        Slice::Done(result) => {
-            finish_run(shared, run, result, batch);
+        Slice::Done(report) => {
+            // Settle first: the checkpoint is encoded only if the settle
+            // kept it (parked dead letters, a shutdown stop).
+            finish_run(shared, &mut run, Ok(*report), batch);
+            stage_checkpoint(shared, &run, batch);
+            shared.sched.dec_in_flight(me);
+            None
+        }
+        Slice::Panicked(msg) => {
+            // The instance may be mid-mutation: encode nothing, so the
+            // checkpoint of an earlier slice stands.
+            finish_run(shared, &mut run, Err(msg), batch);
             shared.sched.dec_in_flight(me);
             None
         }
@@ -626,10 +667,15 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, me: usize) {
 mod tests {
     use super::*;
     use crate::job::{JobRecord, Submission};
-    use crate::{GridSpec, MemStorage, Service, ServiceConfig, Storage};
+    use crate::recover;
+    use crate::{GridSpec, MemStorage, ProfileSpec, Service, ServiceConfig, Storage};
+    use grid_wfs::{checkpoint, Engine, Instance, NodeStatus};
     use gridwfs_storage::CountersSnapshot;
+    use gridwfs_trace::TraceKind;
     use gridwfs_wpdl::builder::WorkflowBuilder;
+    use std::collections::HashSet;
     use std::io;
+    use std::path::PathBuf;
 
     /// Records every checkpoint document in the order it was committed.
     struct CheckpointLog {
@@ -687,37 +733,185 @@ mod tests {
         }
     }
 
+    /// A fan-out whose items all but surely exhaust their attempts, so the
+    /// run parks dead letters and keeps its checkpoint for `dlq retry`.
+    fn dead_lettering() -> Submission {
+        Submission {
+            name: "mapred".into(),
+            workflow_xml: "<Workflow name='m'>\
+                   <Exception name='flaky' fatal='false'/>\
+                   <Activity name='map' interval='1'><Implement>m</Implement>\
+                     <Foreach max_parallel='2' max_attempts='2' on_item_failure='dlq'>\
+                       <Item>north</Item><Item>east</Item><Item>south</Item><Item>west</Item>\
+                     </Foreach>\
+                   </Activity>\
+                   <Program name='m' duration='3'><Option hostname='h1'/></Program>\
+                 </Workflow>"
+                .into(),
+            grid: GridSpec::virtual_grid()
+                .with_host("h1", 1.0)
+                .with_profile(ProfileSpec {
+                    program: "m".into(),
+                    checkpoint_period: Some(1.0),
+                    soft_crash_mttf: None,
+                    exception: Some(("flaky".into(), 1, 0.95)),
+                }),
+            seed: 100,
+            deadline: None,
+        }
+    }
+
+    /// A service on `storage` whose workers this test plays itself.
+    fn played(storage: Arc<dyn Storage>, trace_dir: Option<PathBuf>) -> (Service, Arc<Shared>) {
+        let mut service = Service::start(ServiceConfig {
+            workers: 2,
+            max_in_flight: 4,
+            storage: Some(storage),
+            trace_dir,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let shared = service.retire_workers();
+        (service, shared)
+    }
+
+    /// Queues `sub` as job `id` in the table, as an admission would.
+    fn admit(shared: &Shared, id: JobId, sub: Submission) {
+        let mut shard = shared.table.shard(id.0);
+        shard
+            .jobs
+            .insert(id.0, JobRecord::new(id, sub.name.clone(), 0.0, false));
+        shard.subs.insert(id.0, sub);
+    }
+
+    /// Picks job `id` up on worker 0 and slices it until it leaves the run
+    /// queue, calling `before` with the slice's index ahead of each slice.
+    /// Returns how many checkpoints each slice staged.
+    fn staged_per_slice(
+        shared: &Arc<Shared>,
+        id: JobId,
+        batch: &mut StateBatch,
+        mut before: impl FnMut(usize),
+    ) -> Vec<u64> {
+        let staged = || {
+            shared
+                .metrics
+                .counters
+                .checkpoints_staged
+                .load(Ordering::Relaxed)
+        };
+        let (mut sleepers, mut seq) = (BinaryHeap::new(), 0);
+        let run = pickup(shared, id, batch).expect("engine builds");
+        shared.sched.inc_in_flight(0);
+        requeue(&shared.sched, 0, batch, run);
+        let mut per_slice = Vec::new();
+        while let Some(run) = shared.sched.pop_runnable(0) {
+            before(per_slice.len());
+            let was = staged();
+            run_slice(shared, 0, run, batch, &mut sleepers, &mut seq);
+            per_slice.push(staged() - was);
+        }
+        assert!(sleepers.is_empty(), "virtual jobs never sleep");
+        per_slice
+    }
+
+    /// The engine checkpoints at every settlement, but the scheduler
+    /// encodes at most one document per slice, and none for a run whose
+    /// settle purges its checkpoint.  Runs that keep their checkpoint —
+    /// parked dead letters, a shutdown stop — encode their final one.
+    #[test]
+    fn a_checkpoint_is_encoded_once_per_slice_and_never_for_a_purged_run() {
+        let trace_dir = std::env::temp_dir().join(format!(
+            "gridwfs-sched-cadence-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&trace_dir).ok();
+        std::fs::create_dir_all(&trace_dir).unwrap();
+        let storage = Arc::new(MemStorage::new());
+        let (service, shared) = played(storage.clone(), Some(trace_dir.clone()));
+        let mut batch = StateBatch::default();
+        let state = |id: JobId| shared.table.shard(id.0).jobs[&id.0].state;
+
+        // A three-task chain settles inside its first slice: three
+        // checkpoints journalled, none encoded.
+        let chain = JobId(1);
+        admit(&shared, chain, long_chain(3));
+        assert_eq!(staged_per_slice(&shared, chain, &mut batch, |_| {}), [0]);
+        assert_eq!(state(chain), JobState::Done);
+        let journal = std::fs::read_to_string(recover::trace_path(&trace_dir, chain)).unwrap();
+        assert_eq!(journal.matches("\"kind\":\"engine_checkpoint\"").count(), 3);
+
+        // A job longer than a slice: one encode per slice it yields, none
+        // for the slice it settles in.
+        let long = JobId(2);
+        admit(&shared, long, long_chain(300));
+        let per_slice = staged_per_slice(&shared, long, &mut batch, |_| {});
+        assert!(per_slice.len() > 1, "300 activities outlast a slice");
+        let (last, yielded) = per_slice.split_last().unwrap();
+        assert!(yielded.iter().all(|&n| n == 1), "{per_slice:?}");
+        assert_eq!(*last, 0);
+        assert_eq!(state(long), JobState::Done);
+
+        // Parked dead letters keep the checkpoint for `dlq retry`.
+        let parked = JobId(3);
+        admit(&shared, parked, dead_lettering());
+        let per_slice = staged_per_slice(&shared, parked, &mut batch, |_| {});
+        assert_eq!(per_slice.last(), Some(&1), "{per_slice:?}");
+
+        // A service shutdown after one slice: the aborted instance is
+        // encoded for the next incarnation.
+        let stopped = JobId(4);
+        admit(&shared, stopped, long_chain(300));
+        let per_slice = staged_per_slice(&shared, stopped, &mut batch, |slice| {
+            if slice == 1 {
+                shared.table.stop_all();
+            }
+        });
+        assert_eq!(per_slice, [1, 1]);
+        assert_eq!(state(stopped), JobState::Queued);
+
+        // A client cancel before the first slice: nothing encoded.
+        let cancelled = JobId(5);
+        admit(&shared, cancelled, long_chain(300));
+        let per_slice = staged_per_slice(&shared, cancelled, &mut batch, |slice| {
+            if slice == 0 {
+                assert!(service.cancel(cancelled));
+            }
+        });
+        assert_eq!(per_slice, [0]);
+        assert_eq!(state(cancelled), JobState::Cancelled);
+
+        batch.flush(&shared);
+        let kept = |id: JobId| storage.exists(&recover::checkpoint_name(id));
+        assert!(storage.exists(&recover::dlq_name(parked)));
+        assert!(kept(parked) && kept(stopped));
+        assert!(!kept(chain) && !kept(long) && !kept(cancelled));
+        std::fs::remove_dir_all(&trace_dir).ok();
+    }
+
     /// Worker 0 slices a job once and yields it with a checkpoint staged;
     /// worker 1 steals the run, commits after every slice, finishes it and
     /// commits first; worker 0 commits last.  The job's committed
     /// checkpoints must never go backwards (a crash resumes from the last
     /// one), and none may land after the settle's purge: a stale put from
     /// worker 0 would resurrect a finished job's checkpoint.
+    ///
+    /// Each committed document is the instance at the end of a slice, and
+    /// each must be a valid resume point: it re-encodes to itself, and a
+    /// restart from it settles as the uninterrupted run did without
+    /// resubmitting an activity the document records as done.
     #[test]
     fn a_stolen_runs_checkpoints_commit_in_the_order_they_were_written() {
         let log = Arc::new(CheckpointLog {
             inner: MemStorage::new(),
             committed: Mutex::new(Vec::new()),
         });
-        let mut service = Service::start(ServiceConfig {
-            workers: 2,
-            max_in_flight: 4,
-            storage: Some(log.clone()),
-            ..ServiceConfig::default()
-        })
-        .unwrap();
-        // This test plays both workers itself.
-        let shared = service.retire_workers();
+        let (_service, shared) = played(log.clone(), None);
         let sched = &shared.sched;
         let id = JobId(1);
-        {
-            let sub = long_chain(300);
-            let mut shard = shared.table.shard(id.0);
-            shard
-                .jobs
-                .insert(id.0, JobRecord::new(id, sub.name.clone(), 0.0, false));
-            shard.subs.insert(id.0, sub);
-        }
+        let sub = long_chain(300);
+        admit(&shared, id, sub.clone());
         let (mut batch0, mut batch1) = (StateBatch::default(), StateBatch::default());
         let (mut sleepers, mut seq) = (BinaryHeap::new(), 0);
 
@@ -765,6 +959,31 @@ mod tests {
             assert!(!log.exists(&name), "{name} outlived the settle");
         }
         assert!(log.exists(&crate::recover::result_name(id)));
+
+        let engine = |instance| {
+            Engine::from_instance(instance, sub.grid.build_sim(sub.seed))
+                .with_config(sub.grid.engine_config())
+        };
+        let workflow = gridwfs_wpdl::parse::from_str(&sub.workflow_xml).unwrap();
+        let validated = gridwfs_wpdl::validate::validate(workflow).unwrap();
+        let uninterrupted = engine(Instance::new(validated)).run();
+        assert!(uninterrupted.is_success());
+        for (_, doc) in committed.iter() {
+            let instance = checkpoint::from_xml(doc).expect("a committed checkpoint decodes");
+            assert_eq!(checkpoint::to_xml(&instance), *doc, "re-encodes to itself");
+            let done: HashSet<String> = instance
+                .statuses()
+                .filter(|(_, status)| **status == NodeStatus::Done)
+                .map(|(name, _)| name.to_string())
+                .collect();
+            let resumed = engine(instance).run();
+            assert_eq!(resumed.outcome, uninterrupted.outcome);
+            for event in &resumed.trace {
+                if let TraceKind::TaskSubmitted { activity, .. } = &event.kind {
+                    assert!(!done.contains(activity), "{activity} was done");
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,12 +25,11 @@
 //!   as `Failed`, a `job_panicked` event lands in its journal and the
 //!   service ring, and the `jobs_panicked` counter bumps.
 
-use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use grid_wfs::engine::{CheckpointSink, Engine, EngineConfig, Report, StepOutcome};
 use grid_wfs::{checkpoint, InjectedTaskFault, Instance, SimGrid, ThreadExecutor};
-use gridwfs_chaos::relock;
 use gridwfs_trace::{FanoutSink, JsonlSink, TraceEvent, TraceKind, TraceSink};
 use gridwfs_wpdl::parse;
 use gridwfs_wpdl::validate::validate;
@@ -42,12 +41,13 @@ use crate::recover;
 use crate::sched::StateBatch;
 use crate::service::Shared;
 
-/// Mailbox between an engine's [`CheckpointSink`] and the scheduler: the
-/// engine serialises a checkpoint at every settlement and the sink
-/// overwrites the cell with it; the worker drains the cell into its
-/// [`StateBatch`] after every slice.  Only the storage write is coalesced
-/// (the newest document of a slice wins); every document was encoded.
-pub(crate) type CheckpointCell = Arc<Mutex<Option<Vec<u8>>>>;
+/// Dirty flag between an engine's [`CheckpointSink`] and the scheduler:
+/// the sink only sets it at every checkpoint the engine takes, encoding
+/// nothing; after a slice that set it the worker encodes the instance
+/// once, as it stands at the end of the slice, and stages that document
+/// on its [`StateBatch`] — unless the slice's settle staged the purge that
+/// deletes it, or the slice panicked.
+pub(crate) type CheckpointCell = Arc<AtomicBool>;
 
 /// A steppable engine on whichever executor the submission's Grid spec
 /// asked for.  Boxed: a `Run` moves between deques and the sleeper heap,
@@ -64,6 +64,14 @@ impl AnyEngine {
         match self {
             AnyEngine::Virtual(e) => e.step(),
             AnyEngine::Paced(e) => e.step(),
+        }
+    }
+
+    /// The checkpoint document of the instance as it stands now.
+    pub(crate) fn checkpoint_xml(&self) -> String {
+        match self {
+            AnyEngine::Virtual(e) => e.checkpoint_xml(),
+            AnyEngine::Paced(e) => e.checkpoint_xml(),
         }
     }
 
@@ -136,8 +144,8 @@ pub(crate) fn open_journal(shared: &Shared, id: JobId, sub: &Submission) -> Opti
 
 /// Builds the instance (fresh, or from the persisted engine checkpoint)
 /// and wires it to the submission's Grid as a steppable engine, plus the
-/// checkpoint mailbox its [`CheckpointSink`] feeds (named after the
-/// record the scheduler commits it to).  Runs inside the scheduler's
+/// dirty flag its [`CheckpointSink`] sets (named after the record the
+/// scheduler commits the checkpoint to).  Runs inside the scheduler's
 /// `catch_unwind` region: the chaos hooks here inject exactly the panic a
 /// buggy workflow closure would raise.  Both chaos decisions are keyed by
 /// the submission seed, so they replay identically whatever worker picks
@@ -191,18 +199,18 @@ pub(crate) fn build_engine(
         let consumed = stored.map_or(0.0, |st| recover::read_elapsed(st, id));
         (total - consumed).max(0.0)
     });
-    // With a storage backend, checkpoints are staged into a mailbox the
-    // scheduler group-commits (one durability point per commit window)
-    // instead of paying a file write + fsync inside the engine step.  The
-    // step still pays for encoding each one.
+    // With a storage backend, a checkpoint only marks the job dirty: the
+    // scheduler encodes the instance once per slice and group-commits it
+    // (one durability point per commit window) instead of the engine step
+    // paying an encode, a file write and an fsync per checkpoint.
     let checkpoint = shared.storage.as_ref().map(|_| {
-        let cell: CheckpointCell = Arc::new(Mutex::new(None));
+        let cell: CheckpointCell = Arc::new(AtomicBool::new(false));
         (ckpt_name, cell)
     });
     let checkpoint_sink = checkpoint.as_ref().map(|(_, cell)| {
         let cell = cell.clone();
-        CheckpointSink::new(move |xml: String| {
-            *relock(&cell) = Some(xml.into_bytes());
+        CheckpointSink::deferred(move |_| {
+            cell.store(true, Ordering::Relaxed);
             Ok(())
         })
     });
@@ -288,7 +296,8 @@ pub(crate) fn settle(
                 } else {
                     // Service shutdown, not a client cancel: back to
                     // `Queued` so the next incarnation resumes it from the
-                    // checkpoint the aborting engine just wrote.  Bank the
+                    // checkpoint of the aborted instance, which the
+                    // scheduler encodes and stages after this settle.  Bank the
                     // executor time this incarnation consumed so the resume
                     // gets the remaining deadline budget, not a fresh one.
                     // (The batch is flushed before the worker exits, which
@@ -389,8 +398,9 @@ pub(crate) fn settle(
         if let Some(report) = &report {
             if report.dlq.is_empty() {
                 batch.stage_del(recover::dlq_name(id));
-                // Nothing left to restart: the purge replaces the final
-                // checkpoint this slice staged, so it is never written.
+                // Nothing left to restart: the scheduler reads the purge
+                // off the batch and encodes no final checkpoint (it would
+                // replace one carried from an earlier slice).
                 for name in recover::purge_names(id) {
                     batch.stage_del(name);
                 }

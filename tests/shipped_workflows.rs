@@ -4,8 +4,13 @@
 
 use gridwfs::cli::{cmd_dot, cmd_run, cmd_validate, RunOptions};
 use gridwfs::core::LogKind;
-use gridwfs::serve::{DetectorSpec, GridSpec, LinkSpec, ProfileSpec};
+use gridwfs::serve::{
+    recover, DetectorSpec, GridSpec, JobId, LinkSpec, MemStorage, ProfileSpec, Service,
+    ServiceConfig, Submission,
+};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::Duration;
 
 fn workflows_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("workflows")
@@ -437,6 +442,148 @@ fn shipped_journals_are_pinned() {
         changed.len(),
         changed.join("\n")
     );
+}
+
+/// `workflow grid` then the digest of the job's serve journal (seed 11).
+const SERVE_JOURNAL_PINS: &str = "\
+figure2_retry.xml grid.example.json b0a00c73f6bf2599
+figure2_retry.xml grid.flaky.json d40f24a93f986700
+figure2_retry.xml grid.lossy.json 03947bb104e5887f
+figure3_replica.xml grid.example.json ba2f62944de1b6e5
+figure3_replica.xml grid.flaky.json 4609f7a67687140c
+figure3_replica.xml grid.lossy.json 01b6ea9fc8f9f455
+figure4_alternative.xml grid.example.json 165ac8fe5f417182
+figure4_alternative.xml grid.flaky.json 79fb64338e532faa
+figure4_alternative.xml grid.lossy.json 07a9bb5ca0171723
+figure5_redundancy.xml grid.example.json d8715932f5bed6f3
+figure5_redundancy.xml grid.flaky.json 8109c47c3f00ae42
+figure5_redundancy.xml grid.lossy.json 6797142e948d34d9
+figure6_exception.xml grid.example.json dda477509ca3d0b4
+figure6_exception.xml grid.flaky.json a830854ca4d8bc9d
+figure6_exception.xml grid.lossy.json 8e2ce98a6927739a
+mapreduce.xml grid.example.json d61c82e94b0b2022
+mapreduce.xml grid.flaky.json 5224c51778ac3385
+mapreduce.xml grid.lossy.json 2df27ec5a5f58e2c
+pipeline.xml grid.example.json c7a836515673c065
+pipeline.xml grid.flaky.json d918a950374f7ea0
+pipeline.xml grid.lossy.json 0efbca3c3afcbcad
+recovery_demo.xml grid.example.json 02e9e4fc3234da93
+recovery_demo.xml grid.flaky.json d44fcb0f9c95b1bc
+recovery_demo.xml grid.lossy.json c66162ca511e0173
+";
+
+/// Serves every shipped workflow on every shipped grid at seed 11 through
+/// a [`Service`] on [`MemStorage`] with `workers` scheduler threads, and
+/// returns one `workflow grid digest` line per job journal.  Storage gives
+/// the hosted engines a checkpoint sink, so these journals carry the
+/// `engine_checkpoint` events a `gridwfs run` never writes.
+fn serve_journal_digests(workers: usize) -> String {
+    use std::fmt::Write;
+    let dir = std::env::temp_dir().join(format!(
+        "gridwfs-serve-pins-{workers}-{}",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let service = Service::start(ServiceConfig {
+        workers,
+        max_in_flight: 4,
+        queue_capacity: 64,
+        storage: Some(Arc::new(MemStorage::new())),
+        trace_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let mut jobs = Vec::new();
+    for wf in all_xml() {
+        let wf_name = wf.file_name().unwrap().to_str().unwrap().to_string();
+        for grid in ["grid.example.json", "grid.flaky.json", "grid.lossy.json"] {
+            let sub = Submission {
+                name: wf_name.clone(),
+                workflow_xml: std::fs::read_to_string(&wf).unwrap(),
+                grid: shipped_grid(grid).0,
+                seed: 11,
+                deadline: None,
+            };
+            jobs.push((format!("{wf_name} {grid}"), service.submit(sub).unwrap()));
+        }
+    }
+    assert!(service.wait_all_terminal(Duration::from_secs(120)));
+    service.drain();
+    let mut got = String::new();
+    let mut checkpoints = 0;
+    for (label, id) in jobs {
+        let journal = std::fs::read_to_string(recover::trace_path(&dir, id)).unwrap();
+        checkpoints += journal.matches("\"kind\":\"engine_checkpoint\"").count();
+        let _ = writeln!(got, "{label} {:016x}", fnv1a(journal.as_bytes()));
+    }
+    assert!(checkpoints > 0, "hosted engines journal their checkpoints");
+    std::fs::remove_dir_all(&dir).ok();
+    got
+}
+
+/// The serve-hosted journals of every shipped workflow × shipped grid are
+/// the ones these digests were taken from, at one worker and at four: how
+/// the service stages checkpoints must not change what an engine journals.
+/// After an intended journal change, replace the table with the one this
+/// test prints.
+#[test]
+fn serve_hosted_journals_are_pinned() {
+    for workers in [1, 4] {
+        let got = serve_journal_digests(workers);
+        assert!(
+            got == SERVE_JOURNAL_PINS,
+            "serve journals changed at {workers} worker(s); full table:\n{got}"
+        );
+    }
+}
+
+/// The federated CLI smoke in CI serves `recovery_demo.xml` on the example
+/// Grid through a WAL with one worker and greps the `--metrics` file for
+/// this many staged checkpoints.  The engine journals 5 checkpoints, but
+/// the job settles inside its first scheduler slice and its settle purges
+/// the checkpoint, so none is encoded.
+const RECOVERY_DEMO_CHECKPOINTS_STAGED: u64 = 0;
+
+#[test]
+fn federated_recovery_demo_stages_the_pinned_checkpoints() {
+    let dir = std::env::temp_dir().join(format!(
+        "gridwfs-fed-cli-smoke-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |p: PathBuf| p.to_str().unwrap().to_string();
+    let metrics = dir.join("fed_cli_metrics.json");
+    let args = [
+        "serve".to_string(),
+        path(workflows_dir().join("recovery_demo.xml")),
+        "--grid".into(),
+        path(workflows_dir().join("grid.example.json")),
+        "--workers".into(),
+        "1".into(),
+        "--state-dir".into(),
+        path(dir.join("fed-cli-state")),
+        "--replica-id".into(),
+        "r0".into(),
+        "--lease-ttl".into(),
+        "1".into(),
+        "--metrics".into(),
+        path(metrics.clone()),
+        // Not in the CI command: the journal shows the checkpoints taken.
+        "--trace-dir".into(),
+        path(dir.join("trace")),
+    ];
+    let (code, out) = gridwfs::cli::main_with_args(&args);
+    assert_eq!(code, 0, "{out}");
+    let snapshot = std::fs::read_to_string(&metrics).unwrap();
+    let want = format!("\"checkpoints_staged\": {RECOVERY_DEMO_CHECKPOINTS_STAGED}");
+    assert!(snapshot.contains(&want), "want {want} in\n{snapshot}");
+    let journal = std::fs::read_to_string(recover::trace_path(&dir.join("trace"), JobId(1)));
+    let journal = journal.unwrap();
+    assert_eq!(journal.matches("\"kind\":\"engine_checkpoint\"").count(), 5);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
