@@ -649,6 +649,10 @@ pub struct Engine<X: Executor> {
     settlements: u64,
     config: EngineConfig,
     run_state: Option<RunState>,
+    /// [`Instance::generation`] after the last navigation, which left no
+    /// activity ready and the run unfinished.  While the instance stays at
+    /// this generation, navigating again would find the same.
+    navigated: Option<u64>,
 }
 
 impl<X: Executor> Engine<X> {
@@ -691,6 +695,7 @@ impl<X: Executor> Engine<X> {
             settlements: 0,
             config: EngineConfig::default(),
             run_state: None,
+            navigated: None,
         }
     }
 
@@ -1276,29 +1281,33 @@ impl<X: Executor> Engine<X> {
     /// the φ-accrual detector produces a live suspicion level, so this is
     /// a no-op under the fixed-timeout policy.
     fn preemptive_rereplicate(&mut self) {
-        let Some(cfg) = self.scorer.as_ref().map(|s| s.config().clone()) else {
+        let Some((rereplicate_phi, max_rereplications)) = self
+            .scorer
+            .as_ref()
+            .map(|s| (s.config().rereplicate_phi, s.config().max_rereplications))
+        else {
             return;
         };
         let now = self.executor.now();
-        // Deterministic visiting order: ascending task id.
-        let mut live: Vec<(TaskId, String, usize)> = self
+        // Only attempts at or above the bar are visited, in a deterministic
+        // order: ascending task id.  A move touches no other attempt's
+        // watch, so each φ is the one the attempt shows when it is visited.
+        let mut suspects: Vec<(TaskId, f64)> = self
             .attempts
-            .iter()
-            .map(|(t, (name, slot))| (*t, name.clone(), *slot))
+            .keys()
+            .filter_map(|&t| Some((t, self.detector.phi_level(t, now)?)))
+            .filter(|&(_, phi)| phi >= rereplicate_phi)
             .collect();
-        live.sort_by_key(|(t, _, _)| t.0);
-        for (task, name, slot) in live {
+        suspects.sort_by_key(|(t, _)| t.0);
+        for (task, phi) in suspects {
+            let Some((name, slot)) = self.attempts.get(&task).cloned() else {
+                continue;
+            };
             if self.is_foreach(&name) {
                 continue;
             }
-            let Some(phi) = self.detector.phi_level(task, now) else {
-                continue;
-            };
-            if phi < cfg.rereplicate_phi {
-                continue;
-            }
             let key = (name.clone(), slot);
-            if self.rereplications.get(&key).copied().unwrap_or(0) >= cfg.max_rereplications {
+            if self.rereplications.get(&key).copied().unwrap_or(0) >= max_rereplications {
                 continue;
             }
             let Some(from) = self.attempt_hosts.get(&task).cloned() else {
@@ -1826,6 +1835,12 @@ impl<X: Executor> Engine<X> {
     /// worker threads.  `Idle::wake_at` is on the executor's clock; convert
     /// with [`Engine::now`].  Stepping again after
     /// [`StepOutcome::Finished`] panics.
+    ///
+    /// A step navigates — launches what became ready, checks whether the
+    /// run is finished — only when the instance changed since the last
+    /// navigation: a node status or an edge state, the only state
+    /// navigation reads, was written.  Most steps deliver a heartbeat that
+    /// changes neither, and they skip straight to the next notification.
     pub fn step(&mut self) -> StepOutcome {
         self.step_inner(false)
     }
@@ -1888,9 +1903,14 @@ impl<X: Executor> Engine<X> {
             }
             return self.finish(Some(reason.to_string()));
         }
-        self.launch_ready();
-        if self.instance.is_finished() {
-            return self.finish(None);
+        if self.navigated == Some(self.instance.generation()) {
+            debug_assert!(self.instance.ready_nodes().is_empty() && !self.instance.is_finished());
+        } else {
+            self.launch_ready();
+            if self.instance.is_finished() {
+                return self.finish(None);
+            }
+            self.navigated = Some(self.instance.generation());
         }
         // Clamp the wait so the engine wakes up (and aborts) at the
         // deadline even if no notification ever arrives.

@@ -5,7 +5,9 @@
 //! edge state.  The engine's navigator asks the instance two questions —
 //! *which activities are ready?* and *is the workflow finished, and how did
 //! it end?* — and informs it of one kind of fact: *this activity settled
-//! with this terminal status*.
+//! with this terminal status*.  Both answers read only the node statuses
+//! and the edge states; every write to those advances the instance's
+//! generation, so the engine asks again only after the generation moved.
 //!
 //! ## Edge-firing semantics
 //!
@@ -256,6 +258,10 @@ pub struct Instance {
     /// Expression-evaluation problems encountered while resolving guards
     /// (logged, and the offending edge dies).
     eval_errors: Vec<String>,
+    /// Bumped by every mutator of `status` or `edges` — the only state
+    /// [`Instance::ready_nodes`] and [`Instance::is_finished`] read — so
+    /// the navigator can tell that their answers cannot have changed.
+    generation: u64,
 }
 
 impl Instance {
@@ -298,6 +304,7 @@ impl Instance {
             vars,
             items,
             eval_errors: Vec::new(),
+            generation: 0,
         }
     }
 
@@ -314,6 +321,13 @@ impl Instance {
             xml::write_element(&mut out, &writer::to_element(&self.workflow), 1);
             out
         })
+    }
+
+    /// Advances whenever `status` or `edges` is written: between two equal
+    /// generations [`Instance::ready_nodes`] and [`Instance::is_finished`]
+    /// answer the same.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Topological order of activities.
@@ -395,6 +409,7 @@ impl Instance {
             "mark_running on non-pending '{name}'"
         );
         *s = NodeStatus::Running;
+        self.generation += 1;
     }
 
     /// Settles an activity with a terminal status, resolving its outgoing
@@ -415,6 +430,7 @@ impl Instance {
             );
             *s = status.clone();
         }
+        self.generation += 1;
         if status == NodeStatus::Done {
             *self.runs.get_mut(name).expect("known activity") += 1;
             if let Some(l) = self.workflow.loop_for(name) {
@@ -480,6 +496,7 @@ impl Instance {
         } else {
             EdgeState::Dead
         };
+        self.generation += 1;
     }
 
     /// True when no activity is `Pending`-and-reachable or `Running` —
@@ -570,11 +587,13 @@ impl Instance {
     /// restores those with [`Instance::force_edge`].
     pub(crate) fn force_status(&mut self, name: &str, status: NodeStatus) {
         *self.status.get_mut(name).expect("known activity") = status;
+        self.generation += 1;
     }
 
     /// Restores the state of edge `i` (engine-checkpoint restart path).
     pub(crate) fn force_edge(&mut self, i: usize, state: EdgeState) {
         self.edges[i] = state;
+        self.generation += 1;
     }
 
     /// Restores a run counter (engine-checkpoint restart path).

@@ -105,10 +105,10 @@ impl Monitor {
         }
     }
 
-    fn deadline(&self, task: TaskId) -> Option<f64> {
+    fn next_deadline(&self) -> Option<f64> {
         match self {
-            Monitor::Fixed { inner, .. } => inner.deadline(task),
-            Monitor::Phi(phi) => phi.deadline(task),
+            Monitor::Fixed { inner, .. } => inner.next_deadline(),
+            Monitor::Phi(phi) => phi.next_deadline(),
         }
     }
 
@@ -386,12 +386,11 @@ impl Detector {
 
     /// Earliest heartbeat deadline across live attempts — the next time the
     /// caller should invoke [`Detector::sweep`].  `None` when nothing is
-    /// being watched.
+    /// being watched.  Asks the monitor, which looks only at its live
+    /// watches (an attempt that settled was unwatched; one presumed dead
+    /// has no deadline), not at every attempt ever registered.
     pub fn next_deadline(&self) -> Option<f64> {
-        self.records
-            .keys()
-            .filter_map(|&t| self.monitor.deadline(t))
-            .min_by(|a, b| a.partial_cmp(b).expect("deadlines are finite"))
+        self.monitor.next_deadline()
     }
 
     fn mark_active(record: &mut TaskRecord) {

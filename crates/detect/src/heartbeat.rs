@@ -153,6 +153,16 @@ impl HeartbeatMonitor {
             .map(|w| w.last_seen + w.interval * w.tolerance)
     }
 
+    /// Earliest [`HeartbeatMonitor::deadline`] over the watches not yet
+    /// presumed dead; `None` when there is none.
+    pub fn next_deadline(&self) -> Option<f64> {
+        self.watches
+            .values()
+            .filter(|w| !w.presumed_dead)
+            .map(|w| w.last_seen + w.interval * w.tolerance)
+            .min_by(f64::total_cmp)
+    }
+
     /// Sweeps all watches at time `now`, returning the tasks newly presumed
     /// crashed (each is reported exactly once).
     pub fn expired(&mut self, now: f64) -> Vec<TaskId> {

@@ -31,6 +31,15 @@
 //! `last_seen + mean + std · z(threshold)` with `z` the standard-normal
 //! quantile — so the engine's deadline-driven sweep scheduling works
 //! unchanged and stays deterministic.
+//!
+//! That instant is computed once per accepted beat, not once per
+//! question.  `z` depends on the threshold alone and is computed once per
+//! detector; each watch caches its window's `(mean, std)` and its silence
+//! budget, refreshed by [`PhiAccrualDetector::watch`] and by every beat
+//! that changes the window.  [`PhiAccrualDetector::deadline`],
+//! [`PhiAccrualDetector::expired`], [`PhiAccrualDetector::phi`] and
+//! [`PhiAccrualDetector::jitter`] read the cache, so the engine's
+//! per-step questions cost a lookup, not a pass over the window.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -76,7 +85,8 @@ impl PhiConfig {
     }
 }
 
-/// Per-task state: the inter-arrival window plus the fixed-fallback terms.
+/// Per-task state: the inter-arrival window plus the fixed-fallback terms,
+/// and what the detector derives from them, cached until the window moves.
 #[derive(Debug, Clone)]
 struct PhiWatch {
     interval: f64,
@@ -85,6 +95,10 @@ struct PhiWatch {
     last_seen: f64,
     last_seq: Option<u64>,
     presumed_dead: bool,
+    /// [`PhiWatch::stats`] of the window; `None` while it is empty.
+    stats: Option<(f64, f64)>,
+    /// Silence budget from `last_seen` to presumption.
+    margin: f64,
 }
 
 impl PhiWatch {
@@ -99,22 +113,63 @@ impl PhiWatch {
         let std = var.sqrt().max(self.interval * 0.1);
         (mean, std)
     }
+
+    /// Recomputes the cache after a beat grew the window: the fixed
+    /// `interval × tolerance` budget while fewer than `min_samples`
+    /// intervals are windowed, `mean + std·z` once warm — never less than
+    /// one full expected interval.
+    fn refresh(&mut self, min_samples: usize, z: f64) {
+        let (mean, std) = self.stats();
+        self.stats = Some((mean, std));
+        self.margin = if self.window.len() < min_samples {
+            self.interval * self.tolerance
+        } else {
+            (mean + std * z).max(self.interval)
+        };
+    }
 }
 
 /// The adaptive accrual detector.  Same shape as
 /// [`HeartbeatMonitor`](crate::heartbeat::HeartbeatMonitor); see the
 /// module docs for the semantics of the φ threshold.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PhiAccrualDetector {
     config: PhiConfig,
+    /// z such that P(silence ≥ mean + z·std) = 10^-threshold.
+    z: f64,
     watches: HashMap<TaskId, PhiWatch>,
     late_beats: u64,
 }
 
+impl Default for PhiAccrualDetector {
+    fn default() -> Self {
+        PhiAccrualDetector::new(PhiConfig::default())
+    }
+}
+
 impl PhiAccrualDetector {
     /// A detector with the given config.
+    ///
+    /// # Panics
+    /// Panics unless `threshold` is finite and positive, `min_samples` is
+    /// at least 1 (an empty window has no statistics to be warm with) and
+    /// `window` holds at least `min_samples` intervals (a smaller window
+    /// never warms up).
     pub fn new(config: PhiConfig) -> Self {
+        assert!(
+            config.threshold.is_finite() && config.threshold > 0.0,
+            "PhiConfig::threshold must be finite and > 0"
+        );
+        assert!(
+            config.min_samples > 0,
+            "PhiConfig::min_samples must be at least 1"
+        );
+        assert!(
+            config.window >= config.min_samples,
+            "PhiConfig::window must hold at least min_samples intervals"
+        );
         PhiAccrualDetector {
+            z: -normal_quantile(10f64.powf(-config.threshold)),
             config,
             watches: HashMap::new(),
             late_beats: 0,
@@ -152,6 +207,8 @@ impl PhiAccrualDetector {
                     last_seen: now,
                     last_seq: None,
                     presumed_dead: false,
+                    stats: None,
+                    margin: interval * tolerance,
                 },
             )
             .map(|prior| {
@@ -171,7 +228,7 @@ impl PhiAccrualDetector {
     /// Records a heartbeat, feeding the inter-arrival window.  Outcomes
     /// match [`HeartbeatMonitor::beat`](crate::heartbeat::HeartbeatMonitor::beat).
     pub fn beat(&mut self, task: TaskId, seq: u64, now: f64) -> BeatOutcome {
-        let cap = self.config.window;
+        let (cap, min_samples, z) = (self.config.window, self.config.min_samples, self.z);
         match self.watches.get_mut(&task) {
             Some(w) if !w.presumed_dead => {
                 if w.last_seq.is_none_or(|s| seq >= s) {
@@ -183,6 +240,7 @@ impl PhiAccrualDetector {
                     }
                     w.window.push_back(now - w.last_seen);
                     w.last_seen = now;
+                    w.refresh(min_samples, z);
                 }
                 BeatOutcome::Accepted
             }
@@ -212,7 +270,7 @@ impl PhiAccrualDetector {
             let fixed = w.interval * w.tolerance;
             return Some(self.config.threshold * elapsed / fixed);
         }
-        let (mean, std) = w.stats();
+        let (mean, std) = w.stats.expect("a warm window is not empty");
         let p_later = 1.0 - normal_cdf((elapsed - mean) / std);
         Some(-(p_later.max(1e-15)).log10())
     }
@@ -225,41 +283,27 @@ impl PhiAccrualDetector {
         self.watches
             .get(&task)
             .filter(|w| !w.presumed_dead)
-            .map(|w| w.last_seen + self.margin(w))
+            .map(|w| w.last_seen + w.margin)
     }
 
-    /// Silence budget from the last beat to presumption.
-    fn margin(&self, w: &PhiWatch) -> f64 {
-        if w.window.len() < self.config.min_samples {
-            return w.interval * w.tolerance;
-        }
-        let (mean, std) = w.stats();
-        // z such that P(silence ≥ mean + z·std) = 10^-threshold.
-        let z = -normal_quantile(10f64.powf(-self.config.threshold));
-        // Never presume before one full expected interval has passed.
-        (mean + std * z).max(w.interval)
+    /// Earliest [`PhiAccrualDetector::deadline`] over the watches not yet
+    /// presumed dead; `None` when there is none.
+    pub fn next_deadline(&self) -> Option<f64> {
+        self.watches
+            .values()
+            .filter(|w| !w.presumed_dead)
+            .map(|w| w.last_seen + w.margin)
+            .min_by(f64::total_cmp)
     }
 
     /// Sweeps all watches at `now`, returning tasks newly presumed crashed
     /// (sorted; each reported once).
     pub fn expired(&mut self, now: f64) -> Vec<TaskId> {
-        let min_samples = self.config.min_samples;
-        let threshold = self.config.threshold;
         let mut out: Vec<TaskId> = self
             .watches
             .iter_mut()
             .filter_map(|(task, w)| {
-                let margin = if w.window.len() < min_samples {
-                    w.interval * w.tolerance
-                } else {
-                    let n = w.window.len() as f64;
-                    let mean = w.window.iter().sum::<f64>() / n;
-                    let var = w.window.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-                    let std = var.sqrt().max(w.interval * 0.1);
-                    let z = -normal_quantile(10f64.powf(-threshold));
-                    (mean + std * z).max(w.interval)
-                };
-                if !w.presumed_dead && now >= w.last_seen + margin {
+                if !w.presumed_dead && now >= w.last_seen + w.margin {
                     w.presumed_dead = true;
                     Some(*task)
                 } else {
@@ -301,8 +345,8 @@ impl PhiAccrualDetector {
     pub fn jitter(&self, task: TaskId) -> Option<f64> {
         self.watches
             .get(&task)
-            .filter(|w| !w.window.is_empty())
-            .map(|w| w.stats().1)
+            .and_then(|w| w.stats)
+            .map(|(_, std)| std)
     }
 }
 
@@ -512,6 +556,65 @@ mod tests {
         assert_eq!(det.watch(T1, 1.0, 2.0, 0.5), Some(Liveness::Live));
         det.expired(10.0);
         assert_eq!(det.watch(T1, 1.0, 2.0, 10.0), Some(Liveness::PresumedDead));
+    }
+
+    fn config(threshold: f64, window: usize, min_samples: usize) -> PhiConfig {
+        PhiConfig {
+            threshold,
+            window,
+            min_samples,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "PhiConfig::min_samples must be at least 1")]
+    fn an_empty_window_cannot_be_warm() {
+        // With no minimum, an empty window read as warm: its NaN mean
+        // was folded away by `max`, the margin became one interval
+        // whatever the tolerance, and φ read 15 for any silence.
+        PhiAccrualDetector::new(config(8.0, 32, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "PhiConfig::window must hold at least min_samples intervals")]
+    fn a_window_smaller_than_min_samples_is_rejected() {
+        PhiAccrualDetector::new(config(8.0, 4, 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "PhiConfig::window must hold at least min_samples intervals")]
+    fn a_zero_window_is_rejected() {
+        // `len() == 0` is false once a sample is in, so a zero-capacity
+        // window never evicted and grew without bound.
+        PhiAccrualDetector::new(config(8.0, 0, 1));
+    }
+
+    #[test]
+    fn a_bad_threshold_is_rejected_by_new_as_by_with_threshold() {
+        for threshold in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err =
+                std::panic::catch_unwind(|| PhiAccrualDetector::new(config(threshold, 32, 8)))
+                    .expect_err("bad threshold accepted");
+            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(
+                msg, "PhiConfig::threshold must be finite and > 0",
+                "{threshold}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_shipped_configs_stay_legal() {
+        for cfg in [
+            PhiConfig::default(),
+            config(4.0, 16, 4),
+            config(8.0, 32, 8),
+            config(8.0, 64, 16),
+        ] {
+            let mut det = PhiAccrualDetector::new(cfg);
+            det.watch(T1, 1.0, 3.0, 0.0);
+            assert_eq!(det.deadline(T1), Some(3.0), "cold until warm");
+        }
     }
 
     #[test]
