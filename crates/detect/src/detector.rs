@@ -16,12 +16,12 @@
 use std::collections::HashMap;
 
 use crate::exception::ExceptionRegistry;
-use crate::heartbeat::{BeatOutcome, HeartbeatMonitor, Liveness};
+use crate::heartbeat::{HeartbeatMonitor, Liveness};
 use crate::notify::{Envelope, Notification, TaskId};
-use crate::phi::{PhiAccrualDetector, PhiConfig};
+use crate::phi::PhiConfig;
 use crate::state::{TaskState, TaskStateMachine};
 
-/// Which presumption strategy the detector runs.
+/// Which presumption margin the detector's [`HeartbeatMonitor`] runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DetectorPolicy {
     /// Classic fixed timeout: presume a crash after `tolerance × interval`
@@ -49,103 +49,6 @@ pub struct SuspicionInfo {
     pub silence: f64,
     /// Suspicion level φ at presumption time (`None` under fixed timeout).
     pub phi: Option<f64>,
-}
-
-/// Policy-dispatching heartbeat monitor.
-#[derive(Debug)]
-enum Monitor {
-    Fixed {
-        inner: HeartbeatMonitor,
-        tolerance: Option<f64>,
-    },
-    Phi(PhiAccrualDetector),
-}
-
-impl Default for Monitor {
-    fn default() -> Self {
-        Monitor::Fixed {
-            inner: HeartbeatMonitor::new(),
-            tolerance: None,
-        }
-    }
-}
-
-impl Monitor {
-    fn from_policy(policy: DetectorPolicy) -> Self {
-        match policy {
-            DetectorPolicy::FixedTimeout { tolerance } => Monitor::Fixed {
-                inner: HeartbeatMonitor::new(),
-                tolerance,
-            },
-            DetectorPolicy::PhiAccrual(config) => Monitor::Phi(PhiAccrualDetector::new(config)),
-        }
-    }
-
-    fn watch(&mut self, task: TaskId, interval: f64, tolerance: f64, now: f64) -> Option<Liveness> {
-        match self {
-            Monitor::Fixed {
-                inner,
-                tolerance: o,
-            } => inner.watch(task, interval, o.unwrap_or(tolerance), now),
-            Monitor::Phi(phi) => phi.watch(task, interval, tolerance, now),
-        }
-    }
-
-    fn unwatch(&mut self, task: TaskId) {
-        match self {
-            Monitor::Fixed { inner, .. } => inner.unwatch(task),
-            Monitor::Phi(phi) => phi.unwatch(task),
-        }
-    }
-
-    fn beat(&mut self, task: TaskId, seq: u64, now: f64) -> BeatOutcome {
-        match self {
-            Monitor::Fixed { inner, .. } => inner.beat(task, seq, now),
-            Monitor::Phi(phi) => phi.beat(task, seq, now),
-        }
-    }
-
-    fn next_deadline(&self) -> Option<f64> {
-        match self {
-            Monitor::Fixed { inner, .. } => inner.next_deadline(),
-            Monitor::Phi(phi) => phi.next_deadline(),
-        }
-    }
-
-    fn expired(&mut self, now: f64) -> Vec<TaskId> {
-        match self {
-            Monitor::Fixed { inner, .. } => inner.expired(now),
-            Monitor::Phi(phi) => phi.expired(now),
-        }
-    }
-
-    fn last_seen(&self, task: TaskId) -> Option<f64> {
-        match self {
-            Monitor::Fixed { inner, .. } => inner.last_seen(task),
-            Monitor::Phi(phi) => phi.last_seen(task),
-        }
-    }
-
-    fn phi(&self, task: TaskId, now: f64) -> Option<f64> {
-        match self {
-            Monitor::Fixed { .. } => None,
-            Monitor::Phi(phi) => phi.phi(task, now),
-        }
-    }
-
-    fn jitter(&self, task: TaskId) -> Option<f64> {
-        match self {
-            Monitor::Fixed { .. } => None,
-            Monitor::Phi(phi) => phi.jitter(task),
-        }
-    }
-
-    fn late_beats(&self) -> u64 {
-        match self {
-            Monitor::Fixed { inner, .. } => inner.late_beats(),
-            Monitor::Phi(phi) => phi.late_beats(),
-        }
-    }
 }
 
 /// Why a crash was declared.
@@ -283,7 +186,7 @@ impl TaskRecord {
 #[derive(Debug, Default)]
 pub struct Detector {
     records: HashMap<TaskId, TaskRecord>,
-    monitor: Monitor,
+    monitor: HeartbeatMonitor,
     registry: ExceptionRegistry,
 }
 
@@ -297,15 +200,19 @@ impl Detector {
     pub fn with_registry(registry: ExceptionRegistry) -> Self {
         Detector {
             records: HashMap::new(),
-            monitor: Monitor::default(),
+            monitor: HeartbeatMonitor::default(),
             registry,
         }
     }
 
-    /// Replaces the presumption policy.  Call before any task is
-    /// registered: existing heartbeat watches do not carry over.
+    /// Replaces the presumption policy with a fresh [`HeartbeatMonitor`]
+    /// built for it.  Call before any task is registered: existing
+    /// heartbeat watches are dropped, not carried over.
+    ///
+    /// # Panics
+    /// Panics on an invalid [`PhiConfig`] (see [`HeartbeatMonitor::new`]).
     pub fn set_policy(&mut self, policy: DetectorPolicy) {
-        self.monitor = Monitor::from_policy(policy);
+        self.monitor = HeartbeatMonitor::new(policy);
     }
 
     /// The exception registry in use.
@@ -341,11 +248,14 @@ impl Detector {
 
     /// Registers a task attempt before submission.  `hb_interval` /
     /// `hb_tolerance` configure crash presumption; pass `hb_interval = 0`
-    /// to disable heartbeat watching for this attempt.
+    /// to disable heartbeat watching for this attempt.  An unwatched
+    /// registration drops any watch a prior registration of the same id
+    /// left, so the attempt can never be presumed crashed by its
+    /// predecessor's silence.
     ///
     /// Returns the prior watch's [`Liveness`] when this registration
-    /// replaced an existing heartbeat watch for the same task id (see
-    /// [`HeartbeatMonitor::watch`]); the engine records that as a
+    /// replaced or dropped an existing heartbeat watch for the same task
+    /// id (see [`HeartbeatMonitor::watch`]); the engine records that as a
     /// `watch_replaced` trace event.
     pub fn register_task(
         &mut self,
@@ -358,7 +268,7 @@ impl Detector {
         if hb_interval > 0.0 {
             self.monitor.watch(task, hb_interval, hb_tolerance, now)
         } else {
-            None
+            self.monitor.unwatch(task)
         }
     }
 
@@ -739,6 +649,21 @@ mod tests {
         d.register_task(T, 0.0, 1.0, 0.0); // no watching
         assert!(d.sweep(1e9).is_empty());
         assert_eq!(d.next_deadline(), None);
+    }
+
+    #[test]
+    fn an_unwatched_reregistration_drops_the_prior_watch() {
+        let mut d = detector();
+        assert_eq!(
+            d.register_task(T, 0.0, 1.0, 0.5),
+            Some(Liveness::Live),
+            "the dropped watch is disclosed like a replaced one"
+        );
+        assert_eq!(d.next_deadline(), None);
+        assert!(
+            d.sweep(10.0).is_empty(),
+            "an attempt that asked not to be watched is never presumed crashed"
+        );
     }
 
     #[test]

@@ -18,14 +18,14 @@
 //! * [`state`] — the task state machine (`Inactive → Active → Done | Failed |
 //!   Exception`) from the report,
 //! * [`notify`] — typed notification messages and their wire format,
-//! * [`heartbeat`] — timeout-based crash presumption,
-//! * [`phi`] — adaptive φ-accrual crash presumption (suspicion level from
-//!   the observed heartbeat inter-arrival distribution),
+//! * [`heartbeat`] — the one heartbeat monitor: a table of watches whose
+//!   presumption margin is the paper's fixed `tolerance × interval` or the
+//!   adaptive φ-accrual margin, per [`detector::DetectorPolicy`],
+//! * [`phi`] — the φ-accrual configuration and math (window statistics,
+//!   suspicion level, normal CDF and quantile),
 //! * [`exception`] — the user-defined exception registry (§2.3),
 //! * [`detector`] — the classifier that turns a notification stream into
-//!   [`detector::Detection`]s the workflow engine acts on, pluggable
-//!   between the two presumption policies via
-//!   [`detector::DetectorPolicy`];
+//!   [`detector::Detection`]s the workflow engine acts on;
 //! * [`transport`] — a reorder-tolerant delivery buffer protecting the
 //!   `Done`-without-`Task End` rule from message races.
 
@@ -43,6 +43,6 @@ pub use exception::{ExceptionDef, ExceptionRegistry};
 pub use heartbeat::{BeatOutcome, HeartbeatMonitor, Liveness};
 pub use host_health::{HostHealth, HostSignal};
 pub use notify::{Envelope, Notification, TaskId};
-pub use phi::{PhiAccrualDetector, PhiConfig};
+pub use phi::PhiConfig;
 pub use state::{TaskState, TaskStateMachine};
 pub use transport::ReorderBuffer;

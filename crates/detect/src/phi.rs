@@ -1,10 +1,13 @@
-//! Adaptive φ-accrual failure detection (Hayashibara et al., SRDS 2004).
+//! Adaptive φ-accrual failure detection (Hayashibara et al., SRDS 2004):
+//! the configuration and the math of the φ margin policy that
+//! [`HeartbeatMonitor`](crate::heartbeat::HeartbeatMonitor) runs under
+//! [`DetectorPolicy::PhiAccrual`](crate::detector::DetectorPolicy::PhiAccrual).
 //!
-//! The fixed-timeout monitor presumes a crash after `tolerance × interval`
+//! The fixed-timeout policy presumes a crash after `tolerance × interval`
 //! of silence, no matter what the network is doing.  Over a lossy or
 //! jittery link that constant is always wrong in one direction: too tight
 //! and every delay spike becomes a false suspicion, too loose and real
-//! crashes take ages to detect.  The accrual detector instead keeps a
+//! crashes take ages to detect.  The accrual policy instead keeps a
 //! sliding window of observed heartbeat *inter-arrival* times per task and
 //! expresses suspicion as a continuous level
 //!
@@ -21,40 +24,28 @@
 //! detection service (§3) leaves to the transport.
 //!
 //! While the window is *cold* (fewer than `min_samples` observed
-//! intervals) the detector falls back to the fixed-timeout semantics of
-//! [`HeartbeatMonitor`](crate::heartbeat::HeartbeatMonitor), so a task
-//! that dies before ever heartbeating is still detected promptly.
-//!
-//! The detector is deliberately API-compatible with the fixed monitor
-//! (`watch`/`beat`/`deadline`/`expired`), with the presumption instant
-//! computed *analytically* — the time at which φ reaches the threshold is
-//! `last_seen + mean + std · z(threshold)` with `z` the standard-normal
-//! quantile — so the engine's deadline-driven sweep scheduling works
-//! unchanged and stays deterministic.
-//!
-//! That instant is computed once per accepted beat, not once per
-//! question.  `z` depends on the threshold alone and is computed once per
-//! detector; each watch caches its window's `(mean, std)` and its silence
-//! budget, refreshed by [`PhiAccrualDetector::watch`] and by every beat
-//! that changes the window.  [`PhiAccrualDetector::deadline`],
-//! [`PhiAccrualDetector::expired`], [`PhiAccrualDetector::phi`] and
-//! [`PhiAccrualDetector::jitter`] read the cache, so the engine's
-//! per-step questions cost a lookup, not a pass over the window.
+//! intervals) a φ watch *is* a fixed watch: its margin is the
+//! `tolerance × interval` it was watched with, so a task that dies before
+//! ever heartbeating is still detected promptly.  Once warm, the
+//! presumption instant is computed *analytically* — the time at which φ
+//! reaches the threshold is `last_seen + mean + std · z(threshold)` with
+//! `z` the standard-normal quantile — so the engine's deadline-driven
+//! sweep scheduling works unchanged and stays deterministic.  `z` depends
+//! on the threshold alone and is computed once per monitor; the monitor
+//! caches each watch's window statistics and margin, refreshed only by a
+//! beat that moves the window.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use crate::heartbeat::{BeatOutcome, Liveness};
-use crate::notify::TaskId;
-
-/// Tuning knobs for the φ-accrual detector.
+/// Tuning knobs for the φ-accrual policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhiConfig {
     /// Suspicion threshold: presume a crash once φ ≥ `threshold`.
     pub threshold: f64,
     /// Sliding-window capacity (number of inter-arrival samples kept).
     pub window: usize,
-    /// Below this many samples the window is cold and the detector uses
-    /// the fixed `tolerance × interval` timeout instead.
+    /// Below this many samples the window is cold and the watch keeps
+    /// the fixed `tolerance × interval` margin.
     pub min_samples: usize,
 }
 
@@ -83,271 +74,49 @@ impl PhiConfig {
             ..PhiConfig::default()
         }
     }
-}
 
-/// Per-task state: the inter-arrival window plus the fixed-fallback terms,
-/// and what the detector derives from them, cached until the window moves.
-#[derive(Debug, Clone)]
-struct PhiWatch {
-    interval: f64,
-    tolerance: f64,
-    window: VecDeque<f64>,
-    last_seen: f64,
-    last_seq: Option<u64>,
-    presumed_dead: bool,
-    /// [`PhiWatch::stats`] of the window; `None` while it is empty.
-    stats: Option<(f64, f64)>,
-    /// Silence budget from `last_seen` to presumption.
-    margin: f64,
-}
-
-impl PhiWatch {
-    /// Windowed mean and standard deviation, with the deviation floored at
-    /// a tenth of the expected interval so a perfectly regular stream does
-    /// not collapse the distribution to a point (and one delayed beat to a
-    /// certain crash).
-    fn stats(&self) -> (f64, f64) {
-        let n = self.window.len() as f64;
-        let mean = self.window.iter().sum::<f64>() / n;
-        let var = self.window.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-        let std = var.sqrt().max(self.interval * 0.1);
-        (mean, std)
-    }
-
-    /// Recomputes the cache after a beat grew the window: the fixed
-    /// `interval × tolerance` budget while fewer than `min_samples`
-    /// intervals are windowed, `mean + std·z` once warm — never less than
-    /// one full expected interval.
-    fn refresh(&mut self, min_samples: usize, z: f64) {
-        let (mean, std) = self.stats();
-        self.stats = Some((mean, std));
-        self.margin = if self.window.len() < min_samples {
-            self.interval * self.tolerance
-        } else {
-            (mean + std * z).max(self.interval)
-        };
-    }
-}
-
-/// The adaptive accrual detector.  Same shape as
-/// [`HeartbeatMonitor`](crate::heartbeat::HeartbeatMonitor); see the
-/// module docs for the semantics of the φ threshold.
-#[derive(Debug, Clone)]
-pub struct PhiAccrualDetector {
-    config: PhiConfig,
-    /// z such that P(silence ≥ mean + z·std) = 10^-threshold.
-    z: f64,
-    watches: HashMap<TaskId, PhiWatch>,
-    late_beats: u64,
-}
-
-impl Default for PhiAccrualDetector {
-    fn default() -> Self {
-        PhiAccrualDetector::new(PhiConfig::default())
-    }
-}
-
-impl PhiAccrualDetector {
-    /// A detector with the given config.
+    /// The standard-normal quantile `z` with
+    /// P(silence ≥ mean + z·std) = 10^-threshold: the one constant of a
+    /// warm margin.
     ///
     /// # Panics
     /// Panics unless `threshold` is finite and positive, `min_samples` is
     /// at least 1 (an empty window has no statistics to be warm with) and
     /// `window` holds at least `min_samples` intervals (a smaller window
     /// never warms up).
-    pub fn new(config: PhiConfig) -> Self {
+    pub(crate) fn z(&self) -> f64 {
         assert!(
-            config.threshold.is_finite() && config.threshold > 0.0,
+            self.threshold.is_finite() && self.threshold > 0.0,
             "PhiConfig::threshold must be finite and > 0"
         );
         assert!(
-            config.min_samples > 0,
+            self.min_samples > 0,
             "PhiConfig::min_samples must be at least 1"
         );
         assert!(
-            config.window >= config.min_samples,
+            self.window >= self.min_samples,
             "PhiConfig::window must hold at least min_samples intervals"
         );
-        PhiAccrualDetector {
-            z: -normal_quantile(10f64.powf(-config.threshold)),
-            config,
-            watches: HashMap::new(),
-            late_beats: 0,
-        }
+        -normal_quantile(10f64.powf(-self.threshold))
     }
+}
 
-    /// The active configuration.
-    pub fn config(&self) -> &PhiConfig {
-        &self.config
-    }
+/// Windowed mean and standard deviation, with the deviation floored at a
+/// tenth of the expected `interval` so a perfectly regular stream does not
+/// collapse the distribution to a point (and one delayed beat to a certain
+/// crash).  The window must not be empty.
+pub(crate) fn window_stats(window: &VecDeque<f64>, interval: f64) -> (f64, f64) {
+    let n = window.len() as f64;
+    let mean = window.iter().sum::<f64>() / n;
+    let var = window.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+    (mean, var.sqrt().max(interval * 0.1))
+}
 
-    /// Starts watching a task.  `interval`/`tolerance` parameterise the
-    /// cold-window fixed-timeout fallback; once the window warms up they
-    /// only set the deviation floor.  Semantics of re-registration match
-    /// [`HeartbeatMonitor::watch`](crate::heartbeat::HeartbeatMonitor::watch).
-    ///
-    /// # Panics
-    /// Panics unless `interval > 0` and `tolerance >= 1`.
-    pub fn watch(
-        &mut self,
-        task: TaskId,
-        interval: f64,
-        tolerance: f64,
-        now: f64,
-    ) -> Option<Liveness> {
-        assert!(interval > 0.0, "heartbeat interval must be positive");
-        assert!(tolerance >= 1.0, "tolerance below one interval is nonsense");
-        self.watches
-            .insert(
-                task,
-                PhiWatch {
-                    interval,
-                    tolerance,
-                    window: VecDeque::with_capacity(self.config.window),
-                    last_seen: now,
-                    last_seq: None,
-                    presumed_dead: false,
-                    stats: None,
-                    margin: interval * tolerance,
-                },
-            )
-            .map(|prior| {
-                if prior.presumed_dead {
-                    Liveness::PresumedDead
-                } else {
-                    Liveness::Live
-                }
-            })
-    }
-
-    /// Stops watching.
-    pub fn unwatch(&mut self, task: TaskId) {
-        self.watches.remove(&task);
-    }
-
-    /// Records a heartbeat, feeding the inter-arrival window.  Outcomes
-    /// match [`HeartbeatMonitor::beat`](crate::heartbeat::HeartbeatMonitor::beat).
-    pub fn beat(&mut self, task: TaskId, seq: u64, now: f64) -> BeatOutcome {
-        let (cap, min_samples, z) = (self.config.window, self.config.min_samples, self.z);
-        match self.watches.get_mut(&task) {
-            Some(w) if !w.presumed_dead => {
-                if w.last_seq.is_none_or(|s| seq >= s) {
-                    w.last_seq = Some(seq);
-                }
-                if now > w.last_seen {
-                    if w.window.len() == cap {
-                        w.window.pop_front();
-                    }
-                    w.window.push_back(now - w.last_seen);
-                    w.last_seen = now;
-                    w.refresh(min_samples, z);
-                }
-                BeatOutcome::Accepted
-            }
-            Some(_) => {
-                self.late_beats += 1;
-                BeatOutcome::Late
-            }
-            None => BeatOutcome::Unwatched,
-        }
-    }
-
-    /// Number of late beats seen (cf.
-    /// [`HeartbeatMonitor::late_beats`](crate::heartbeat::HeartbeatMonitor::late_beats)).
-    pub fn late_beats(&self) -> u64 {
-        self.late_beats
-    }
-
-    /// Current suspicion level for a task: φ of the silence `now -
-    /// last_seen`.  Cold windows scale the fixed timeout onto the φ axis
-    /// (φ = threshold exactly when the fixed deadline is reached) so the
-    /// reported level is comparable across both regimes.  `None` if the
-    /// task is unwatched.
-    pub fn phi(&self, task: TaskId, now: f64) -> Option<f64> {
-        let w = self.watches.get(&task)?;
-        let elapsed = (now - w.last_seen).max(0.0);
-        if w.window.len() < self.config.min_samples {
-            let fixed = w.interval * w.tolerance;
-            return Some(self.config.threshold * elapsed / fixed);
-        }
-        let (mean, std) = w.stats.expect("a warm window is not empty");
-        let p_later = 1.0 - normal_cdf((elapsed - mean) / std);
-        Some(-(p_later.max(1e-15)).log10())
-    }
-
-    /// Deadline at which φ will cross the threshold absent further beats:
-    /// `last_seen + mean + std·z(threshold)` (warm window), or the fixed
-    /// `last_seen + interval × tolerance` (cold window).  `None` if
-    /// unwatched or already presumed dead.
-    pub fn deadline(&self, task: TaskId) -> Option<f64> {
-        self.watches
-            .get(&task)
-            .filter(|w| !w.presumed_dead)
-            .map(|w| w.last_seen + w.margin)
-    }
-
-    /// Earliest [`PhiAccrualDetector::deadline`] over the watches not yet
-    /// presumed dead; `None` when there is none.
-    pub fn next_deadline(&self) -> Option<f64> {
-        self.watches
-            .values()
-            .filter(|w| !w.presumed_dead)
-            .map(|w| w.last_seen + w.margin)
-            .min_by(f64::total_cmp)
-    }
-
-    /// Sweeps all watches at `now`, returning tasks newly presumed crashed
-    /// (sorted; each reported once).
-    pub fn expired(&mut self, now: f64) -> Vec<TaskId> {
-        let mut out: Vec<TaskId> = self
-            .watches
-            .iter_mut()
-            .filter_map(|(task, w)| {
-                if !w.presumed_dead && now >= w.last_seen + w.margin {
-                    w.presumed_dead = true;
-                    Some(*task)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// True if watched and not presumed dead.
-    pub fn is_live(&self, task: TaskId) -> bool {
-        self.watches
-            .get(&task)
-            .map(|w| !w.presumed_dead)
-            .unwrap_or(false)
-    }
-
-    /// Time of the last beat (or watch start), surviving presumption.
-    pub fn last_seen(&self, task: TaskId) -> Option<f64> {
-        self.watches.get(&task).map(|w| w.last_seen)
-    }
-
-    /// Highest sequence number seen.
-    pub fn last_seq(&self, task: TaskId) -> Option<u64> {
-        self.watches.get(&task).and_then(|w| w.last_seq)
-    }
-
-    /// Number of inter-arrival samples currently windowed for a task.
-    pub fn samples(&self, task: TaskId) -> usize {
-        self.watches.get(&task).map(|w| w.window.len()).unwrap_or(0)
-    }
-
-    /// Windowed inter-arrival standard deviation for a task — the
-    /// heartbeat *jitter*, an early-warning signal (a host whose beats
-    /// grow erratic is often about to miss them entirely).  `None` until
-    /// the window has at least one sample.
-    pub fn jitter(&self, task: TaskId) -> Option<f64> {
-        self.watches
-            .get(&task)
-            .and_then(|w| w.stats)
-            .map(|(_, std)| std)
-    }
+/// φ of a silence of `elapsed` under a normal `(mean, std)` inter-arrival
+/// model, capped at 15.
+pub(crate) fn level(elapsed: f64, (mean, std): (f64, f64)) -> f64 {
+    let p_later = 1.0 - normal_cdf((elapsed - mean) / std);
+    -(p_later.max(1e-15)).log10()
 }
 
 /// Standard normal CDF via the Abramowitz & Stegun 7.1.26 erf
@@ -423,10 +192,17 @@ pub fn normal_quantile(p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::DetectorPolicy;
+    use crate::heartbeat::{BeatOutcome, HeartbeatMonitor, Liveness};
+    use crate::notify::TaskId;
 
     const T1: TaskId = TaskId(1);
 
-    fn warm(det: &mut PhiAccrualDetector, interval: f64, beats: usize) -> f64 {
+    fn phi_monitor(config: PhiConfig) -> HeartbeatMonitor {
+        HeartbeatMonitor::new(DetectorPolicy::PhiAccrual(config))
+    }
+
+    fn warm(det: &mut HeartbeatMonitor, interval: f64, beats: usize) -> f64 {
         det.watch(T1, interval, 3.0, 0.0);
         let mut t = 0.0;
         for k in 0..beats {
@@ -456,7 +232,7 @@ mod tests {
 
     #[test]
     fn cold_window_uses_fixed_timeout() {
-        let mut det = PhiAccrualDetector::new(PhiConfig::default());
+        let mut det = phi_monitor(PhiConfig::default());
         det.watch(T1, 1.0, 3.0, 0.0);
         assert_eq!(det.deadline(T1), Some(3.0), "interval 1 x tolerance 3");
         assert!(det.expired(2.9).is_empty());
@@ -465,7 +241,7 @@ mod tests {
 
     #[test]
     fn warm_window_adapts_deadline_to_observed_regularity() {
-        let mut det = PhiAccrualDetector::new(PhiConfig::with_threshold(8.0));
+        let mut det = phi_monitor(PhiConfig::with_threshold(8.0));
         let t = warm(&mut det, 1.0, 12);
         // Perfectly regular beats: margin = mean + z*std_floor
         //   = 1 + 5.61*0.1 ~ 1.56, i.e. tighter than the fixed 3.0.
@@ -479,12 +255,12 @@ mod tests {
     #[test]
     fn jitter_widens_the_deadline() {
         let regular = {
-            let mut det = PhiAccrualDetector::new(PhiConfig::with_threshold(8.0));
+            let mut det = phi_monitor(PhiConfig::with_threshold(8.0));
             let t = warm(&mut det, 1.0, 12);
             det.deadline(T1).unwrap() - t
         };
         let jittery = {
-            let mut det = PhiAccrualDetector::new(PhiConfig::with_threshold(8.0));
+            let mut det = phi_monitor(PhiConfig::with_threshold(8.0));
             det.watch(T1, 1.0, 3.0, 0.0);
             // Alternating 0.5 / 1.5 inter-arrivals: same mean, high variance.
             let mut t = 0.0;
@@ -503,7 +279,7 @@ mod tests {
     #[test]
     fn deadline_margin_monotone_in_threshold() {
         let margin_at = |threshold: f64| {
-            let mut det = PhiAccrualDetector::new(PhiConfig::with_threshold(threshold));
+            let mut det = phi_monitor(PhiConfig::with_threshold(threshold));
             det.watch(T1, 1.0, 3.0, 0.0);
             let mut t = 0.0;
             for k in 0..16u64 {
@@ -522,7 +298,7 @@ mod tests {
 
     #[test]
     fn phi_grows_with_silence_and_crosses_threshold_at_deadline() {
-        let mut det = PhiAccrualDetector::new(PhiConfig::with_threshold(8.0));
+        let mut det = phi_monitor(PhiConfig::with_threshold(8.0));
         let t = warm(&mut det, 1.0, 12);
         let d = det.deadline(T1).unwrap();
         let phi_early = det.phi(T1, t + 0.5).unwrap();
@@ -538,7 +314,7 @@ mod tests {
 
     #[test]
     fn real_crash_is_always_detected() {
-        let mut det = PhiAccrualDetector::new(PhiConfig::with_threshold(8.0));
+        let mut det = phi_monitor(PhiConfig::with_threshold(8.0));
         let t = warm(&mut det, 1.0, 20);
         // Stream stops.  Some finite deadline exists and expires.
         let d = det.deadline(T1).unwrap();
@@ -551,7 +327,7 @@ mod tests {
 
     #[test]
     fn rewatch_discloses_prior_liveness() {
-        let mut det = PhiAccrualDetector::new(PhiConfig::default());
+        let mut det = phi_monitor(PhiConfig::default());
         assert_eq!(det.watch(T1, 1.0, 2.0, 0.0), None);
         assert_eq!(det.watch(T1, 1.0, 2.0, 0.5), Some(Liveness::Live));
         det.expired(10.0);
@@ -572,13 +348,13 @@ mod tests {
         // With no minimum, an empty window read as warm: its NaN mean
         // was folded away by `max`, the margin became one interval
         // whatever the tolerance, and φ read 15 for any silence.
-        PhiAccrualDetector::new(config(8.0, 32, 0));
+        phi_monitor(config(8.0, 32, 0));
     }
 
     #[test]
     #[should_panic(expected = "PhiConfig::window must hold at least min_samples intervals")]
     fn a_window_smaller_than_min_samples_is_rejected() {
-        PhiAccrualDetector::new(config(8.0, 4, 8));
+        phi_monitor(config(8.0, 4, 8));
     }
 
     #[test]
@@ -586,15 +362,14 @@ mod tests {
     fn a_zero_window_is_rejected() {
         // `len() == 0` is false once a sample is in, so a zero-capacity
         // window never evicted and grew without bound.
-        PhiAccrualDetector::new(config(8.0, 0, 1));
+        phi_monitor(config(8.0, 0, 1));
     }
 
     #[test]
     fn a_bad_threshold_is_rejected_by_new_as_by_with_threshold() {
         for threshold in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let err =
-                std::panic::catch_unwind(|| PhiAccrualDetector::new(config(threshold, 32, 8)))
-                    .expect_err("bad threshold accepted");
+            let err = std::panic::catch_unwind(|| phi_monitor(config(threshold, 32, 8)))
+                .expect_err("bad threshold accepted");
             let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
             assert_eq!(
                 msg, "PhiConfig::threshold must be finite and > 0",
@@ -611,7 +386,7 @@ mod tests {
             config(8.0, 32, 8),
             config(8.0, 64, 16),
         ] {
-            let mut det = PhiAccrualDetector::new(cfg);
+            let mut det = phi_monitor(cfg);
             det.watch(T1, 1.0, 3.0, 0.0);
             assert_eq!(det.deadline(T1), Some(3.0), "cold until warm");
         }
@@ -619,7 +394,7 @@ mod tests {
 
     #[test]
     fn window_is_bounded() {
-        let mut det = PhiAccrualDetector::new(PhiConfig {
+        let mut det = phi_monitor(PhiConfig {
             window: 4,
             min_samples: 2,
             threshold: 8.0,

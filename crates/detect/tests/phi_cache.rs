@@ -1,19 +1,22 @@
-//! The φ detector caches each watch's window statistics and presumption
-//! margin, refreshed only when a beat changes the window.  These
-//! properties check the cache against a reference that recomputes every
-//! answer from the window on every question, with the formulas kept here:
-//! `deadline`, `phi`, `jitter`, `expired` and `next_deadline` must agree
-//! bit for bit (`f64::to_bits`), over random configurations and random
-//! `watch`/`beat`/`unwatch`/`expired` sequences — out-of-order sequence
-//! numbers, beats at equal or earlier times, beats after presumption.
-//! `Detector::next_deadline` is checked the same way under both
-//! presumption policies.
+//! Every watch of the one heartbeat monitor caches its presumption
+//! margin, and a φ watch its window statistics too, refreshed only when a
+//! beat changes the window.  These properties check the cache against a
+//! reference that recomputes every answer from the window on every
+//! question, with the formulas kept here: `deadline`, `phi`, `jitter`,
+//! `expired` and `next_deadline` must agree bit for bit (`f64::to_bits`),
+//! over random configurations and random `watch`/`beat`/`unwatch`/`expired`
+//! sequences — out-of-order sequence numbers, beats at equal or earlier
+//! times, beats after presumption.  Both run under all three policies:
+//! the fixed timeout, the fixed timeout with a global tolerance override,
+//! and φ-accrual; the second checks `Detector::next_deadline`.
 
 use std::collections::{HashMap, VecDeque};
 
 use gridwfs_detect::notify::{Envelope, Notification, TaskId};
 use gridwfs_detect::phi::{normal_cdf, normal_quantile};
-use gridwfs_detect::{BeatOutcome, Detector, DetectorPolicy, PhiAccrualDetector, PhiConfig};
+use gridwfs_detect::{
+    BeatOutcome, Detector, DetectorPolicy, HeartbeatMonitor, Liveness, PhiConfig,
+};
 use gridwfs_sim::check::{self, forall};
 use gridwfs_sim::rng::Rng;
 
@@ -56,8 +59,9 @@ impl Reference {
         }
     }
 
-    fn watch(&mut self, task: TaskId, interval: f64, tolerance: f64, now: f64) {
+    fn watch(&mut self, task: TaskId, interval: f64, tolerance: f64, now: f64) -> Option<Liveness> {
         let tolerance = self.tolerance.unwrap_or(tolerance);
+        let prior = self.unwatch(task);
         self.watches.insert(
             task,
             RefWatch {
@@ -69,6 +73,16 @@ impl Reference {
                 dead: false,
             },
         );
+        prior
+    }
+
+    fn unwatch(&mut self, task: TaskId) -> Option<Liveness> {
+        let w = self.watches.remove(&task)?;
+        Some(if w.dead {
+            Liveness::PresumedDead
+        } else {
+            Liveness::Live
+        })
     }
 
     fn beat(&mut self, task: TaskId, seq: u64, now: f64) -> BeatOutcome {
@@ -168,6 +182,34 @@ fn config(rng: &mut Rng) -> PhiConfig {
     }
 }
 
+/// Policy `kind` — 0 φ-accrual, 1 the fixed timeout, 2 the fixed timeout
+/// with a global tolerance override — with a random configuration, and
+/// the reference that models it.
+fn policy(rng: &mut Rng, kind: usize) -> (DetectorPolicy, Reference) {
+    match kind {
+        0 => {
+            let cfg = config(rng);
+            (
+                DetectorPolicy::PhiAccrual(cfg.clone()),
+                Reference::new(Some(cfg), None),
+            )
+        }
+        1 => (
+            DetectorPolicy::FixedTimeout { tolerance: None },
+            Reference::new(None, None),
+        ),
+        _ => {
+            let tolerance = rng.range_f64(1.0, 8.0);
+            (
+                DetectorPolicy::FixedTimeout {
+                    tolerance: Some(tolerance),
+                },
+                Reference::new(None, Some(tolerance)),
+            )
+        }
+    }
+}
+
 /// The next event time: mostly forward, sometimes the same instant (an
 /// equal-time beat), sometimes a little earlier (a beat that arrived
 /// behind one already seen).
@@ -192,54 +234,64 @@ fn seq(rng: &mut Rng, next: &mut u64) -> u64 {
 
 #[test]
 fn the_phi_cache_answers_like_a_recomputation() {
-    forall(300, &[], |rng| {
-        let cfg = config(rng);
-        let mut det = PhiAccrualDetector::new(cfg.clone());
-        let mut reference = Reference::new(Some(cfg.clone()), None);
-        let tasks: Vec<TaskId> = (1..=1 + rng.index(4) as u64).map(TaskId).collect();
-        let (mut t, mut next_seq) = (0.0, 0u64);
-        for _ in 0..check::between(rng, 10..200) {
-            let (now, at) = advance(rng, t);
-            t = now;
-            let task = tasks[rng.index(tasks.len())];
-            match rng.index(20) {
-                0..=1 => {
-                    let (interval, tolerance) = (rng.range_f64(0.2, 3.0), rng.range_f64(1.0, 6.0));
-                    det.watch(task, interval, tolerance, at);
-                    reference.watch(task, interval, tolerance, at);
+    // Every policy runs the same 300 seeds.
+    for kind in 0..3 {
+        forall(300, &[], |rng| {
+            let (policy, mut reference) = policy(rng, kind);
+            let label = format!("{policy:?}");
+            let mut det = HeartbeatMonitor::new(policy);
+            let tasks: Vec<TaskId> = (1..=1 + rng.index(4) as u64).map(TaskId).collect();
+            let (mut t, mut next_seq) = (0.0, 0u64);
+            for _ in 0..check::between(rng, 10..200) {
+                let (now, at) = advance(rng, t);
+                t = now;
+                let task = tasks[rng.index(tasks.len())];
+                match rng.index(20) {
+                    0..=1 => {
+                        let (interval, tolerance) =
+                            (rng.range_f64(0.2, 3.0), rng.range_f64(1.0, 6.0));
+                        assert_eq!(
+                            det.watch(task, interval, tolerance, at),
+                            reference.watch(task, interval, tolerance, at)
+                        );
+                    }
+                    2 => assert_eq!(det.unwatch(task), reference.unwatch(task)),
+                    3..=4 => {
+                        assert_eq!(det.expired(now), reference.expired(now), "expired({now})")
+                    }
+                    _ => {
+                        let s = seq(rng, &mut next_seq);
+                        assert_eq!(det.beat(task, s, at), reference.beat(task, s, at));
+                    }
                 }
-                2 => {
-                    det.unwatch(task);
-                    reference.watches.remove(&task);
-                }
-                3..=4 => assert_eq!(det.expired(now), reference.expired(now), "expired({now})"),
-                _ => {
-                    let s = seq(rng, &mut next_seq);
-                    assert_eq!(det.beat(task, s, at), reference.beat(task, s, at));
-                }
-            }
-            for &task in &tasks {
-                assert_eq!(bits(det.deadline(task)), bits(reference.deadline(task)));
-                for probe in [now, now + 0.5, now + 4.0] {
+                for &task in &tasks {
                     assert_eq!(
-                        bits(det.phi(task, probe)),
-                        bits(reference.phi(task, probe)),
-                        "phi({task:?}, {probe})"
+                        bits(det.deadline(task)),
+                        bits(reference.deadline(task)),
+                        "{label}: deadline({task:?})"
                     );
+                    for probe in [now, now + 0.5, now + 4.0] {
+                        assert_eq!(
+                            bits(det.phi(task, probe)),
+                            bits(reference.phi(task, probe)),
+                            "{label}: phi({task:?}, {probe})"
+                        );
+                    }
+                    assert_eq!(bits(det.jitter(task)), bits(reference.jitter(task)));
+                    let w = reference.watches.get(&task);
+                    assert_eq!(det.is_live(task), w.is_some_and(|w| !w.dead));
+                    assert_eq!(det.samples(task), w.map_or(0, |w| w.window.len()));
+                    assert_eq!(det.last_seq(task), w.and_then(|w| w.last_seq));
                 }
-                assert_eq!(bits(det.jitter(task)), bits(reference.jitter(task)));
-                let w = reference.watches.get(&task);
-                assert_eq!(det.is_live(task), w.is_some_and(|w| !w.dead));
-                assert_eq!(det.samples(task), w.map_or(0, |w| w.window.len()));
-                assert_eq!(det.last_seq(task), w.and_then(|w| w.last_seq));
+                assert_eq!(
+                    bits(det.next_deadline()),
+                    bits(reference.next_deadline(tasks.iter().copied())),
+                    "{label}: next_deadline"
+                );
+                assert_eq!(det.late_beats(), reference.late);
             }
-            assert_eq!(
-                bits(det.next_deadline()),
-                bits(reference.next_deadline(tasks.iter().copied()))
-            );
-            assert_eq!(det.late_beats(), reference.late);
-        }
-    });
+        });
+    }
 }
 
 /// What the reference detector knows of a registered attempt.
@@ -252,28 +304,8 @@ struct RefRecord {
 #[test]
 fn detector_next_deadline_asks_only_live_watches_and_answers_the_same() {
     forall(300, &[], |rng| {
-        let (policy, mut reference) = match rng.index(3) {
-            0 => {
-                let cfg = config(rng);
-                (
-                    DetectorPolicy::PhiAccrual(cfg.clone()),
-                    Reference::new(Some(cfg), None),
-                )
-            }
-            1 => (
-                DetectorPolicy::FixedTimeout { tolerance: None },
-                Reference::new(None, None),
-            ),
-            _ => {
-                let tolerance = rng.range_f64(1.0, 8.0);
-                (
-                    DetectorPolicy::FixedTimeout {
-                        tolerance: Some(tolerance),
-                    },
-                    Reference::new(None, Some(tolerance)),
-                )
-            }
-        };
+        let kind = rng.index(3);
+        let (policy, mut reference) = policy(rng, kind);
         let mut det = Detector::new();
         det.set_policy(policy);
         let mut records: HashMap<TaskId, RefRecord> = HashMap::new();
@@ -288,7 +320,8 @@ fn detector_next_deadline_asks_only_live_watches_and_answers_the_same() {
             match rng.index(20) {
                 0..=2 => {
                     // A fresh attempt, or (rarely) a re-registration; an
-                    // interval of 0 registers the attempt unwatched.
+                    // interval of 0 registers the attempt unwatched and
+                    // drops any watch its predecessor left.
                     let task = match pick(rng) {
                         Some(task) if rng.index(6) == 0 => task,
                         _ => {
@@ -302,11 +335,14 @@ fn detector_next_deadline_asks_only_live_watches_and_answers_the_same() {
                         rng.range_f64(0.2, 3.0)
                     };
                     let tolerance = rng.range_f64(1.0, 6.0);
-                    det.register_task(task, interval, tolerance, at);
+                    let replaced = det.register_task(task, interval, tolerance, at);
                     records.insert(task, RefRecord::default());
-                    if interval > 0.0 {
-                        reference.watch(task, interval, tolerance, at);
-                    }
+                    let prior = if interval > 0.0 {
+                        reference.watch(task, interval, tolerance, at)
+                    } else {
+                        reference.unwatch(task)
+                    };
+                    assert_eq!(replaced, prior, "register_task({task:?}, {interval})");
                 }
                 3..=4 => {
                     if let Some(task) = pick(rng) {
@@ -315,7 +351,7 @@ fn detector_next_deadline_asks_only_live_watches_and_answers_the_same() {
                         let r = records.get_mut(&task).expect("known");
                         if !r.settled {
                             r.settled = true;
-                            reference.watches.remove(&task);
+                            reference.unwatch(task);
                         }
                     }
                 }

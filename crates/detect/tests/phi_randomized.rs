@@ -10,7 +10,7 @@
 
 use gridwfs_detect::notify::TaskId;
 use gridwfs_detect::phi::PhiConfig;
-use gridwfs_detect::{BeatOutcome, PhiAccrualDetector};
+use gridwfs_detect::{BeatOutcome, DetectorPolicy, HeartbeatMonitor};
 use gridwfs_sim::check::forall;
 use gridwfs_sim::rng::Rng;
 
@@ -32,11 +32,11 @@ fn arrivals(rng: &mut Rng, beats: usize, drop_p: f64, jitter: f64) -> Vec<f64> {
 /// suspected it before the horizon.
 fn falsely_suspects(threshold: f64, history: &[f64], horizon: f64) -> bool {
     let task = TaskId(1);
-    let mut det = PhiAccrualDetector::new(PhiConfig {
+    let mut det = HeartbeatMonitor::new(DetectorPolicy::PhiAccrual(PhiConfig {
         threshold,
         window: 32,
         min_samples: 8,
-    });
+    }));
     det.watch(task, 1.0, 8.0, 0.0);
     for (seq, &at) in history.iter().enumerate() {
         if det.deadline(task).is_some_and(|d| d < at && d < horizon) {
@@ -104,7 +104,8 @@ fn a_real_crash_is_always_detected() {
         let trial = format!("drop {drop_p:.2}, jitter {jitter:.2}");
 
         let task = TaskId(9);
-        let mut det = PhiAccrualDetector::new(PhiConfig::with_threshold(8.0));
+        let mut det =
+            HeartbeatMonitor::new(DetectorPolicy::PhiAccrual(PhiConfig::with_threshold(8.0)));
         det.watch(task, 1.0, 8.0, 0.0);
         for (seq, &at) in history.iter().enumerate() {
             det.beat(task, seq as u64 + 1, at);
@@ -130,7 +131,7 @@ fn a_real_crash_is_always_detected() {
 #[test]
 fn a_task_that_never_beats_falls_back_to_the_fixed_budget() {
     let task = TaskId(3);
-    let mut det = PhiAccrualDetector::new(PhiConfig::with_threshold(8.0));
+    let mut det = HeartbeatMonitor::new(DetectorPolicy::PhiAccrual(PhiConfig::with_threshold(8.0)));
     det.watch(task, 2.0, 3.0, 10.0);
     // Cold window: the deadline is exactly interval × tolerance away.
     assert_eq!(det.deadline(task), Some(16.0));

@@ -105,7 +105,7 @@ fn heartbeat_presumption_boundary() {
         let tolerance = rng.range_f64(1.0, 5.0);
         let beats = check::between(rng, 1..30);
         let stop_after = check::between(rng, 0..30);
-        let mut m = HeartbeatMonitor::new();
+        let mut m = HeartbeatMonitor::default();
         m.watch(TaskId(1), interval, tolerance, 0.0);
         let window = interval * tolerance;
         let mut now = 0.0;

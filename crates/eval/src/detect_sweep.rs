@@ -2,11 +2,11 @@
 //!
 //! The paper's generic failure detection service (§3) presumes a crash
 //! after a fixed silence budget.  Over a lossy, jittery link that constant
-//! is always wrong in one direction; the φ-accrual detector
-//! ([`gridwfs_detect::PhiAccrualDetector`]) adapts its deadline to the
-//! inter-arrival times the link actually delivers.  This module quantifies
-//! the trade on a drop-probability × jitter grid with three metrics per
-//! policy:
+//! is always wrong in one direction; the φ-accrual margin policy adapts the
+//! deadline to the inter-arrival times the link actually delivers.  Each
+//! trial drives the one [`HeartbeatMonitor`], built for the policy under
+//! study, through a single watch.  This module quantifies the trade on a
+//! drop-probability × jitter grid with three metrics per policy:
 //!
 //! * **false-suspicion rate** — probability that a *live* sender is
 //!   presumed crashed within the observation horizon;
@@ -24,7 +24,7 @@
 use gridwfs_detect::heartbeat::HeartbeatMonitor;
 use gridwfs_detect::notify::TaskId;
 use gridwfs_detect::phi::PhiConfig;
-use gridwfs_detect::PhiAccrualDetector;
+use gridwfs_detect::DetectorPolicy;
 use gridwfs_sim::rng::Rng;
 
 /// The detection policy under study.
@@ -103,55 +103,29 @@ pub struct DetectPoint {
     pub mean_completion_time: f64,
 }
 
-/// Either detector behind the shared `watch`/`beat`/`deadline` shape.
-enum Det {
-    Fixed(HeartbeatMonitor),
-    Phi(PhiAccrualDetector),
-}
+/// The one task each trial watches.
+const TASK: TaskId = TaskId(1);
 
-impl Det {
-    fn new(kind: DetectorKind, p: &DetectParams) -> (Det, TaskId) {
-        let task = TaskId(1);
-        match kind {
-            DetectorKind::FixedTimeout { tolerance } => {
-                let mut m = HeartbeatMonitor::new();
-                m.watch(task, p.interval, tolerance, 0.0);
-                (Det::Fixed(m), task)
-            }
-            DetectorKind::Phi { threshold } => {
-                // A deep window and a generous cold-phase budget, so the
-                // measured behaviour is the *warm adaptive* regime: a
-                // barely-warm window that has not yet sampled a drop-induced
-                // gap under-estimates the tail and fires on the first one.
-                let config = PhiConfig {
-                    threshold,
-                    window: 64,
-                    min_samples: 16,
-                };
-                let mut d = PhiAccrualDetector::new(config);
-                d.watch(task, p.interval, 8.0, 0.0);
-                (Det::Phi(d), task)
-            }
+/// A monitor for `kind`, watching [`TASK`] from time 0.
+fn watched(kind: DetectorKind, p: &DetectParams) -> HeartbeatMonitor {
+    let (policy, tolerance) = match kind {
+        DetectorKind::FixedTimeout { tolerance } => (DetectorPolicy::default(), tolerance),
+        // A deep window and a generous cold-phase budget, so the measured
+        // behaviour is the *warm adaptive* regime: a barely-warm window
+        // that has not yet sampled a drop-induced gap under-estimates the
+        // tail and fires on the first one.
+        DetectorKind::Phi { threshold } => {
+            let config = PhiConfig {
+                threshold,
+                window: 64,
+                min_samples: 16,
+            };
+            (DetectorPolicy::PhiAccrual(config), 8.0)
         }
-    }
-
-    fn beat(&mut self, task: TaskId, seq: u64, now: f64) {
-        match self {
-            Det::Fixed(m) => {
-                m.beat(task, seq, now);
-            }
-            Det::Phi(d) => {
-                d.beat(task, seq, now);
-            }
-        }
-    }
-
-    fn deadline(&self, task: TaskId) -> Option<f64> {
-        match self {
-            Det::Fixed(m) => m.deadline(task),
-            Det::Phi(d) => d.deadline(task),
-        }
-    }
+    };
+    let mut monitor = HeartbeatMonitor::new(policy);
+    monitor.watch(TASK, p.interval, tolerance, 0.0);
+    monitor
 }
 
 /// Heartbeats surviving the link, as `(send_index, arrival_time)` sorted
@@ -184,16 +158,16 @@ fn surviving_arrivals(
 /// arrival the final deadline is returned (there are no more beats to beat
 /// it), so crash trials always detect.
 fn first_presumption(kind: DetectorKind, p: &DetectParams, arrivals: &[(u64, f64)]) -> Option<f64> {
-    let (mut det, task) = Det::new(kind, p);
+    let mut monitor = watched(kind, p);
     for &(seq, at) in arrivals {
-        if let Some(d) = det.deadline(task) {
+        if let Some(d) = monitor.deadline(TASK) {
             if d < at {
                 return Some(d);
             }
         }
-        det.beat(task, seq, at);
+        monitor.beat(TASK, seq, at);
     }
-    det.deadline(task)
+    monitor.deadline(TASK)
 }
 
 /// One liveness trial: the sender never crashes and keeps beating past the
