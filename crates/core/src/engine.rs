@@ -58,7 +58,7 @@
 //! views of it, derived when the run finishes: the log is the journal as
 //! readable lines, filed by [`LogKind::of`].
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -451,6 +451,14 @@ struct NodeRt {
     loop_iterations: u32,
 }
 
+/// An open attempt: submitted and not yet closed.
+#[derive(Debug)]
+struct Attempt {
+    activity: String,
+    slot: usize,
+    host: String,
+}
+
 /// The option oblivious cycling starts from: a replica's own, otherwise
 /// the attempts spent so far modulo the program's option count.
 fn cycling_base(policy: Policy, slot: usize, spent: u32, options: usize) -> usize {
@@ -622,8 +630,8 @@ pub struct Engine<X: Executor> {
     detector: Detector,
     instance: Instance,
     nodes: HashMap<String, NodeRt>,
-    attempts: HashMap<TaskId, (String, usize)>,
-    attempt_hosts: HashMap<TaskId, String>,
+    /// Open attempts, walked in task-id order.
+    attempts: BTreeMap<TaskId, Attempt>,
     /// Activity of each attempt presumed dead by the detector — post-mortem
     /// evidence from such an attempt (a zombie completion, a late heartbeat)
     /// is journalled under this name even though the attempt has long been
@@ -645,7 +653,6 @@ pub struct Engine<X: Executor> {
     next_task: u64,
     trace: Vec<TraceEvent>,
     sink: Option<Arc<dyn TraceSink>>,
-    open_attempts: std::collections::HashSet<TaskId>,
     settlements: u64,
     config: EngineConfig,
     run_state: Option<RunState>,
@@ -679,8 +686,7 @@ impl<X: Executor> Engine<X> {
             detector: Detector::with_registry(registry),
             instance,
             nodes: HashMap::new(),
-            attempts: HashMap::new(),
-            attempt_hosts: HashMap::new(),
+            attempts: BTreeMap::new(),
             presumed: HashMap::new(),
             breakers: None,
             scorer: None,
@@ -691,7 +697,6 @@ impl<X: Executor> Engine<X> {
             next_task: 1,
             trace: Vec::new(),
             sink: None,
-            open_attempts: std::collections::HashSet::new(),
             settlements: 0,
             config: EngineConfig::default(),
             run_state: None,
@@ -882,20 +887,13 @@ impl<X: Executor> Engine<X> {
 
     // ---------------------------------------------- resilient placement ---
 
-    /// Live evidence snapshot per host: the max φ and jitter over attempts
-    /// currently watched on each host.  Max-aggregation is
-    /// order-independent, so the engine's `HashMap` iteration order cannot
-    /// leak into placement.
-    fn host_health(&self, now: f64) -> gridwfs_detect::HostHealth {
-        let mut health = gridwfs_detect::HostHealth::new();
-        for (task, host) in &self.attempt_hosts {
-            health.observe(
-                host,
-                self.detector.phi_level(*task, now),
-                self.detector.jitter(*task),
-            );
-        }
-        health
+    /// Live evidence on `host`: the max φ and the max jitter over the open
+    /// attempts running there, each 0.0 when no attempt shows one.
+    fn host_signal(&self, host: &str, now: f64) -> (f64, f64) {
+        let on_host = || self.attempts.iter().filter(|(_, a)| a.host == host);
+        let phi = on_host().filter_map(|(&t, _)| self.detector.phi_level(t, now));
+        let jitter = on_host().filter_map(|(&t, _)| self.detector.jitter(t));
+        (phi.fold(0.0, f64::max), jitter.fold(0.0, f64::max))
     }
 
     /// Hosts this node's *other* live slots run on — the exclusion set
@@ -909,7 +907,7 @@ impl<X: Executor> Engine<X> {
             .enumerate()
             .filter(|&(i, _)| i != slot)
             .filter_map(|(_, s)| s.live)
-            .filter_map(|t| self.attempt_hosts.get(&t).cloned())
+            .filter_map(|t| self.attempts.get(&t).map(|a| a.host.clone()))
             .collect()
     }
 
@@ -926,13 +924,12 @@ impl<X: Executor> Engine<X> {
     ) -> Option<crate::sched_score::Placement> {
         let scorer = self.scorer.as_ref()?;
         let now = self.executor.now();
-        let health = self.host_health(now);
         let candidates: Vec<(&str, crate::sched_score::HostEvidence)> = program
             .options
             .iter()
             .map(|o| {
                 let host = o.hostname.as_str();
-                let sig = health.signal(host);
+                let (phi, jitter) = self.host_signal(host, now);
                 (
                     host,
                     crate::sched_score::HostEvidence {
@@ -941,8 +938,8 @@ impl<X: Executor> Engine<X> {
                             .as_ref()
                             .is_some_and(|b| b.is_blocked(host, now)),
                         half_open: self.breakers.as_ref().is_some_and(|b| b.is_half_open(host)),
-                        phi: sig.phi,
-                        jitter: sig.jitter,
+                        phi,
+                        jitter,
                     },
                 )
             })
@@ -1082,8 +1079,14 @@ impl<X: Executor> Engine<X> {
             Some(br) => br.on_submit(&option.hostname, now),
             None => false,
         };
-        self.attempts.insert(task, (name.to_string(), slot));
-        self.attempt_hosts.insert(task, option.hostname.clone());
+        self.attempts.insert(
+            task,
+            Attempt {
+                activity: name.to_string(),
+                slot,
+                host: option.hostname.clone(),
+            },
+        );
         let replaced = self.detector.register_task(
             task,
             heartbeat_interval,
@@ -1103,7 +1106,6 @@ impl<X: Executor> Engine<X> {
             checkpoint_hint,
         };
         let host = option.hostname.clone();
-        self.open_attempts.insert(task);
         self.executor.submit(req);
         if let Some(liveness) = replaced {
             // Task ids are fresh per attempt, so this cannot fire in the
@@ -1220,29 +1222,31 @@ impl<X: Executor> Engine<X> {
 
     // -------------------------------------------------------- settlement ---
 
-    /// Closes attempt `task` of `name`: it leaves the live-attempt maps,
-    /// and its terminal classification is journalled exactly once (the
-    /// `open_attempts` guard absorbs duplicate settlement paths;
-    /// [`Report::spans`] derives from these events).  Returns the host it
-    /// ran on.
+    /// Closes attempt `task`: it leaves the open attempts and, unless it was
+    /// presumed dead, the detector; its terminal classification is
+    /// journalled exactly once (a closed attempt is no longer open, which
+    /// absorbs duplicate settlement paths; [`Report::spans`] derives from
+    /// these events).  Returns the host it ran on, or `None` when it was
+    /// already closed.
     fn close_attempt(
         &mut self,
-        name: &str,
         task: TaskId,
         outcome: TaskOutcome,
         reason: &str,
     ) -> Option<String> {
-        self.attempts.remove(&task);
-        let host = self.attempt_hosts.remove(&task);
-        if self.open_attempts.remove(&task) {
-            self.trace(TraceKind::TaskSettled {
-                activity: name.to_string(),
-                task: task.0,
-                outcome,
-                reason: reason.to_string(),
-            });
+        let attempt = self.attempts.remove(&task)?;
+        // A presumed attempt keeps its record and its dead watch: they are
+        // what turns its post-mortem messages into zombie evidence.
+        if !self.presumed.contains_key(&task) {
+            self.detector.forget(task);
         }
-        host
+        self.trace(TraceKind::TaskSettled {
+            activity: attempt.activity,
+            task: task.0,
+            outcome,
+            reason: reason.to_string(),
+        });
+        Some(attempt.host)
     }
 
     /// Feeds an attempt's outcome on `host` — success, or a crash or
@@ -1289,20 +1293,20 @@ impl<X: Executor> Engine<X> {
             return;
         };
         let now = self.executor.now();
-        // Only attempts at or above the bar are visited, in a deterministic
-        // order: ascending task id.  A move touches no other attempt's
-        // watch, so each φ is the one the attempt shows when it is visited.
-        let mut suspects: Vec<(TaskId, f64)> = self
+        // Only attempts at or above the bar are visited.  A move touches no
+        // other attempt's watch, so each φ is the one the attempt shows when
+        // it is visited.
+        let suspects: Vec<(TaskId, f64)> = self
             .attempts
             .keys()
             .filter_map(|&t| Some((t, self.detector.phi_level(t, now)?)))
             .filter(|&(_, phi)| phi >= rereplicate_phi)
             .collect();
-        suspects.sort_by_key(|(t, _)| t.0);
         for (task, phi) in suspects {
-            let Some((name, slot)) = self.attempts.get(&task).cloned() else {
+            let Some(a) = self.attempts.get(&task) else {
                 continue;
             };
+            let (name, slot, from) = (a.activity.clone(), a.slot, a.host.clone());
             if self.is_foreach(&name) {
                 continue;
             }
@@ -1310,9 +1314,6 @@ impl<X: Executor> Engine<X> {
             if self.rereplications.get(&key).copied().unwrap_or(0) >= max_rereplications {
                 continue;
             }
-            let Some(from) = self.attempt_hosts.get(&task).cloned() else {
-                continue;
-            };
             let act = self
                 .instance
                 .workflow()
@@ -1340,7 +1341,7 @@ impl<X: Executor> Engine<X> {
                 continue;
             };
             let to = program.options[placement.index].hostname.clone();
-            self.close_attempt(&name, task, TaskOutcome::Cancelled, "rereplicate");
+            self.close_attempt(task, TaskOutcome::Cancelled, "rereplicate");
             self.nodes.get_mut(&name).expect("runtime exists").slots[slot].live = None;
             self.executor.cancel(task);
             self.trace(TraceKind::Rereplicate {
@@ -1359,7 +1360,7 @@ impl<X: Executor> Engine<X> {
         if let Some(rt) = self.nodes.get_mut(name) {
             let live: Vec<TaskId> = rt.slots.iter_mut().filter_map(|s| s.live.take()).collect();
             for task in live {
-                self.close_attempt(name, task, TaskOutcome::Cancelled, "node-settled");
+                self.close_attempt(task, TaskOutcome::Cancelled, "node-settled");
                 self.executor.cancel(task);
             }
         }
@@ -1623,10 +1624,10 @@ impl<X: Executor> Engine<X> {
     /// The activity a presumed-dead attempt belonged to, for journalling
     /// its post-mortem evidence.
     fn presumed_activity(&self, task: TaskId) -> String {
-        self.presumed
-            .get(&task)
-            .cloned()
-            .unwrap_or_else(|| "?".into())
+        self.presumed.get(&task).cloned().expect(
+            "the detector keeps only open and presumed attempts, and only a presumed one \
+             yields post-mortem evidence",
+        )
     }
 
     fn handle(&mut self, detection: Detection) {
@@ -1657,13 +1658,13 @@ impl<X: Executor> Engine<X> {
             }
             _ => {}
         }
-        let Some(&(ref name, slot)) = self.attempts.get(&task) else {
+        let Some(Attempt { activity, slot, .. }) = self.attempts.get(&task) else {
             return; // stale: attempt was cancelled or node already settled
         };
-        let name = name.clone();
+        let (name, slot) = (activity.clone(), *slot);
         match detection {
             Detection::Completed { .. } => {
-                let host = self.close_attempt(&name, task, TaskOutcome::Completed, "task-end");
+                let host = self.close_attempt(task, TaskOutcome::Completed, "task-end");
                 self.host_outcome(host.as_deref(), true);
                 // The winner retires before its node settles, so settling
                 // cancels only the losing replicas.
@@ -1688,7 +1689,7 @@ impl<X: Executor> Engine<X> {
                     });
                     self.presumed.insert(task, name.clone());
                 }
-                let host = self.close_attempt(&name, task, TaskOutcome::Crashed, reason_str);
+                let host = self.close_attempt(task, TaskOutcome::Crashed, reason_str);
                 if reason == CrashReason::HeartbeatLoss {
                     // Best-effort cancel to the possibly-alive orphan — it
                     // travels the same unreliable network, so it may be lost
@@ -1705,7 +1706,7 @@ impl<X: Executor> Engine<X> {
             Detection::ExceptionRaised { name: exc, .. } => {
                 // Exceptions are application-level outcomes, not host
                 // flakiness: they neither trip nor reset the host breaker.
-                self.close_attempt(&name, task, TaskOutcome::Exception, &exc);
+                self.close_attempt(task, TaskOutcome::Exception, &exc);
                 // Recoverable exceptions are maskable: retrying may
                 // encounter a different environment (§2.1's transient
                 // failures).  Fatal (and undeclared) ones are not: a slot
@@ -1779,16 +1780,9 @@ impl<X: Executor> Engine<X> {
     /// statuses are untouched — running nodes checkpoint as `pending` and
     /// are resubmitted on restart, exactly like a crashed engine.
     fn abort_live(&mut self) {
-        let mut live: Vec<(TaskId, String)> = self
-            .attempts
-            .iter()
-            .map(|(t, (n, _))| (*t, n.clone()))
-            .collect();
-        // Ascending task id, not hash-map order: the journal is
-        // deterministic.
-        live.sort_by_key(|(t, _)| t.0);
-        for (task, name) in live {
-            self.close_attempt(&name, task, TaskOutcome::Cancelled, "abort");
+        let live: Vec<TaskId> = self.attempts.keys().copied().collect();
+        for task in live {
+            self.close_attempt(task, TaskOutcome::Cancelled, "abort");
             self.executor.cancel(task);
         }
         self.write_checkpoint();
@@ -1975,6 +1969,9 @@ impl<X: Executor> Engine<X> {
                 }
             }
         }
+        // A closed attempt leaves the detector, so no watch outlives the
+        // open attempts.
+        debug_assert!(!self.attempts.is_empty() || self.detector.next_deadline().is_none());
         StepOutcome::Progressed
     }
 

@@ -11,7 +11,7 @@
 //! * heartbeat silence past the tolerance ⇒ **presumed crash** (host crash,
 //!   network partition, reboot — indistinguishable and treated alike);
 //! * `Checkpoint{flag}` ⇒ the attempt is checkpoint-enabled; the flag is
-//!   retained so the engine can hand it back on restart (§4.3).
+//!   reported so the engine can hand it back on restart (§4.3).
 
 use std::collections::HashMap;
 
@@ -158,8 +158,6 @@ impl Detection {
 struct TaskRecord {
     machine: TaskStateMachine,
     saw_task_end: bool,
-    checkpoint_flag: Option<String>,
-    checkpoint_enabled: bool,
     /// Settled by heartbeat-loss presumption (not by observed messages).
     presumed_dead: bool,
     /// A zombie terminal message has already been reported for this attempt.
@@ -173,8 +171,6 @@ impl TaskRecord {
         TaskRecord {
             machine: TaskStateMachine::new(),
             saw_task_end: false,
-            checkpoint_flag: None,
-            checkpoint_enabled: false,
             presumed_dead: false,
             zombie_reported: false,
             suspicion: None,
@@ -251,7 +247,7 @@ impl Detector {
     /// to disable heartbeat watching for this attempt.  An unwatched
     /// registration drops any watch a prior registration of the same id
     /// left, so the attempt can never be presumed crashed by its
-    /// predecessor's silence.
+    /// predecessor's silence.  The record lasts until [`Detector::forget`].
     ///
     /// Returns the prior watch's [`Liveness`] when this registration
     /// replaced or dropped an existing heartbeat watch for the same task
@@ -277,28 +273,20 @@ impl Detector {
         self.records.get(&task).map(|r| r.machine.current())
     }
 
-    /// Latest checkpoint flag recorded for an attempt, if any.  Survives the
-    /// attempt's failure — that is the point: the engine reads it when
-    /// building the retry submission.
-    pub fn checkpoint_flag(&self, task: TaskId) -> Option<&str> {
-        self.records
-            .get(&task)
-            .and_then(|r| r.checkpoint_flag.as_deref())
-    }
-
-    /// True once the attempt has announced it is checkpoint-enabled.
-    pub fn is_checkpoint_enabled(&self, task: TaskId) -> bool {
-        self.records
-            .get(&task)
-            .map(|r| r.checkpoint_enabled)
-            .unwrap_or(false)
+    /// Drops an attempt's record and its heartbeat watch: nothing it sends
+    /// later is classified, and it never holds a deadline again.  The
+    /// engine forgets every attempt it closes except one presumed dead,
+    /// whose record turns its post-mortem messages into
+    /// [`Detection::Zombie`] and [`Detection::LateHeartbeat`].
+    pub fn forget(&mut self, task: TaskId) {
+        self.records.remove(&task);
+        self.monitor.unwatch(task);
     }
 
     /// Earliest heartbeat deadline across live attempts — the next time the
     /// caller should invoke [`Detector::sweep`].  `None` when nothing is
-    /// being watched.  Asks the monitor, which looks only at its live
-    /// watches (an attempt that settled was unwatched; one presumed dead
-    /// has no deadline), not at every attempt ever registered.
+    /// being watched.  Asks the monitor, which holds a watch only for a
+    /// registered attempt not yet settled, forgotten or presumed dead.
     pub fn next_deadline(&self) -> Option<f64> {
         self.monitor.next_deadline()
     }
@@ -372,8 +360,6 @@ impl Detector {
             }
             Notification::Checkpoint { flag } => {
                 Self::mark_active(record);
-                record.checkpoint_enabled = true;
-                record.checkpoint_flag = Some(flag.clone());
                 vec![Detection::CheckpointRecorded {
                     task: env.task,
                     at: now,
@@ -589,10 +575,8 @@ mod tests {
                 flag: "ckpt-3".into()
             }]
         );
-        assert!(d.is_checkpoint_enabled(T));
         d.observe(&env(Notification::Done, 3.0), 3.0); // crash
         assert_eq!(d.state(T), Some(TaskState::Failed));
-        assert_eq!(d.checkpoint_flag(T), Some("ckpt-3"));
     }
 
     #[test]
@@ -602,11 +586,18 @@ mod tests {
             &env(Notification::Checkpoint { flag: "c1".into() }, 1.0),
             1.0,
         );
-        d.observe(
+        let dets = d.observe(
             &env(Notification::Checkpoint { flag: "c2".into() }, 2.0),
             2.0,
         );
-        assert_eq!(d.checkpoint_flag(T), Some("c2"));
+        assert_eq!(
+            dets,
+            vec![Detection::CheckpointRecorded {
+                task: T,
+                at: 2.0,
+                flag: "c2".into()
+            }]
+        );
     }
 
     #[test]
@@ -664,6 +655,61 @@ mod tests {
             d.sweep(10.0).is_empty(),
             "an attempt that asked not to be watched is never presumed crashed"
         );
+    }
+
+    #[test]
+    fn a_forgotten_attempt_is_neither_watched_nor_classified() {
+        let mut d = detector();
+        d.register_task(TaskId(2), 1.0, 3.0, 0.0);
+        d.forget(T);
+        assert_eq!(d.state(T), None);
+        assert_eq!(d.next_deadline(), Some(3.0), "the other attempt's watch");
+        d.forget(TaskId(2));
+        assert_eq!(d.next_deadline(), None);
+        assert!(d.sweep(1e9).is_empty());
+        for body in [
+            Notification::Heartbeat { seq: 0 },
+            Notification::Checkpoint { flag: "c".into() },
+            Notification::TaskEnd,
+            Notification::Done,
+        ] {
+            assert!(d.observe(&env(body, 2.0), 2.0).is_empty());
+        }
+        assert_eq!(d.late_beats(), 0, "a forgotten attempt's beat is not late");
+    }
+
+    #[test]
+    fn a_presumed_attempt_kept_yields_zombie_once_and_late_heartbeats() {
+        let mut d = detector();
+        d.register_task(TaskId(2), 1.0, 3.0, 0.0);
+        assert_eq!(d.sweep(3.0).len(), 2, "both presumed");
+        d.forget(TaskId(2));
+        assert_eq!(d.next_deadline(), None, "a presumed watch has no deadline");
+        assert_eq!(
+            d.observe(&env(Notification::Heartbeat { seq: 4 }, 3.5), 3.5),
+            vec![Detection::LateHeartbeat {
+                task: T,
+                at: 3.5,
+                seq: 4
+            }]
+        );
+        assert_eq!(
+            d.observe(&env(Notification::Done, 4.0), 4.0),
+            vec![Detection::Zombie {
+                task: T,
+                at: 4.0,
+                body: "done"
+            }]
+        );
+        assert!(d.observe(&env(Notification::Done, 4.1), 4.1).is_empty());
+        for body in [Notification::Heartbeat { seq: 5 }, Notification::Done] {
+            let forgotten = Envelope::new(TaskId(2), "host", 4.2, body);
+            assert!(
+                d.observe(&forgotten, 4.2).is_empty(),
+                "forgotten: no evidence"
+            );
+        }
+        assert_eq!(d.late_beats(), 1, "only the kept attempt's beat is late");
     }
 
     #[test]

@@ -25,14 +25,15 @@
 //!   suspicion level, normal CDF and quantile),
 //! * [`exception`] — the user-defined exception registry (§2.3),
 //! * [`detector`] — the classifier that turns a notification stream into
-//!   [`detector::Detection`]s the workflow engine acts on;
+//!   [`detector::Detection`]s the workflow engine acts on; it holds only
+//!   open attempts and those presumed dead, because the engine calls
+//!   [`detector::Detector::forget`] when any other attempt closes;
 //! * [`transport`] — a reorder-tolerant delivery buffer protecting the
 //!   `Done`-without-`Task End` rule from message races.
 
 pub mod detector;
 pub mod exception;
 pub mod heartbeat;
-pub mod host_health;
 pub mod notify;
 pub mod phi;
 pub mod state;
@@ -41,7 +42,6 @@ pub mod transport;
 pub use detector::{Detection, Detector, DetectorPolicy, SuspicionInfo};
 pub use exception::{ExceptionDef, ExceptionRegistry};
 pub use heartbeat::{BeatOutcome, HeartbeatMonitor, Liveness};
-pub use host_health::{HostHealth, HostSignal};
 pub use notify::{Envelope, Notification, TaskId};
 pub use phi::PhiConfig;
 pub use state::{TaskState, TaskStateMachine};
