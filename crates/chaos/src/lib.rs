@@ -58,7 +58,7 @@ fn mix_str(mut h: u64, s: &str) -> u64 {
 }
 
 /// Map a hash to the unit interval [0, 1).
-fn unit(h: u64) -> f64 {
+pub fn unit(h: u64) -> f64 {
     // 53 high bits -> f64 mantissa.
     (h >> 11) as f64 / (1u64 << 53) as f64
 }

@@ -74,10 +74,10 @@ use gridwfs_wpdl::ast::{Activity, ForeachSpec, ItemAction, Policy, Program, Trig
 use gridwfs_wpdl::validate::Validated;
 
 use crate::executor::{Executor, Polled, SubmitRequest};
+use crate::hosts::{HostTable, Placement, SchedulerPolicy};
 use crate::instance::{
     CompleteResult, EdgeState, Instance, ItemProgress, ItemState, NodeStatus, Outcome,
 };
-use crate::sched_score::Placement;
 use crate::timeline::{Span, SpanOutcome};
 
 /// The category of a journal event, as [`Report::log`] files it (see
@@ -356,26 +356,26 @@ pub struct EngineConfig {
     /// this, the run aborts with reason `"deadline"`.  Virtual seconds for
     /// the simulated Grid, wall seconds for the thread executor.
     pub deadline: Option<f64>,
-    /// Per-host circuit breaker (see [`crate::breaker`]): consecutive
+    /// Per-host circuit breaker (see [`crate::hosts`]): consecutive
     /// failures open a host's breaker and simple-policy option cycling
     /// skips it until a decorrelated-jitter backoff elapses and a
     /// half-open probe succeeds.  `None` (the default) disables breakers
     /// entirely and leaves existing traces byte-identical.
-    pub breaker: Option<crate::breaker::BreakerConfig>,
+    pub breaker: Option<crate::hosts::BreakerConfig>,
     /// Crash-presumption policy (see [`gridwfs_detect::detector::DetectorPolicy`]):
     /// the classic fixed timeout (`interval × tolerance`, the default — keeps
     /// existing traces byte-identical) or adaptive φ-accrual suspicion that
     /// learns the observed heartbeat inter-arrival distribution and resists
     /// false presumptions under jittery, lossy links.
     pub detector: DetectorPolicy,
-    /// Placement policy (see [`crate::sched_score`]): `Oblivious` (the
+    /// Placement policy (see [`crate::hosts`]): `Oblivious` (the
     /// default — blind option cycling plus breaker-skip, byte-identical
     /// journals to engines built before the scorer existed) or
     /// `Resilient`, which scores every candidate host from live failure
     /// evidence, steers retries away from suspected hosts, decorrelates
     /// replica placement, pre-emptively re-replicates when φ rises, and
     /// adapts per-host checkpoint intervals to observed MTTF.
-    pub scheduler: crate::sched_score::SchedulerPolicy,
+    pub scheduler: SchedulerPolicy,
 }
 
 impl Default for EngineConfig {
@@ -390,7 +390,7 @@ impl Default for EngineConfig {
             deadline: None,
             breaker: None,
             detector: DetectorPolicy::default(),
-            scheduler: crate::sched_score::SchedulerPolicy::default(),
+            scheduler: SchedulerPolicy::default(),
         }
     }
 }
@@ -637,17 +637,12 @@ pub struct Engine<X: Executor> {
     /// is journalled under this name even though the attempt has long been
     /// removed from `attempts`.
     presumed: HashMap<TaskId, String>,
-    breakers: Option<crate::breaker::HostBreakers>,
-    /// The resilience-aware host scorer (`Some` only under
-    /// `SchedulerPolicy::Resilient`; `None` leaves every placement path
-    /// byte-identical to the oblivious engine).
-    scorer: Option<crate::sched_score::HostScorer>,
+    /// One record per host, read by the breaker and the scorer when the
+    /// configuration turns them on; with neither it records nothing.
+    hosts: HostTable,
     /// Pre-emptive moves consumed per `(activity, slot)` — bounded by
-    /// `ScorerConfig::max_rereplications` so a flapping φ cannot thrash.
+    /// [`crate::hosts::MAX_REREPLICATIONS`] so a flapping φ cannot thrash.
     rereplications: HashMap<(String, usize), u32>,
-    /// Last adaptive checkpoint interval journalled per host (dedup for
-    /// `ckpt_interval_adapted` events).
-    ckpt_hints: HashMap<String, f64>,
     timers: BinaryHeap<Timer>,
     timer_seq: u64,
     next_task: u64,
@@ -688,10 +683,8 @@ impl<X: Executor> Engine<X> {
             nodes: HashMap::new(),
             attempts: BTreeMap::new(),
             presumed: HashMap::new(),
-            breakers: None,
-            scorer: None,
+            hosts: HostTable::default(),
             rereplications: HashMap::new(),
-            ckpt_hints: HashMap::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
             next_task: 1,
@@ -706,17 +699,8 @@ impl<X: Executor> Engine<X> {
 
     /// Sets the configuration.
     pub fn with_config(mut self, config: EngineConfig) -> Self {
-        self.breakers = config
-            .breaker
-            .clone()
-            .map(crate::breaker::HostBreakers::new);
+        self.hosts = HostTable::new(config.breaker.clone(), &config.scheduler);
         self.detector.set_policy(config.detector.clone());
-        self.scorer = match &config.scheduler {
-            crate::sched_score::SchedulerPolicy::Resilient(cfg) => {
-                Some(crate::sched_score::HostScorer::new(cfg.clone()))
-            }
-            crate::sched_score::SchedulerPolicy::Oblivious => None,
-        };
         self.config = config;
         self
     }
@@ -898,7 +882,7 @@ impl<X: Executor> Engine<X> {
 
     /// Hosts this node's *other* live slots run on — the exclusion set
     /// that keeps a replica set failure-decorrelated.
-    fn sibling_hosts(&self, name: &str, slot: usize) -> Vec<String> {
+    fn sibling_hosts(&self, name: &str, slot: usize) -> Vec<&str> {
         let Some(rt) = self.nodes.get(name) else {
             return Vec::new();
         };
@@ -907,62 +891,31 @@ impl<X: Executor> Engine<X> {
             .enumerate()
             .filter(|&(i, _)| i != slot)
             .filter_map(|(_, s)| s.live)
-            .filter_map(|t| self.attempts.get(&t).map(|a| a.host.clone()))
+            .filter_map(|t| self.attempts.get(&t).map(|a| a.host.as_str()))
             .collect()
     }
 
-    /// Scores `program`'s options from live evidence (breaker state, φ,
-    /// jitter, windowed failure rate, simulator priors) and asks the
-    /// scorer for a placement.  `None` when the scorer is disabled or
-    /// abstains because every candidate is blocked, suspect or excluded —
-    /// the caller then degrades to oblivious cycling.
-    fn scored_option(
-        &self,
-        program: &gridwfs_wpdl::ast::Program,
-        base: usize,
-        exclude: &[String],
-    ) -> Option<crate::sched_score::Placement> {
-        let scorer = self.scorer.as_ref()?;
+    /// Asks the host table's scorer for a placement among `program`'s
+    /// options: breaker state, windowed failure rate and prior come from
+    /// the table, live φ and jitter from [`Self::host_signal`].  `None`
+    /// when the scorer is off or abstains because every candidate is
+    /// blocked, suspect or excluded — the caller then degrades to
+    /// oblivious cycling.
+    fn scored_option(&self, program: &Program, base: usize, exclude: &[&str]) -> Option<Placement> {
         let now = self.executor.now();
-        let candidates: Vec<(&str, crate::sched_score::HostEvidence)> = program
-            .options
-            .iter()
-            .map(|o| {
-                let host = o.hostname.as_str();
-                let (phi, jitter) = self.host_signal(host, now);
-                (
-                    host,
-                    crate::sched_score::HostEvidence {
-                        blocked: self
-                            .breakers
-                            .as_ref()
-                            .is_some_and(|b| b.is_blocked(host, now)),
-                        half_open: self.breakers.as_ref().is_some_and(|b| b.is_half_open(host)),
-                        phi,
-                        jitter,
-                    },
-                )
-            })
-            .collect();
-        let exclude: Vec<&str> = exclude.iter().map(String::as_str).collect();
-        scorer.choose_excluding(&candidates, base, program.nominal_duration, &exclude)
+        self.hosts.choose(program, base, now, exclude, |host| {
+            self.host_signal(host, now)
+        })
     }
 
     /// The adaptive checkpoint hint for `host` — Young's √(2·C·MTTF) over
-    /// the scorer's observed MTTF — journalling `ckpt_interval_adapted`
+    /// the host table's observed MTTF — journalling `ckpt_interval_adapted`
     /// whenever a host's interval changes.  `None` (keep the executor's
     /// own cadence) under the oblivious scheduler or when no failure
     /// evidence or prior exists for the host.
     fn adapt_checkpoint_hint(&mut self, host: &str) -> Option<f64> {
-        let (interval, mttf) = {
-            let sc = self.scorer.as_ref()?;
-            (
-                sc.checkpoint_interval(host)?,
-                sc.observed_mttf(host).unwrap_or(0.0),
-            )
-        };
-        if self.ckpt_hints.get(host) != Some(&interval) {
-            self.ckpt_hints.insert(host.to_string(), interval);
+        let (interval, mttf, changed) = self.hosts.checkpoint_hint(host)?;
+        if changed {
             self.trace(TraceKind::CkptIntervalAdapted {
                 host: host.to_string(),
                 interval,
@@ -1005,7 +958,7 @@ impl<X: Executor> Engine<X> {
         policy: Policy,
         base: usize,
     ) -> (usize, Option<Placement>) {
-        if self.scorer.is_some() {
+        if self.hosts.scorer_on() {
             let exclude = match policy {
                 Policy::Replica => self.sibling_hosts(name, slot),
                 Policy::Simple => Vec::new(),
@@ -1014,13 +967,13 @@ impl<X: Executor> Engine<X> {
                 return (p.index, Some(p));
             }
         }
-        let index = match (&self.breakers, policy) {
-            (Some(br), Policy::Simple) => {
+        let index = match policy {
+            Policy::Simple if self.hosts.breaker_on() => {
                 let now = self.executor.now();
                 let n = program.options.len();
                 (0..n)
                     .map(|k| (base + k) % n)
-                    .find(|&i| !br.is_blocked(&program.options[i].hostname, now))
+                    .find(|&i| !self.hosts.is_blocked(&program.options[i].hostname, now))
                     .unwrap_or(base)
             }
             _ => base,
@@ -1059,7 +1012,6 @@ impl<X: Executor> Engine<X> {
             .expect("validated reference")
             .clone();
         let task = self.fresh_task();
-        let now = self.executor.now();
         let flag = {
             let s = &mut self.nodes.get_mut(name).expect("runtime exists").slots[slot];
             s.live = Some(task);
@@ -1075,10 +1027,7 @@ impl<X: Executor> Engine<X> {
         };
         let option = &program.options[option_index];
         let attempt = spent + 1;
-        let is_probe = match &mut self.breakers {
-            Some(br) => br.on_submit(&option.hostname, now),
-            None => false,
-        };
+        let is_probe = self.hosts.on_submit(&option.hostname);
         self.attempts.insert(
             task,
             Attempt {
@@ -1249,49 +1198,30 @@ impl<X: Executor> Engine<X> {
         Some(attempt.host)
     }
 
-    /// Feeds an attempt's outcome on `host` — success, or a crash or
-    /// presumed death — to the host scorer and the breaker registry (if
-    /// enabled), and journals any breaker transition it caused.
+    /// Records an attempt's outcome on `host` — success, or a crash or
+    /// presumed death — in the host table, and journals any breaker
+    /// transition it caused.
     fn host_outcome(&mut self, host: Option<&str>, ok: bool) {
-        use crate::breaker::BreakerEvent;
         let Some(host) = host else { return };
         let now = self.executor.now();
-        match self.scorer.as_mut() {
-            Some(sc) if ok => sc.record_success(host),
-            Some(sc) => sc.record_failure(host, now),
-            None => {}
-        }
-        let event = match self.breakers.as_mut() {
-            Some(br) if ok => br.record_success(host),
-            Some(br) => br.record_failure(host, now),
-            None => None,
-        };
-        match event {
-            Some(BreakerEvent::Opened { host, until }) => {
-                self.trace(TraceKind::BreakerOpen { host, until })
-            }
-            Some(BreakerEvent::Closed { host }) => self.trace(TraceKind::BreakerClosed { host }),
-            None => {}
+        if let Some(transition) = self.hosts.record(host, ok, now) {
+            self.trace(transition);
         }
     }
 
     /// Pre-emptive re-replication: when a live attempt's host shows a φ
-    /// level at or above [`crate::sched_score::ScorerConfig::rereplicate_phi`],
-    /// evacuate the attempt to the best failure-decorrelated host *before*
-    /// the presumption fires — the replacement resumes from the slot's
-    /// last checkpoint flag instead of losing the work to a crash.
-    /// Budgeted per slot by `max_rereplications`, and the move consumes no
+    /// level at or above [`crate::hosts::REREPLICATE_PHI`], evacuate the
+    /// attempt to the best failure-decorrelated host *before* the
+    /// presumption fires — the replacement resumes from the slot's last
+    /// checkpoint flag instead of losing the work to a crash.  Budgeted per
+    /// slot by [`crate::hosts::MAX_REREPLICATIONS`], and the move consumes no
     /// retry (`tries_used` is untouched: nothing has failed yet).  Only
     /// the φ-accrual detector produces a live suspicion level, so this is
     /// a no-op under the fixed-timeout policy.
     fn preemptive_rereplicate(&mut self) {
-        let Some((rereplicate_phi, max_rereplications)) = self
-            .scorer
-            .as_ref()
-            .map(|s| (s.config().rereplicate_phi, s.config().max_rereplications))
-        else {
+        if !self.hosts.scorer_on() {
             return;
-        };
+        }
         let now = self.executor.now();
         // Only attempts at or above the bar are visited.  A move touches no
         // other attempt's watch, so each φ is the one the attempt shows when
@@ -1300,7 +1230,7 @@ impl<X: Executor> Engine<X> {
             .attempts
             .keys()
             .filter_map(|&t| Some((t, self.detector.phi_level(t, now)?)))
-            .filter(|&(_, phi)| phi >= rereplicate_phi)
+            .filter(|&(_, phi)| phi >= crate::hosts::REREPLICATE_PHI)
             .collect();
         for (task, phi) in suspects {
             let Some(a) = self.attempts.get(&task) else {
@@ -1311,7 +1241,9 @@ impl<X: Executor> Engine<X> {
                 continue;
             }
             let key = (name.clone(), slot);
-            if self.rereplications.get(&key).copied().unwrap_or(0) >= max_rereplications {
+            if self.rereplications.get(&key).copied().unwrap_or(0)
+                >= crate::hosts::MAX_REREPLICATIONS
+            {
                 continue;
             }
             let act = self
@@ -1336,7 +1268,7 @@ impl<X: Executor> Engine<X> {
             // will presume in its own time and the ordinary retry path
             // takes over.
             let mut exclude = self.sibling_hosts(&name, slot);
-            exclude.push(from.clone());
+            exclude.push(&from);
             let Some(placement) = self.scored_option(&program, base, &exclude) else {
                 continue;
             };
@@ -2353,7 +2285,7 @@ mod tests {
         );
         assert!(c.breaker.is_none(), "breakers are opt-in");
         assert!(
-            matches!(c.scheduler, crate::sched_score::SchedulerPolicy::Oblivious),
+            matches!(c.scheduler, SchedulerPolicy::Oblivious),
             "resilient scheduling is opt-in: default journals stay byte-identical"
         );
         assert!(c.max_loop_iterations >= 1000);

@@ -17,6 +17,9 @@
 //! * [`executor`] — the GRAM-shaped submission abstraction, with a
 //!   deterministic simulated Grid ([`sim_executor`]) and a real
 //!   threaded runner ([`thread_executor`]);
+//! * [`hosts`] — what settled attempts say about each host, one record per
+//!   host, read by the optional circuit breaker and resilience-aware
+//!   scorer (extensions beyond the paper);
 //! * [`checkpoint`] — fault tolerance of the engine itself: the annotated
 //!   parse tree persists to XML after every task termination and a
 //!   restarted engine resumes where it left off.
@@ -43,28 +46,24 @@
 //! assert_eq!(report.status_of("slow_task"), Some("skipped"));
 //! ```
 
-pub mod breaker;
 pub mod checkpoint;
 pub mod engine;
 pub mod executor;
+pub mod hosts;
 pub mod instance;
-pub mod sched_score;
 pub mod sim_executor;
 pub mod thread_executor;
 pub mod timeline;
 
-pub use breaker::{BreakerConfig, BreakerEvent, HostBreakers};
 pub use engine::{
     CheckpointSink, DlqEntry, Engine, EngineConfig, LogEntry, LogKind, Report, StepOutcome,
 };
 pub use executor::{Executor, Polled, SubmitRequest};
 pub use gridwfs_detect::{DetectorPolicy, PhiConfig};
 pub use gridwfs_trace::{TaskOutcome, TraceEvent, TraceKind, TraceSink};
+pub use hosts::{BreakerConfig, HostPrior, Placement, SchedulerPolicy};
 pub use instance::{
     CompleteResult, EdgeState, Instance, ItemProgress, ItemState, NodeStatus, Outcome,
-};
-pub use sched_score::{
-    HostEvidence, HostPrior, HostScorer, Placement, SchedulerPolicy, ScorerConfig,
 };
 pub use sim_executor::{ExceptionProfile, SimGrid, TaskProfile};
 pub use thread_executor::{

@@ -1168,7 +1168,7 @@ fn abort_via_max_settlements_leaves_resumable_state() {
 #[test]
 fn resilient_retries_migrate_off_a_targeted_dying_host() {
     use grid_wfs::timeline::SpanOutcome;
-    use grid_wfs::{SchedulerPolicy, ScorerConfig};
+    use grid_wfs::SchedulerPolicy;
     // A mini sweep over seeds: the first option's host dies almost
     // immediately (a targeted failure), heartbeat loss detects it, and the
     // scorer must steer every retry to the healthy hosts — the activity
@@ -1186,7 +1186,7 @@ fn resilient_retries_migrate_off_a_targeted_dying_host() {
         grid.add_host(ResourceSpec::reliable("ok1.host"));
         grid.add_host(ResourceSpec::reliable("ok2.host"));
         let config = EngineConfig {
-            scheduler: SchedulerPolicy::Resilient(ScorerConfig::default()),
+            scheduler: SchedulerPolicy::Resilient(Vec::new()),
             ..EngineConfig::default()
         };
         let report = Engine::new(build(b), grid).with_config(config).run();

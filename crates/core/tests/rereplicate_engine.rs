@@ -6,8 +6,9 @@
 //! host the move named.
 
 use grid_wfs::engine::{Engine, EngineConfig, Report};
+use grid_wfs::hosts::{MAX_REREPLICATIONS, REREPLICATE_PHI};
 use grid_wfs::sim_executor::SimGrid;
-use grid_wfs::{DetectorPolicy, PhiConfig, SchedulerPolicy, ScorerConfig, TraceKind};
+use grid_wfs::{DetectorPolicy, PhiConfig, SchedulerPolicy, TraceKind};
 use gridwfs_sim::net::LinkModel;
 use gridwfs_sim::resource::ResourceSpec;
 use gridwfs_wpdl::builder::WorkflowBuilder;
@@ -18,7 +19,7 @@ const SEED: u64 = 12;
 
 /// Three retried activities on volunteer hosts behind a lossy link, with
 /// a reliable fallback host on a clean one.  φ threshold 10 sits
-/// well above the scorer's default `rereplicate_phi` of 4, so a long
+/// well above the scorer's `REREPLICATE_PHI` of 4, so a long
 /// heartbeat gap moves a replica before it is presumed dead.
 fn run(seed: u64) -> Report {
     let mut b = WorkflowBuilder::new("rereplicate")
@@ -36,7 +37,7 @@ fn run(seed: u64) -> Report {
     grid.add_host(ResourceSpec::reliable("safe"));
     let config = EngineConfig {
         detector: DetectorPolicy::PhiAccrual(PhiConfig::with_threshold(10.0)),
-        scheduler: SchedulerPolicy::Resilient(ScorerConfig::default()),
+        scheduler: SchedulerPolicy::Resilient(Vec::new()),
         ..EngineConfig::default()
     };
     Engine::new(wf, grid).with_config(config).run()
@@ -52,7 +53,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn a_suspected_replica_moves_before_presumption_and_its_replacement_lands_on_the_named_host() {
     let report = run(SEED);
     assert!(report.is_success(), "the fallback host finishes every lane");
-    let budget = ScorerConfig::default();
     let mut moves: std::collections::HashMap<(String, usize), u32> = Default::default();
     for (i, e) in report.trace.iter().enumerate() {
         let TraceKind::Rereplicate {
@@ -66,15 +66,14 @@ fn a_suspected_replica_moves_before_presumption_and_its_replacement_lands_on_the
             continue;
         };
         assert!(
-            *phi >= budget.rereplicate_phi,
-            "move at phi {phi} below {}",
-            budget.rereplicate_phi
+            *phi >= REREPLICATE_PHI,
+            "move at phi {phi} below {REREPLICATE_PHI}"
         );
         assert_ne!(from, to, "a move leaves the suspected host");
         let n = moves.entry((activity.clone(), *slot)).or_insert(0);
         *n += 1;
         assert!(
-            *n <= budget.max_rereplications,
+            *n <= MAX_REREPLICATIONS,
             "{activity}[{slot}] moved {n} times"
         );
         let next = report.trace[i + 1..]

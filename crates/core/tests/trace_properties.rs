@@ -7,7 +7,7 @@
 use grid_wfs::engine::{Engine, EngineConfig, StepOutcome};
 use grid_wfs::sim_executor::{SimGrid, TaskProfile};
 use grid_wfs::timeline;
-use grid_wfs::{SchedulerPolicy, ScorerConfig};
+use grid_wfs::SchedulerPolicy;
 use gridwfs_sim::check::{self, forall};
 use gridwfs_sim::dist::Dist;
 use gridwfs_sim::resource::ResourceSpec;
@@ -163,7 +163,7 @@ fn resilient_journal_is_deterministic_and_opt_in() {
         let w = workflow(rng);
         let seed = rng.next_u64();
         let config = || EngineConfig {
-            scheduler: SchedulerPolicy::Resilient(ScorerConfig::default()),
+            scheduler: SchedulerPolicy::Resilient(Vec::new()),
             ..EngineConfig::default()
         };
         let first = Engine::new(validate(w.clone()).unwrap(), grid(seed))

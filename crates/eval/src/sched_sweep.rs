@@ -2,7 +2,7 @@
 //! placement on a heterogeneous 32-host grid.
 //!
 //! The paper's recovery techniques (§5) all react *after* a failure; the
-//! [`grid_wfs::sched_score::HostScorer`] uses the failure signals the
+//! scorer in [`grid_wfs::hosts`] uses the failure signals the
 //! stack already produces — simulator priors (λ, D per host), windowed
 //! failure rates, live φ levels — to place work where it is least likely
 //! to be lost.  This module quantifies the difference on a failure
@@ -23,9 +23,9 @@
 //! completion times must match to within noise (asserted in the tests).
 
 use grid_wfs::engine::{Engine, EngineConfig};
-use grid_wfs::sched_score::{HostPrior, SchedulerPolicy, ScorerConfig};
 use grid_wfs::sim_executor::{SimGrid, TaskProfile};
 use grid_wfs::timeline::SpanOutcome;
+use grid_wfs::{HostPrior, SchedulerPolicy};
 use gridwfs_detect::detector::DetectorPolicy;
 use gridwfs_detect::phi::PhiConfig;
 use gridwfs_sim::resource::ResourceSpec;
@@ -183,10 +183,7 @@ fn build_config(kind: SchedKind, grid: &SimGrid) -> EngineConfig {
                     downtime,
                 })
                 .collect();
-            SchedulerPolicy::Resilient(ScorerConfig {
-                priors,
-                ..ScorerConfig::default()
-            })
+            SchedulerPolicy::Resilient(priors)
         }
     };
     EngineConfig {

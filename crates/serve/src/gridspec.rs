@@ -249,10 +249,7 @@ impl SchedulerSpec {
                         })
                     })
                     .collect();
-                grid_wfs::SchedulerPolicy::Resilient(grid_wfs::ScorerConfig {
-                    priors,
-                    ..grid_wfs::ScorerConfig::default()
-                })
+                grid_wfs::SchedulerPolicy::Resilient(priors)
             }
         }
     }
@@ -851,12 +848,12 @@ mod tests {
             .with_unreliable_host("flaky.example.org", 1.0, 50.0, 4.0)
             .with_scheduler(SchedulerSpec::Resilient);
         match resilient.scheduler_policy() {
-            SchedulerPolicy::Resilient(cfg) => {
+            SchedulerPolicy::Resilient(priors) => {
                 // Only the unreliable host carries a prior, with λ = 1/MTTF.
-                assert_eq!(cfg.priors.len(), 1);
-                assert_eq!(cfg.priors[0].host, "flaky.example.org");
-                assert!((cfg.priors[0].lambda - 0.02).abs() < 1e-12);
-                assert_eq!(cfg.priors[0].downtime, 4.0);
+                assert_eq!(priors.len(), 1);
+                assert_eq!(priors[0].host, "flaky.example.org");
+                assert!((priors[0].lambda - 0.02).abs() < 1e-12);
+                assert_eq!(priors[0].downtime, 4.0);
             }
             other => panic!("expected resilient policy, got {other:?}"),
         }
