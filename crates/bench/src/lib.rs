@@ -102,8 +102,7 @@ pub fn print_figure(
 
 /// A machine-readable record of one bench run, written by `--json` so
 /// future changes can track the speedup curve (`BENCH_eval.json`).
-/// Serialisation is hand-rolled: the workspace's JSON dependency lives in
-/// the catalog/detect layers and the report is a flat, fully-known shape.
+/// Serialisation is hand-rolled: the report is a flat, fully-known shape.
 #[derive(Debug)]
 pub struct Report {
     bench: String,

@@ -66,7 +66,6 @@ use std::sync::Arc;
 
 use gridwfs_detect::detector::{CrashReason, Detection, Detector, DetectorPolicy};
 use gridwfs_detect::exception::{ExceptionDef, ExceptionRegistry, Severity};
-use gridwfs_detect::heartbeat::Liveness;
 use gridwfs_detect::notify::TaskId;
 use gridwfs_detect::transport::ReorderBuffer;
 use gridwfs_trace::{TaskOutcome, TraceEvent, TraceKind, TraceSink};
@@ -126,13 +125,11 @@ impl LogKind {
             | K::SuspicionRaised { .. }
             | K::ZombieCompletion { .. }
             | K::LateHeartbeat { .. }
-            | K::WatchReplaced { .. }
             | K::BreakerOpen { .. }
             | K::BreakerProbe { .. }
             | K::BreakerClosed { .. }
             | K::PlacementScored { .. }
             | K::CkptIntervalAdapted { .. }
-            | K::LeaseRenewed { .. }
             | K::LeaseExpired { .. }
             | K::LeaseTakeover { .. } => LogKind::Detect,
             K::NodeState { .. }
@@ -1036,7 +1033,9 @@ impl<X: Executor> Engine<X> {
                 host: option.hostname.clone(),
             },
         );
-        let replaced = self.detector.register_task(
+        // Task ids are fresh per attempt, so no watch can exist to replace.
+        debug_assert!(self.detector.state(task).is_none());
+        self.detector.register_task(
             task,
             heartbeat_interval,
             heartbeat_tolerance,
@@ -1056,16 +1055,6 @@ impl<X: Executor> Engine<X> {
         };
         let host = option.hostname.clone();
         self.executor.submit(req);
-        if let Some(liveness) = replaced {
-            // Task ids are fresh per attempt, so this cannot fire in the
-            // engine's own flow — it journals the heartbeat monitor's
-            // re-registration disclosure (a silently revived presumed-dead
-            // attempt is exactly the bug the disclosure exists to catch).
-            self.trace(TraceKind::WatchReplaced {
-                task: task.0,
-                was_presumed_dead: liveness == Liveness::PresumedDead,
-            });
-        }
         if is_probe {
             self.trace(TraceKind::BreakerProbe { host: host.clone() });
         }

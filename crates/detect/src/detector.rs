@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use crate::exception::ExceptionRegistry;
-use crate::heartbeat::{HeartbeatMonitor, Liveness};
+use crate::heartbeat::HeartbeatMonitor;
 use crate::notify::{Envelope, Notification, TaskId};
 use crate::phi::PhiConfig;
 use crate::state::{TaskState, TaskStateMachine};
@@ -248,23 +248,12 @@ impl Detector {
     /// registration drops any watch a prior registration of the same id
     /// left, so the attempt can never be presumed crashed by its
     /// predecessor's silence.  The record lasts until [`Detector::forget`].
-    ///
-    /// Returns the prior watch's [`Liveness`] when this registration
-    /// replaced or dropped an existing heartbeat watch for the same task
-    /// id (see [`HeartbeatMonitor::watch`]); the engine records that as a
-    /// `watch_replaced` trace event.
-    pub fn register_task(
-        &mut self,
-        task: TaskId,
-        hb_interval: f64,
-        hb_tolerance: f64,
-        now: f64,
-    ) -> Option<Liveness> {
+    pub fn register_task(&mut self, task: TaskId, hb_interval: f64, hb_tolerance: f64, now: f64) {
         self.records.insert(task, TaskRecord::new());
         if hb_interval > 0.0 {
-            self.monitor.watch(task, hb_interval, hb_tolerance, now)
+            self.monitor.watch(task, hb_interval, hb_tolerance, now);
         } else {
-            self.monitor.unwatch(task)
+            self.monitor.unwatch(task);
         }
     }
 
@@ -645,11 +634,7 @@ mod tests {
     #[test]
     fn an_unwatched_reregistration_drops_the_prior_watch() {
         let mut d = detector();
-        assert_eq!(
-            d.register_task(T, 0.0, 1.0, 0.5),
-            Some(Liveness::Live),
-            "the dropped watch is disclosed like a replaced one"
-        );
+        d.register_task(T, 0.0, 1.0, 0.5);
         assert_eq!(d.next_deadline(), None);
         assert!(
             d.sweep(10.0).is_empty(),

@@ -22,8 +22,8 @@ impl std::fmt::Display for ResourceId {
     }
 }
 
-/// Declarative description of a Grid resource — what a resource catalog
-/// entry or a WPDL `<Option hostname=.../>` line ultimately resolves to.
+/// Declarative description of a Grid resource — what a WPDL
+/// `<Option hostname=.../>` line ultimately resolves to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResourceSpec {
     /// DNS-ish name, e.g. `bolas.isi.edu` from the paper's Figure 2.

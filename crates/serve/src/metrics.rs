@@ -70,16 +70,17 @@ pub struct Counters {
     /// Corrupt state-dir entries moved aside by recovery scans.
     pub quarantined: AtomicU64,
     /// Successful lease heartbeat renewals by this replica (federated
-    /// serve only; derived from the trace stream by [`TraceMetricsSink`]).
+    /// serve only; counted by the lease heartbeat, never journalled).
     pub leases_renewed: AtomicU64,
     /// Expired peer leases this replica claimed, driving the orphaned job
-    /// through the recovery path (derived from the trace stream).
+    /// through the recovery path (counted where the claim commits).
     pub takeovers: AtomicU64,
     /// Storage batches rejected by lease fencing — a zombie owner tried
-    /// to write a job it no longer leases (derived from the trace stream).
+    /// to write a job it no longer leases (counted where the fence
+    /// conflict is handled).
     pub fenced_writes: AtomicU64,
     /// Expired leases observed by the takeover scanner before claiming
-    /// (derived from the trace stream by [`TraceMetricsSink`]).
+    /// (counted by the scanner).
     pub lease_expirations: AtomicU64,
     /// Live attempts pre-emptively moved off a suspected host by the
     /// resilient scheduler (derived from the trace stream by
@@ -475,18 +476,6 @@ impl TraceSink for TraceMetricsSink {
             }
             TraceKind::ItemReprocessed { .. } => {
                 Metrics::incr(&self.metrics.counters.items_reprocessed);
-            }
-            TraceKind::LeaseRenewed { .. } => {
-                Metrics::incr(&self.metrics.counters.leases_renewed);
-            }
-            TraceKind::LeaseExpired { .. } => {
-                Metrics::incr(&self.metrics.counters.lease_expirations);
-            }
-            TraceKind::LeaseTakeover { .. } => {
-                Metrics::incr(&self.metrics.counters.takeovers);
-            }
-            TraceKind::WriteFenced { .. } => {
-                Metrics::incr(&self.metrics.counters.fenced_writes);
             }
             TraceKind::Rereplicate { .. } => {
                 Metrics::incr(&self.metrics.counters.rereplications);

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use gridwfs_serve::{
     recover, GridSpec, JobId, JobState, MemStorage, Op, Service, ServiceConfig, Storage,
-    Submission, SubmitError, WalStorage,
+    Submission, SubmitError, TraceKind, WalStorage,
 };
 use gridwfs_wpdl::builder::WorkflowBuilder;
 
@@ -125,6 +125,11 @@ fn zombie_owner_is_fenced_on_every_backend() {
             bc.counters.takeovers.load(Ordering::Relaxed) == 1
         });
         assert!(bc.counters.lease_expirations.load(Ordering::Relaxed) >= 1);
+        assert!(
+            b.trace_events().iter().any(|e| matches!(e.kind,
+                TraceKind::LeaseExpired { job, epoch: 1 } if job == id.0)),
+            "({bt}) b's ring journals the expiry it observed"
+        );
 
         // The zombie's next flush for the job — checkpoint or terminal
         // settle — is rejected at the storage batch and journalled.

@@ -7,7 +7,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gridwfs_serve::{
-    recover, GridSpec, JobId, JobState, Service, ServiceConfig, Storage, Submission, WalStorage,
+    recover, GridSpec, JobId, JobState, Service, ServiceConfig, Storage, Submission, TraceKind,
+    WalStorage,
 };
 use gridwfs_wpdl::builder::WorkflowBuilder;
 
@@ -432,6 +433,11 @@ fn failed_rollback_burns_the_id_instead_of_resurrecting_the_job() {
         other => panic!("expected QueueFull, got {other:?}"),
     }
     st.arm.store(false, Ordering::Relaxed);
+    assert!(
+        service.trace_events().iter().any(|e| matches!(&e.kind,
+            TraceKind::JobRejected { name, reason } if name == "bounced" && reason == "queue-full")),
+        "the bounced admission is journalled as a queue-full rejection"
+    );
 
     // The staged records could not be cleared, so the slot must hold a
     // terminal tombstone and the id must be burned, not recycled.

@@ -212,16 +212,6 @@ trace_kinds! {
             /// Whether the write succeeded.
             ok: bool,
         },
-        /// A heartbeat watch was re-registered for a task the monitor already
-        /// knew — recorded because silently reviving a presumed-dead attempt
-        /// is exactly the bug this journal exists to catch.
-        WatchReplaced = "watch_replaced" {
-            /// Engine task id.
-            task: u64,
-            /// Prior liveness: `true` if the replaced watch had already
-            /// presumed the task dead.
-            was_presumed_dead: bool,
-        },
         /// Navigation aborted before a natural terminal state
         /// (`stop` / `deadline` / `max_settlements`).
         EngineAborted = "engine_aborted" {
@@ -290,14 +280,6 @@ trace_kinds! {
             job: u64,
             /// Panic payload (message), best-effort stringified.
             detail: String,
-        },
-        /// serve (federated): the owning replica renewed the job's lease on a
-        /// heartbeat tick.
-        LeaseRenewed = "lease_renew" {
-            /// Job id.
-            job: u64,
-            /// Lease epoch at renewal (unchanged by a renewal).
-            epoch: u64,
         },
         /// serve (federated): a takeover scanner observed an expired lease on
         /// a job it does not own.
@@ -912,14 +894,6 @@ mod tests {
                 r#"{"at":2.5,"kind":"engine_checkpoint","ok":false}"#,
             ),
             (
-                1.0,
-                K::WatchReplaced {
-                    task: 4,
-                    was_presumed_dead: true,
-                },
-                r#"{"at":1,"kind":"watch_replaced","task":4,"was_presumed_dead":true}"#,
-            ),
-            (
                 0.0,
                 K::EngineAborted {
                     reason: s("line\nbreak \"quoted\" \\slash\u{1}"),
@@ -985,11 +959,6 @@ mod tests {
     fn lease_golden() -> Vec<Golden> {
         use TraceKind as K;
         vec![
-            (
-                0.0,
-                K::LeaseRenewed { job: 4, epoch: 2 },
-                r#"{"at":0,"kind":"lease_renew","job":4,"epoch":2}"#,
-            ),
             (
                 0.0,
                 K::LeaseExpired { job: 4, epoch: 2 },
@@ -1205,7 +1174,7 @@ mod tests {
         ]
         .concat();
         let tags: std::collections::BTreeSet<_> = rows.iter().map(|(_, k, _)| k.tag()).collect();
-        assert_eq!(tags.len(), 39, "one sample per kind");
+        assert_eq!(tags.len(), 37, "one sample per kind");
         assert_golden(rows);
     }
 

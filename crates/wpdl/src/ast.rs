@@ -195,7 +195,8 @@ pub struct Activity {
     /// Crash is presumed after `heartbeat_interval * heartbeat_tolerance`
     /// of silence.
     pub heartbeat_tolerance: f64,
-    /// Logical input names (documentation + data-catalog lookups).
+    /// Logical input names (documentation: round-tripped, never read by the
+    /// engine).
     pub inputs: Vec<String>,
     /// Logical output names.
     pub outputs: Vec<String>,

@@ -12,98 +12,30 @@
 //! * `publish` — cleanup/archival step that must run whatever happened
 //!   upstream succeeded (AND-join on the solver result + visualization).
 //!
-//! The resource placements come from the catalogs + broker (the paper's
-//! Figure 7 runtime services; footnote 4's unimplemented path).
+//! The placements are written into the workflow: the solver on the fast
+//! large-memory host, the render replicas on the three volunteers, most
+//! available first.
 //!
 //! ```text
 //! cargo run --example linear_solver_pipeline
 //! ```
 
-use gridwfs::catalog::{
-    Broker, BrokerPolicy, Implementation, ResourceCatalog, ResourceEntry, SoftwareCatalog,
-};
 use gridwfs::core::{Engine, SimGrid, TaskProfile};
 use gridwfs::sim::resource::ResourceSpec;
 use gridwfs::wpdl::WorkflowBuilder;
 
-fn catalogs() -> Broker {
-    let mut sw = SoftwareCatalog::new();
-    sw.add_implementation(
-        "mesh_gen",
-        Implementation::new("cluster.isi.edu", "/bin/", "mesh"),
-    );
-    sw.add_implementation(
-        "solver_fast",
-        Implementation::new("bigmem.isi.edu", "/bin/", "solver-mem").requires(0.0, 64.0),
-    );
-    sw.add_implementation(
-        "solver_disk",
-        Implementation::new("cluster.isi.edu", "/bin/", "solver-disk").requires(50.0, 4.0),
-    );
-    for host in ["vol1.example.org", "vol2.example.org", "vol3.example.org"] {
-        sw.add_implementation("render", Implementation::new(host, "/opt/", "render"));
-    }
-    sw.add_implementation(
-        "publish",
-        Implementation::new("archive.isi.edu", "/bin/", "publish"),
-    );
-
-    let mut rc = ResourceCatalog::new();
-    rc.upsert(
-        ResourceEntry::new("cluster.isi.edu")
-            .speed(1.0)
-            .reliability(500.0, 5.0),
-    );
-    rc.upsert(
-        ResourceEntry::new("bigmem.isi.edu")
-            .speed(2.0)
-            .reliability(200.0, 10.0),
-    );
-    rc.upsert(ResourceEntry::new("archive.isi.edu").reliability(1000.0, 1.0));
-    // Donated desktops: fast-ish but unreliable, the §2.1 heterogeneity.
-    rc.upsert(
-        ResourceEntry::new("vol1.example.org")
-            .speed(1.5)
-            .reliability(40.0, 60.0),
-    );
-    rc.upsert(
-        ResourceEntry::new("vol2.example.org")
-            .speed(1.2)
-            .reliability(60.0, 30.0),
-    );
-    rc.upsert(
-        ResourceEntry::new("vol3.example.org")
-            .speed(0.8)
-            .reliability(90.0, 20.0),
-    );
-    Broker::new(sw, rc)
-}
-
 fn main() {
-    let broker = catalogs();
-
-    // Broker the volunteer replicas by estimated availability (§2.1:
-    // "an estimated reliability of the underlying execution environment").
-    let replicas = broker
-        .select_replicas("render", BrokerPolicy::Reliability, 3)
-        .expect("three volunteer hosts available");
-    let replica_hosts: Vec<&str> = replicas.iter().map(|c| c.hostname.as_str()).collect();
-    println!("broker chose render replicas (by availability): {replica_hosts:?}");
-    let solver_host = broker
-        .select("solver_fast", BrokerPolicy::Speed)
-        .expect("solver placement");
-    println!(
-        "broker chose solver host (by speed): {}\n",
-        solver_host.hostname
-    );
-
     // Failure-handling policy, declared entirely in workflow structure.
     let mut b = WorkflowBuilder::new("linear-solver-pipeline")
         .exception("out_of_memory", true) // fatal: retrying cannot help
         .program("mesh_gen", 10.0, &["cluster.isi.edu"])
-        .program("solver_fast", 30.0, &[&solver_host.hostname])
+        .program("solver_fast", 30.0, &["bigmem.isi.edu"])
         .program("solver_disk", 120.0, &["cluster.isi.edu"])
-        .program("render", 40.0, &replica_hosts)
+        .program(
+            "render",
+            40.0,
+            &["vol3.example.org", "vol2.example.org", "vol1.example.org"],
+        )
         .program("publish", 5.0, &["archive.isi.edu"]);
     b.activity("mesh", "mesh_gen");
     b.activity("solve_fast", "solver_fast");
@@ -121,8 +53,8 @@ fn main() {
         .build()
         .expect("pipeline validates");
 
-    // Simulated Grid mirroring the catalog, with failure injection: the
-    // fast solver hits out_of_memory, the volunteers crash occasionally.
+    // Simulated Grid with failure injection: the fast solver hits
+    // out_of_memory, the volunteers crash occasionally.
     let mut grid = SimGrid::new(42);
     grid.add_host(ResourceSpec::unreliable("cluster.isi.edu", 500.0, 5.0));
     grid.add_host(ResourceSpec::unreliable("bigmem.isi.edu", 200.0, 10.0).with_speed(2.0));

@@ -16,7 +16,6 @@
 //! | [`core`] | `grid-wfs` | the workflow engine with two-level recovery |
 //! | [`detect`] | `gridwfs-detect` | generic failure detection service |
 //! | [`sim`] | `gridwfs-sim` | discrete-event Grid simulation substrate |
-//! | [`catalog`] | `gridwfs-catalog` | software/data/resource catalogs + broker |
 //! | [`eval`] | `gridwfs-eval` | the §8 Monte-Carlo evaluation |
 //! | [`serve`] | `gridwfs-serve` | multi-tenant workflow service (worker pool, queue, recovery) |
 //!
@@ -48,7 +47,6 @@
 pub mod cli;
 
 pub use grid_wfs as core;
-pub use gridwfs_catalog as catalog;
 pub use gridwfs_detect as detect;
 pub use gridwfs_eval as eval;
 pub use gridwfs_serve as serve;

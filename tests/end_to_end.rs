@@ -1,10 +1,6 @@
 //! Full-stack integration: WPDL text → parser → validation → engine →
-//! simulated Grid → report, plus the broker-driven construction path and
-//! the real threaded executor.
+//! simulated Grid → report, plus the real threaded executor.
 
-use gridwfs::catalog::{
-    Broker, BrokerPolicy, Implementation, ResourceCatalog, ResourceEntry, SoftwareCatalog,
-};
 use gridwfs::core::{Engine, SimGrid, TaskProfile, TaskResult, ThreadExecutor, TraceKind};
 use gridwfs::sim::resource::ResourceSpec;
 use gridwfs::wpdl::{parse, validate, WorkflowBuilder};
@@ -39,43 +35,6 @@ fn figure6_from_xml_text_to_report() {
     assert_eq!(report.status_of("fast"), Some("exception:disk_full"));
     assert_eq!(report.status_of("slow"), Some("done"));
     assert_eq!(report.makespan, 156.0);
-}
-
-/// Catalog → broker → workflow construction → engine, the Figure 7
-/// architecture path.
-#[test]
-fn broker_driven_placement_runs() {
-    let mut sw = SoftwareCatalog::new();
-    for host in ["a.org", "b.org", "c.org"] {
-        sw.add_implementation("work", Implementation::new(host, "/bin/", "work"));
-    }
-    let mut rc = ResourceCatalog::new();
-    rc.upsert(ResourceEntry::new("a.org").reliability(10.0, 50.0)); // flaky
-    rc.upsert(ResourceEntry::new("b.org").reliability(900.0, 5.0)); // solid
-    rc.upsert(ResourceEntry::new("c.org").reliability(100.0, 20.0));
-    let broker = Broker::new(sw, rc);
-    let hosts: Vec<String> = broker
-        .select_replicas("work", BrokerPolicy::Reliability, 2)
-        .unwrap()
-        .into_iter()
-        .map(|c| c.hostname)
-        .collect();
-    assert_eq!(hosts, vec!["b.org", "c.org"], "flakiest host excluded");
-
-    let host_refs: Vec<&str> = hosts.iter().map(String::as_str).collect();
-    let mut b = WorkflowBuilder::new("brokered").program("work", 10.0, &host_refs);
-    b.activity("w", "work").replicate();
-    let mut grid = SimGrid::new(1);
-    for h in &hosts {
-        grid.add_host(ResourceSpec::reliable(h));
-    }
-    let report = Engine::new(b.build().unwrap(), grid).run();
-    assert!(report.is_success());
-    assert_eq!(
-        report.submissions_of("w"),
-        2,
-        "one replica per brokered host"
-    );
 }
 
 /// The same engine drives real OS threads through the same API.
